@@ -46,7 +46,7 @@ from logcad.model import (
     load_params_into,
     save_checkpoint,
 )
-from logcad.train import TrainSettings, token_accuracy, train
+from logcad.train import TrainSettings, train
 from logcad.wiki import extract_wikipedia, read_articles, read_items, split_by_phrase
 
 
@@ -124,7 +124,7 @@ def _coerce_option(key: str, raw: str):
     return raw
 
 
-def _load_table(path: Optional[str], width: int, seed: int) -> Optional[EmbeddingTable]:
+def _load_table(path: Optional[str], seed: int) -> Optional[EmbeddingTable]:
     if path is None:
         return None
     return load_embeddings(path, seed=seed)
@@ -174,7 +174,7 @@ def cmd_train(args) -> int:
         return 1
 
     model_cfg = cfg.model_config()
-    table = _load_table(args.emb, cfg.emb_width, cfg.seed)
+    table = _load_table(args.emb, cfg.seed)
     if table is None and model_cfg.uses_global_embedding:
         print("warning: no embedding file; phrase vectors fall back to the UNK vector",
               file=sys.stderr)
@@ -223,7 +223,7 @@ def cmd_evaluate(args) -> int:
         entries = load_dataset(args.data)
         vocab_path = args.vocab or str(Path(args.ckpt).with_name("vocab.txt"))
         vocab = Vocab.load(vocab_path)
-        table = _load_table(args.emb, cfg.emb_width, cfg.seed)
+        table = _load_table(args.emb, cfg.seed)
         model, _meta = load_model(args.ckpt, vocab, table)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -289,7 +289,7 @@ def cmd_describe(args) -> int:
     try:
         vocab_path = args.vocab or str(Path(args.ckpt).with_name("vocab.txt"))
         vocab = Vocab.load(vocab_path)
-        table = _load_table(args.emb, cfg.emb_width, cfg.seed)
+        table = _load_table(args.emb, cfg.seed)
         model, _meta = load_model(args.ckpt, vocab, table)
         context, pos = _locate_phrase(args.sentence, args.phrase)
         entry = Entry(phrase=tokenize(args.phrase), context=context, span=(pos, pos),

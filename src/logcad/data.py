@@ -199,7 +199,10 @@ def load_embeddings(path, seed: int = 0) -> EmbeddingTable:
                 raise ValueError(
                     f"{path}:{lineno}: expected {width} values, got {len(values)}"
                 )
-            vectors[token] = np.asarray([float(v) for v in values])
+            vec = np.asarray([float(v) for v in values])
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{path}:{lineno}: non-finite value for {token!r}")
+            vectors[token] = vec
     if width is None:
         raise ValueError(f"{path}: no vectors found")
     return EmbeddingTable(vectors, width, seed)
@@ -268,10 +271,7 @@ class Batch:
 
     context_ids: np.ndarray       # (B, T) int
     context_lengths: np.ndarray   # (B,)
-    context_mask: np.ndarray      # (B, T) float 0/1
-    phrase_ids: list              # list of list[int]
     phrase_words: list            # list of list[str]
-    spans: list                   # list of (j, k)
     target_ids: np.ndarray        # (B, S+1) int
     target_mask: np.ndarray       # (B, S+1) float 0/1
     prev_ids: np.ndarray          # (B, S+1) int
@@ -290,7 +290,6 @@ def make_batch(entries: Sequence[Entry], vocab: Vocab) -> Batch:
     context_ids = np.full((b, t_max), Vocab.PAD, dtype=np.intp)
     for i, e in enumerate(entries):
         context_ids[i, : len(e.context)] = vocab.encode(e.context)
-    context_mask = (np.arange(t_max)[None, :] < ctx_lens[:, None]).astype(np.float64)
 
     desc_lens = np.array([len(e.description) for e in entries], dtype=np.intp)
     s_max = int(desc_lens.max()) + 1  # room for <eos>
@@ -306,10 +305,7 @@ def make_batch(entries: Sequence[Entry], vocab: Vocab) -> Batch:
     return Batch(
         context_ids=context_ids,
         context_lengths=ctx_lens,
-        context_mask=context_mask,
-        phrase_ids=[vocab.encode(e.phrase) for e in entries],
         phrase_words=[list(e.phrase) for e in entries],
-        spans=[e.span for e in entries],
         target_ids=target_ids,
         target_mask=target_mask,
         prev_ids=prev_ids,

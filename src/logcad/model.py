@@ -108,8 +108,8 @@ class ModelConfig:
 
     @property
     def feature_width(self) -> int:
-        """Width of the gate's context feature f_t (sized as for log-cad when
-        the gate is unused, to keep the parameter inventory uniform)."""
+        """Width of the gate's context feature f_t. I-Attention has no gate;
+        its discarded gate draw is sized as for log-cad."""
         if self.variant == "global":
             return self.word_emb_width + self.char_out_width
         if self.variant == "local":
@@ -162,42 +162,47 @@ def _char_banks(config: ModelConfig) -> tuple[tuple[int, int], ...]:
 
 
 class ModelParams:
-    """All trainable weights. Every parameter group exists for every
-    variant (inactive groups simply receive no gradient), so checkpoints
-    keep one uniform inventory per variant/dimension choice."""
+    """The trainable weights of one variant: only the parameter groups its
+    ``ModelConfig.uses_*`` flags select (see the README's per-variant table)."""
 
     def __init__(self, config: ModelConfig, n_vocab: int,
                  rng: np.random.Generator, dtype=np.float32):
-        self.config = config
-        self.n_vocab = n_vocab
         self.dtype = dtype
+        # unused groups are drawn, then dropped, so every kept tensor takes the
+        # same values from the seed as when each variant held all groups
         self.word_emb = uniform_init(rng, (n_vocab, config.word_emb_width), dtype)
-        self.encoder = BiLstmParams.create(
+        encoder = BiLstmParams.create(
             rng, config.word_emb_width, config.enc_width, config.enc_layers, dtype)
         self.decoder: list[LstmParams] = []
         in_dim = config.dec_input_width
         for _ in range(config.dec_layers):
             self.decoder.append(LstmParams.create(rng, in_dim, config.dec_width, dtype))
             in_dim = config.dec_width
-        self.attn = AttentionParams.create(
+        attn = AttentionParams.create(
             rng, config.enc_width, config.dec_width, config.attn_width, dtype)
-        self.char = CharCnnParams.create(
+        char = CharCnnParams.create(
             rng, config.char_emb_width, _char_banks(config), dtype)
-        self.gate = GateParams.create(rng, config.feature_width, config.dec_width, dtype)
-        self.masknet = MaskNetParams.create(
+        gate = GateParams.create(rng, config.feature_width, config.dec_width, dtype)
+        masknet = MaskNetParams.create(
             rng, config.enc_width, config.word_emb_width, config.word_emb_width, dtype)
         self.out_w = matrix_init(rng, (config.dec_width, n_vocab), dtype)
         self.out_b = Tensor(np.zeros(n_vocab, dtype=dtype), requires_grad=True)
+        self.encoder = encoder if config.uses_encoder else None
+        self.attn = attn if config.uses_attention else None
+        self.char = char if config.uses_char else None
+        self.gate = gate if config.uses_gate else None
+        self.masknet = masknet if config.variant == "i-attention" else None
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
         yield "word_emb", self.word_emb
-        yield from self.encoder.named("encoder")
+        if self.encoder is not None:
+            yield from self.encoder.named("encoder")
         for k, p in enumerate(self.decoder):
             yield from p.named(f"decoder.l{k}")
-        yield from self.attn.named("attn")
-        yield from self.char.named("char")
-        yield from self.gate.named("gate")
-        yield from self.masknet.named("masknet")
+        for prefix, group in (("attn", self.attn), ("char", self.char),
+                              ("gate", self.gate), ("masknet", self.masknet)):
+            if group is not None:
+                yield from group.named(prefix)
         yield "out.w", self.out_w
         yield "out.b", self.out_b
 
@@ -283,14 +288,15 @@ class DescriptionModel:
         return Tensor(np.asarray(rows, dtype=self.dtype))
 
     def _encode(self, ctx_ids: np.ndarray, lengths: np.ndarray,
-                train: bool) -> tuple[Tensor, Tensor, np.ndarray]:
+                train: bool) -> tuple[Tensor, Optional[Tensor], np.ndarray]:
         embs = take_rows(self.params.word_emb, ctx_ids)
         drop = self.config.dropout if train else 0.0
         states = bilstm_encode(self.params.encoder, embs, lengths,
                                drop=drop, rng=self._drop_rng)
         t = ctx_ids.shape[1]
         bias = np.where(np.arange(t)[None, :] < lengths[:, None], 0.0, MASK_BIAS)
-        return states, project_context(self.params.attn, states), bias.astype(self.dtype)
+        proj = project_context(self.params.attn, states) if self.config.uses_attention else None
+        return states, proj, bias.astype(self.dtype)
 
     def _maybe_dropout(self, x: Tensor, train: bool) -> Tensor:
         if train and self.config.dropout > 0.0:
@@ -443,11 +449,6 @@ class DescriptionModel:
         return logp, replace(session, state=state, step=session.step + 1)
 
 
-def sequence_loss(model: DescriptionModel, batch: Batch,
-                  train: bool = False) -> tuple[Tensor, dict]:
-    return model.forward_loss(batch, train=train)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint format: text manifest, then raw little-endian float32 blocks
 
@@ -513,6 +514,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
 
 
 def load_params_into(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
+    """Copy the tensors ``params`` holds from ``tensors``; names the variant
+    does not hold, as in checkpoints that carry every group, are ignored."""
     for name, t in params.named():
         if name not in tensors:
             raise ValueError(f"checkpoint missing tensor {name}")

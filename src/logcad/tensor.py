@@ -38,12 +38,10 @@ __all__ = [
     "log_softmax",
     "reduce_max",
     "reduce_sum",
-    "reduce_mean",
     "take_rows",
     "pick",
     "gather_time",
     "dropout",
-    "backward",
     "gradient_check",
 ]
 
@@ -152,42 +150,26 @@ class GradGraph:
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad
-        tensor recorded on this graph. Tensors in the graph but not reachable
-        from ``loss`` receive zeros."""
+        tensor recorded on this graph that ``loss`` depends on. Tensors the
+        loss does not reach keep their ``grad`` unchanged."""
         if loss.size != 1:
             raise ValueError(
                 f"backward: loss must be scalar, got shape {loss.shape}"
             )
-        acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        # id -> (tensor, gradient); holding the tensor keeps its id unique
+        acc: dict[int, tuple[Tensor, np.ndarray]] = {
+            id(loss): (loss, np.ones_like(loss.data))}
         for _name, inputs, out, backward_fn in reversed(self.ops):
-            gout = acc.get(id(out))
-            if gout is None:
+            reached = acc.get(id(out))
+            if reached is None:
                 continue  # op does not contribute to the loss
-            for tin, gin in zip(inputs, backward_fn(gout)):
+            for tin, gin in zip(inputs, backward_fn(reached[1])):
                 if gin is None or not isinstance(tin, Tensor) or not tin.requires_grad:
                     continue
                 prev = acc.get(id(tin))
-                acc[id(tin)] = gin if prev is None else prev + gin
-        # flush to .grad; every requires_grad participant gets an array
-        seen: dict[int, Tensor] = {}
-        for _name, inputs, out, _fn in self.ops:
-            for t in inputs:
-                if isinstance(t, Tensor) and t.requires_grad:
-                    seen[id(t)] = t
-            if out.requires_grad:
-                seen[id(out)] = out
-        if loss.requires_grad:
-            seen[id(loss)] = loss
-        for key, t in seen.items():
-            g = acc.get(key)
-            if g is None:
-                g = np.zeros_like(t.data)
+                acc[id(tin)] = (tin, gin if prev is None else prev[1] + gin)
+        for t, g in acc.values():
             t.grad = g if t.grad is None else t.grad + g
-
-
-def backward(graph: GradGraph, loss: Tensor) -> None:
-    """Module-level alias for ``graph.backward(loss)``."""
-    graph.backward(loss)
 
 
 def _record(name: str, out_data: np.ndarray, inputs: tuple,
@@ -397,18 +379,6 @@ def reduce_sum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) ->
         return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=False),)
 
     return _record("sum", out, (x,), bw)
-
-
-def reduce_mean(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-    n = x.size if axis is None else x.shape[axis]
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, x.shape).astype(x.dtype, copy=False),)
-
-    return _record("mean", out, (x,), bw)
 
 
 def take_rows(table: Tensor, ids) -> Tensor:

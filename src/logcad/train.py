@@ -27,8 +27,7 @@ class TrainSettings:
 
 
 class Adam:
-    """Adaptive-moment update; tensors whose gradient is absent for a step
-    (inactive parameter groups) are left untouched."""
+    """Adaptive-moment update of every tensor from its ``grad``."""
 
     def __init__(self, tensors: Sequence[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -46,8 +45,6 @@ class Adam:
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
         for i, t in enumerate(self.tensors):
-            if t.grad is None:
-                continue
             g = t.grad
             self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
             self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
@@ -61,14 +58,12 @@ def clip_gradients(tensors: Sequence[Tensor], max_norm: float) -> float:
     returns the pre-clip norm."""
     total = 0.0
     for t in tensors:
-        if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
+        total += float((t.grad.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / norm
         for t in tensors:
-            if t.grad is not None:
-                t.grad = (t.grad * scale).astype(t.grad.dtype)
+            t.grad = (t.grad * scale).astype(t.grad.dtype)
     return norm
 
 

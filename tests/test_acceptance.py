@@ -122,11 +122,12 @@ def test_criterion_1_gradient_suite():
             def loss_fn(_t):
                 return model.forward_loss(batch, train=False)[0]
 
-            p = model.params
-            rotation = [p.attn.u_s, p.gate.b_z, p.decoder[0].b["g"],
-                        p.encoder.layers[0][0].wx["g"], p.masknet.b_m,
-                        p.char.banks[0][2]]
-            for target in (p.out_b, rotation[point % len(rotation)]):
+            held = dict(model.params.named())
+            rotation = [held[name] for name in
+                        ("attn.u_s", "gate.b_z", "decoder.l0.b_g", "encoder.l0.fwd.wx_g",
+                         "masknet.b_m", "char.k2_bias")
+                        if name in held]
+            for target in (held["out.b"], rotation[point % len(rotation)]):
                 worst = max(worst, gradient_check(loss_fn, target, eps=1e-4))
 
     elapsed = time.monotonic() - t0

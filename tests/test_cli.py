@@ -161,6 +161,18 @@ class TestTrainCommand:
         assert main(_train_args(tmp_path / "missing.tsv", tmp_path / "out")) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_embedding_fails(self, tmp_path, capsys):
+        data = tmp_path / "train.tsv"
+        write_dataset(data, overfit_corpus())
+        emb = tmp_path / "bad.txt"
+        emb.write_text("sonic " + " ".join(["0.5"] * 15 + ["nan"]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(_train_args(data, out, extra=["--emb", str(emb)])) == 1
+        err = capsys.readouterr().err
+        assert f"{emb}:1: non-finite" in err
+        assert "Traceback" not in err
+        assert not (out / "model.ckpt").exists()
+
     def test_inconsistent_config_rejected_before_training(self, tmp_path, capsys):
         data = tmp_path / "train.tsv"
         write_dataset(data, overfit_corpus())

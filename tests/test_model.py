@@ -1,19 +1,23 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from logcad.data import EmbeddingTable, Entry, Vocab, make_batch
+from logcad.decode import greedy_decode
+from logcad.layers import MaskNetParams
 from logcad.model import (
+    VARIANTS,
     DescriptionModel,
     ModelConfig,
+    ModelParams,
     load_checkpoint,
     load_model,
     load_params_into,
     phrase_embedding,
     save_checkpoint,
-    sequence_loss,
 )
 from logcad.tensor import GradGraph, Tensor, gradient_check
 
@@ -320,8 +324,28 @@ class TestSequenceLoss:
         with pytest.raises(ValueError):
             make_batch([], vocab)
         batch = make_batch([toy_entry()], vocab)
-        loss, _ = sequence_loss(model, batch)
+        loss, _ = model.forward_loss(batch)
         assert np.isfinite(loss.item())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_composition_invariance(self, variant):
+        # an entry's loss does not depend on which entries share its batch:
+        # contexts, phrases and descriptions of different lengths force padding
+        vocab = toy_vocab()
+        model = DescriptionModel(tiny_config(variant), vocab, toy_table(),
+                                 seed=14, dtype=np.float64)
+        entries = [
+            toy_entry(desc=("red",)),
+            Entry(["dog"], ["a", "[TRG]", "barked", "at", "him", "twice"], (1, 1),
+                  ["blue", "fish", "dog"]),
+            Entry(["x"], ["[TRG]"], (0, 0), ["fish", "fish", "red", "blue", "dog"]),
+        ]
+        want = 0.0
+        for e in entries:
+            loss, aux = model.forward_loss(make_batch([e], vocab))
+            want += loss.item() * aux["tokens"]
+        loss, aux = model.forward_loss(make_batch(entries, vocab))
+        assert loss.item() * aux["tokens"] == pytest.approx(want, abs=1e-12)
 
 
 ACTIVE_GROUPS = {
@@ -332,22 +356,36 @@ ACTIVE_GROUPS = {
 }
 
 
+FULL_SIZE_PARAMS = {
+    "global": 8_272_132,
+    "local": 12_783_232,
+    "i-attention": 11_687_800,
+    "log-cad": 13_599_532,
+}
+
+
 class TestGradientFlow:
     @pytest.mark.parametrize("variant", list(ACTIVE_GROUPS))
     def test_gradients_reach_exactly_the_active_groups(self, variant):
+        # the model holds only its active groups, and a training step reaches
+        # every tensor it holds (Adam and clipping rely on a grad for each)
         vocab = toy_vocab()
         model = DescriptionModel(tiny_config(variant), vocab, toy_table(),
                                  seed=6, dtype=np.float64)
-        batch = make_batch([toy_entry()], vocab)
+        assert set(model.params.groups()) == ACTIVE_GROUPS[variant]
+        entry2 = Entry(["dog"], ["a", "[TRG]", "barked", "at", "him"], (1, 1),
+                       ["blue", "fish", "dog"])
+        batch = make_batch([toy_entry(), entry2], vocab)
         with GradGraph() as g:
-            loss, _ = model.forward_loss(batch, train=False)
+            loss, _ = model.forward_loss(batch, train=True)
         g.backward(loss)
-        for group, tensors in model.params.groups().items():
-            got_grad = any(t.grad is not None and np.any(t.grad != 0) for t in tensors)
-            if group in ACTIVE_GROUPS[variant]:
-                assert got_grad, f"{variant}: no gradient reached {group}"
-            else:
-                assert not got_grad, f"{variant}: gradient leaked into {group}"
+        for name, t in model.params.named():
+            assert t.grad is not None, f"{variant}: no gradient reached {name}"
+
+    @pytest.mark.parametrize("variant", list(FULL_SIZE_PARAMS))
+    def test_full_size_parameter_count(self, variant):
+        params = ModelParams(ModelConfig(variant=variant), 10000, np.random.default_rng(0))
+        assert sum(t.size for t in params.tensors()) == FULL_SIZE_PARAMS[variant]
 
     @pytest.mark.parametrize("variant", ["log-cad", "i-attention"])
     def test_end_to_end_gradient_check(self, variant):
@@ -360,9 +398,11 @@ class TestGradientFlow:
         def loss_fn(_t):
             return model.forward_loss(batch, train=False)[0]
 
-        p = model.params
-        targets = [p.out_b, p.attn.u_s, p.gate.b_z, p.decoder[0].b["g"],
-                   p.encoder.layers[0][0].wx["g"], p.masknet.b_m, p.char.banks[0][2]]
+        held = dict(model.params.named())
+        targets = [held[name] for name in
+                   ("out.b", "attn.u_s", "gate.b_z", "decoder.l0.b_g",
+                    "encoder.l0.fwd.wx_g", "masknet.b_m", "char.k2_bias")
+                   if name in held]
         worst = 0.0
         for t in targets:
             worst = max(worst, gradient_check(loss_fn, t, eps=1e-4))
@@ -493,3 +533,34 @@ class TestCheckpoint:
             ModelConfig(variant="log-cad", **{**TINY, "dec_width": 7}), vocab, toy_table())
         with pytest.raises(ValueError, match="shape"):
             load_params_into(m2.params, tensors)
+
+    def test_extra_tensors_ignored_on_load(self, tmp_path):
+        # a log-cad checkpoint that also carries the mask net, as written when
+        # every variant held every group, loads and decodes as before
+        vocab = toy_vocab()
+        table = toy_table()
+        cfg = tiny_config("log-cad")
+        model = DescriptionModel(cfg, vocab, table, seed=15)
+        masknet = MaskNetParams.create(np.random.default_rng(1), cfg.enc_width,
+                                       cfg.word_emb_width, cfg.word_emb_width, np.float32)
+        named = [(n, t) for n, t in model.params.named() if not n.startswith("out.")]
+        named += list(masknet.named("masknet"))
+        named += [("out.w", model.params.out_w), ("out.b", model.params.out_b)]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, SimpleNamespace(named=lambda: iter(named)),
+                        {**cfg.to_meta(), "seed": "15"})
+        assert "masknet.w_ff" in load_checkpoint(path)[0]
+        restored, _ = load_model(path, vocab, table)
+        assert not any(n.startswith("masknet.") for n, _ in restored.params.named())
+        entry = toy_entry()
+        assert greedy_decode(restored, entry, max_len=6) == greedy_decode(model, entry, max_len=6)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        vocab = toy_vocab()
+        model = DescriptionModel(tiny_config("log-cad"), vocab, toy_table(), seed=16)
+        named = [(n, t) for n, t in model.params.named() if n != "attn.u_h"]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, SimpleNamespace(named=lambda: iter(named)),
+                        model.config.to_meta())
+        with pytest.raises(ValueError, match="missing tensor attn.u_h"):
+            load_model(path, vocab, toy_table())

@@ -9,7 +9,6 @@ from logcad.tensor import (
     ShapeError,
     Tensor,
     add,
-    backward,
     concat,
     dropout,
     gather_time,
@@ -19,7 +18,6 @@ from logcad.tensor import (
     mul,
     pick,
     reduce_max,
-    reduce_mean,
     reduce_sum,
     reshape,
     sigmoid,
@@ -137,7 +135,7 @@ class TestBackward:
             loss = reduce_sum(y)
         g.backward(loss)
         npt.assert_allclose(w_used.grad, [1.0, 2.0])
-        npt.assert_allclose(w_unused.grad, [0.0, 0.0])
+        assert w_unused.grad is None
 
     def test_backward_linearity(self):
         rng = np.random.default_rng(4)
@@ -170,13 +168,6 @@ class TestBackward:
             loss = reduce_sum(add(mul(x, x), x))
         g.backward(loss)
         npt.assert_allclose(x.grad, [5.0])  # 2x + 1 at x=2
-
-    def test_module_level_backward_alias(self):
-        x = Tensor([1.0, 1.0], requires_grad=True)
-        with GradGraph() as g:
-            loss = reduce_sum(x)
-        backward(g, loss)
-        npt.assert_allclose(x.grad, [1.0, 1.0])
 
     def test_no_graph_means_no_recording(self):
         x = Tensor([1.0], requires_grad=True)
@@ -280,12 +271,6 @@ class TestGradientCheckAllPrimitives:
             w = Tensor(rng.normal(size=(4,)))
             return lambda t: reduce_sum(mul(reduce_sum(t, axis=0), w))
         self._run(build, (3, 4), 24)
-
-    def test_reduce_mean(self):
-        def build(rng):
-            w = Tensor(rng.normal(size=(3,)))
-            return lambda t: reduce_sum(mul(reduce_mean(t, axis=1), w))
-        self._run(build, (3, 4), 25)
 
     def test_take_rows(self):
         ids = np.array([0, 2, 2, 1])

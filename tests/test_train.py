@@ -29,13 +29,6 @@ class TestAdam:
             opt.step()
         npt.assert_allclose(x.data, 0.0, atol=1e-3)
 
-    def test_skips_tensors_without_grad(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        before = x.data.copy()
-        opt = Adam([x])
-        opt.step()
-        npt.assert_array_equal(x.data, before)
-
 
 class TestClip:
     def test_large_gradient_scaled_to_norm(self):
