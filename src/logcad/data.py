@@ -199,7 +199,10 @@ def load_embeddings(path, seed: int = 0) -> EmbeddingTable:
                 raise ValueError(
                     f"{path}:{lineno}: expected {width} values, got {len(values)}"
                 )
-            vec = np.asarray([float(v) for v in values])
+            try:
+                vec = np.asarray([float(v) for v in values])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e} (vector of {token!r})") from None
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"{path}:{lineno}: non-finite value for {token!r}")
             vectors[token] = vec

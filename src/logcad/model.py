@@ -21,7 +21,8 @@ gated state. Output logits are an affine map of the (gated) state.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -59,6 +60,7 @@ from logcad.tensor import (
 )
 
 VARIANTS = ("global", "local", "i-attention", "log-cad")
+CHAR_WIDTH = sum(channels for _, channels in CharCnnParams.DEFAULT_BANKS)
 
 
 @dataclass
@@ -71,8 +73,6 @@ class ModelConfig:
     enc_width: int = 600        # concatenated bidirectional width
     attn_width: int = 300
     word_emb_width: int = 300
-    char_out_width: int = 160
-    char_emb_width: int = 16
     dec_layers: int = 2
     dec_width: int = 300
     vocab_size: int = 10000     # cap including special tokens
@@ -111,10 +111,10 @@ class ModelConfig:
         """Width of the gate's context feature f_t. I-Attention has no gate;
         its discarded gate draw is sized as for log-cad."""
         if self.variant == "global":
-            return self.word_emb_width + self.char_out_width
+            return self.word_emb_width + CHAR_WIDTH
         if self.variant == "local":
-            return self.enc_width + self.char_out_width
-        return self.word_emb_width + self.enc_width + self.char_out_width
+            return self.enc_width + CHAR_WIDTH
+        return self.word_emb_width + self.enc_width + CHAR_WIDTH
 
     @property
     def dec_input_width(self) -> int:
@@ -123,42 +123,23 @@ class ModelConfig:
         return self.word_emb_width
 
     def to_meta(self) -> dict[str, str]:
-        return {
-            "variant": self.variant,
-            "enc_layers": str(self.enc_layers),
-            "enc_width": str(self.enc_width),
-            "attn_width": str(self.attn_width),
-            "word_emb_width": str(self.word_emb_width),
-            "char_out_width": str(self.char_out_width),
-            "char_emb_width": str(self.char_emb_width),
-            "dec_layers": str(self.dec_layers),
-            "dec_width": str(self.dec_width),
-            "vocab_size": str(self.vocab_size),
-            "dropout": repr(self.dropout),
-        }
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "ModelConfig":
-        return cls(
-            variant=meta["variant"],
-            enc_layers=int(meta["enc_layers"]),
-            enc_width=int(meta["enc_width"]),
-            attn_width=int(meta["attn_width"]),
-            word_emb_width=int(meta["word_emb_width"]),
-            char_out_width=int(meta["char_out_width"]),
-            char_emb_width=int(meta["char_emb_width"]),
-            dec_layers=int(meta["dec_layers"]),
-            dec_width=int(meta["dec_width"]),
-            vocab_size=int(meta["vocab_size"]),
-            dropout=float(meta["dropout"]),
-        )
-
-
-def _char_banks(config: ModelConfig) -> tuple[tuple[int, int], ...]:
-    banks = CharCnnParams.DEFAULT_BANKS
-    if sum(c for _, c in banks) != config.char_out_width:
-        raise ValueError("char_out_width must match the kernel bank channels")
-    return banks
+        """Rebuild a config from checkpoint metadata; keys that are not
+        config fields (``seed``, ``epoch``, widths of older versions) are
+        ignored."""
+        values = {}
+        for f in fields(cls):
+            if f.name not in meta:
+                raise ValueError(f"checkpoint meta has no {f.name!r}")
+            try:
+                values[f.name] = type(f.default)(meta[f.name])
+            except ValueError:
+                raise ValueError(
+                    f"checkpoint meta {f.name}={meta[f.name]!r} is not a number") from None
+        return cls(**values)
 
 
 class ModelParams:
@@ -180,8 +161,7 @@ class ModelParams:
             in_dim = config.dec_width
         attn = AttentionParams.create(
             rng, config.enc_width, config.dec_width, config.attn_width, dtype)
-        char = CharCnnParams.create(
-            rng, config.char_emb_width, _char_banks(config), dtype)
+        char = CharCnnParams.create(rng, dtype=dtype)
         gate = GateParams.create(rng, config.feature_width, config.dec_width, dtype)
         masknet = MaskNetParams.create(
             rng, config.enc_width, config.word_emb_width, config.word_emb_width, dtype)
@@ -228,24 +208,17 @@ def phrase_embedding(phrase_words: Sequence[str], table: EmbeddingTable) -> np.n
 
 
 @dataclass
-class DecodeState:
-    """Per-step decoder state: per-layer (h, c) pairs plus the previous
-    gated state fed back as the top layer's recurrent hidden input."""
-
-    layer_states: list  # list of (h, c) Tensor pairs
-    s_prime: Tensor     # (B, dec_width)
-
-
-@dataclass
 class _Session:
-    """Frozen per-sequence conditioning for step-by-step decoding."""
+    """A batch's decoder state plus its conditioning, which is built once
+    and shared by every step."""
 
-    state: DecodeState
     step: int
-    x_trg: Optional[Tensor]        # (1, W) phrase embedding (None for local)
-    c_trg: Optional[Tensor]        # (1, 160)
-    x_masked: Optional[Tensor]     # (1, W) masked embedding (i-attention)
-    enc_states: Optional[Tensor]   # (1, T, enc_width)
+    layer_states: list             # per decoder layer (h, c), each (B, dec_width)
+    s_prime: Tensor                # (B, dec_width) previous (gated) output state
+    x_trg: Optional[Tensor]        # (B, W) phrase embedding (None for local)
+    c_trg: Optional[Tensor]        # (B, 160) char CNN features
+    x_masked: Optional[Tensor]     # (B, W) masked embedding (i-attention)
+    enc_states: Optional[Tensor]   # (B, T, enc_width)
     enc_proj: Optional[Tensor]
     enc_bias: Optional[np.ndarray]
 
@@ -281,52 +254,61 @@ class DescriptionModel:
         self._drop_rng = np.random.default_rng([seed, 1])
 
     # ------------------------------------------------------------------
-    # per-sequence conditioning
-
-    def _phrase_matrix(self, phrases: Sequence[Sequence[str]]) -> Tensor:
-        rows = [phrase_embedding(words, self.emb_table) for words in phrases]
-        return Tensor(np.asarray(rows, dtype=self.dtype))
-
-    def _encode(self, ctx_ids: np.ndarray, lengths: np.ndarray,
-                train: bool) -> tuple[Tensor, Optional[Tensor], np.ndarray]:
-        embs = take_rows(self.params.word_emb, ctx_ids)
-        drop = self.config.dropout if train else 0.0
-        states = bilstm_encode(self.params.encoder, embs, lengths,
-                               drop=drop, rng=self._drop_rng)
-        t = ctx_ids.shape[1]
-        bias = np.where(np.arange(t)[None, :] < lengths[:, None], 0.0, MASK_BIAS)
-        proj = project_context(self.params.attn, states) if self.config.uses_attention else None
-        return states, proj, bias.astype(self.dtype)
+    # conditioning and the decoder step (shared by teacher forcing and decoding)
 
     def _maybe_dropout(self, x: Tensor, train: bool) -> Tensor:
         if train and self.config.dropout > 0.0:
             return dropout(x, self.config.dropout, self._drop_rng)
         return x
 
-    def _zero_state(self, batch_size: int) -> DecodeState:
-        dw = self.config.dec_width
-        zeros = lambda: Tensor(np.zeros((batch_size, dw), dtype=self.dtype))  # noqa: E731
-        return DecodeState(
-            layer_states=[(zeros(), zeros()) for _ in range(self.config.dec_layers)],
-            s_prime=zeros(),
-        )
-
-    # ------------------------------------------------------------------
-    # one decoder step (shared by teacher forcing and decoding)
-
-    def _decode_step(self, state: DecodeState, emb_in: Tensor,
-                     enc_states: Optional[Tensor], enc_proj: Optional[Tensor],
-                     enc_bias: Optional[np.ndarray],
-                     x_trg: Optional[Tensor], c_trg: Optional[Tensor],
-                     train: bool) -> tuple[Tensor, DecodeState]:
+    def _start(self, batch: Batch, train: bool) -> _Session:
+        """Build the batch's conditioning and the zero decoder state."""
         cfg = self.config
-        x = self._maybe_dropout(emb_in, train)
+        enc_states = enc_proj = enc_bias = x_trg = c_trg = x_masked = None
+        if cfg.uses_encoder:
+            lengths = batch.context_lengths
+            embs = take_rows(self.params.word_emb, batch.context_ids)
+            enc_states = bilstm_encode(self.params.encoder, embs, lengths,
+                                       drop=cfg.dropout if train else 0.0, rng=self._drop_rng)
+            positions = np.arange(batch.context_ids.shape[1])[None, :]
+            enc_bias = np.where(positions < lengths[:, None], 0.0, MASK_BIAS).astype(self.dtype)
+            if cfg.uses_attention:
+                enc_proj = project_context(self.params.attn, enc_states)
+        if cfg.uses_global_embedding:
+            x_trg = Tensor(np.asarray([phrase_embedding(words, self.emb_table)
+                                       for words in batch.phrase_words], dtype=self.dtype))
+        if cfg.uses_char:
+            c_trg = char_cnn(self.params.char, batch.phrase_words)
+        if cfg.variant == "i-attention":
+            x_masked = iattention_mask(self.params.masknet, enc_states, x_trg,
+                                       lengths=batch.context_lengths)
+        zeros = lambda: Tensor(np.zeros((len(batch), cfg.dec_width), dtype=self.dtype))  # noqa: E731
+        return _Session(step=0, layer_states=[(zeros(), zeros()) for _ in self.params.decoder],
+                        s_prime=zeros(), x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
+                        enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
+
+    def _advance(self, session: _Session, prev_ids: Optional[np.ndarray],
+                 train: bool) -> tuple[Tensor, _Session]:
+        """One decoder step for every row of the session; returns the output
+        logits and the next session. At step 0 the input is the phrase
+        embedding (zeros for local) and ``prev_ids`` is ignored."""
+        cfg = self.config
+        if session.step > 0:
+            x = take_rows(self.params.word_emb, prev_ids)
+        elif cfg.uses_global_embedding:
+            x = session.x_trg
+        else:
+            x = Tensor(np.zeros((session.s_prime.shape[0], cfg.word_emb_width),
+                                dtype=self.dtype))
+        if cfg.variant == "i-attention":
+            x = concat([x, session.x_masked], axis=1)
+        x = self._maybe_dropout(x, train)
         new_states = []
         top = cfg.dec_layers - 1
         for k, lstm_p in enumerate(self.params.decoder):
-            h, c = state.layer_states[k]
+            h, c = session.layer_states[k]
             if k == top and cfg.uses_gate:
-                h = state.s_prime  # the top layer recurs on the previous gated state
+                h = session.s_prime  # the top layer recurs on the previous gated state
             if k > 0:
                 x = self._maybe_dropout(x, train)
             h, c = lstm_cell(lstm_p, x, h, c)
@@ -337,33 +319,20 @@ class DescriptionModel:
         if cfg.uses_gate:
             feats = []
             if cfg.uses_global_embedding:
-                feats.append(x_trg)
+                feats.append(session.x_trg)
             if cfg.uses_attention:
-                d_t, _alpha = attention(self.params.attn, enc_states, s_t,
-                                        mask_bias=enc_bias, projected=enc_proj)
+                d_t, _alpha = attention(self.params.attn, session.enc_states, s_t,
+                                        mask_bias=session.enc_bias,
+                                        projected=session.enc_proj)
                 feats.append(d_t)
-            feats.append(c_trg)
+            feats.append(session.c_trg)
             s_out = gate(self.params.gate, s_t, concat(feats, axis=1))
         else:
             s_out = s_t
 
         logits = add(matmul(s_out, self.params.out_w), self.params.out_b)
-        return logits, DecodeState(layer_states=new_states, s_prime=s_out)
-
-    def _step_input(self, step: int, prev_ids: Optional[np.ndarray],
-                    x_trg: Optional[Tensor], x_masked: Optional[Tensor],
-                    batch_size: int) -> Tensor:
-        cfg = self.config
-        if step == 0:
-            if cfg.uses_global_embedding:
-                first = x_trg
-            else:
-                first = Tensor(np.zeros((batch_size, cfg.word_emb_width), dtype=self.dtype))
-        else:
-            first = take_rows(self.params.word_emb, prev_ids)
-        if cfg.variant == "i-attention":
-            return concat([first, x_masked], axis=1)
-        return first
+        return logits, replace(session, step=session.step + 1,
+                               layer_states=new_states, s_prime=s_out)
 
     # ------------------------------------------------------------------
     # training loss
@@ -373,31 +342,11 @@ class DescriptionModel:
         token, plus accuracy counts in the aux dict."""
         if len(batch) == 0:
             raise ValueError("forward_loss: empty batch")
-        cfg = self.config
-        b = len(batch)
-
-        enc_states = enc_proj = None
-        enc_bias = None
-        if cfg.uses_encoder:
-            enc_states, enc_proj, enc_bias = self._encode(
-                batch.context_ids, batch.context_lengths, train)
-
-        x_trg = self._phrase_matrix(batch.phrase_words) if cfg.uses_global_embedding else None
-        c_trg = char_cnn(self.params.char, batch.phrase_words) if cfg.uses_char else None
-        x_masked = None
-        if cfg.variant == "i-attention":
-            x_masked = iattention_mask(self.params.masknet, enc_states, x_trg,
-                                       lengths=batch.context_lengths)
-
-        state = self._zero_state(b)
-        n_steps = batch.target_ids.shape[1]
+        session = self._start(batch, train)
         total = None
         correct = 0
-        for t in range(n_steps):
-            prev = batch.prev_ids[:, t] if t > 0 else None
-            emb_in = self._step_input(t, prev, x_trg, x_masked, b)
-            logits, state = self._decode_step(
-                state, emb_in, enc_states, enc_proj, enc_bias, x_trg, c_trg, train)
+        for t in range(batch.target_ids.shape[1]):
+            logits, session = self._advance(session, batch.prev_ids[:, t], train)
             logp = log_softmax(logits, axis=1)
             picked = pick(logp, batch.target_ids[:, t])
             masked = mul(picked, Tensor(batch.target_mask[:, t].astype(self.dtype)))
@@ -417,22 +366,7 @@ class DescriptionModel:
     # step-by-step decoding interface
 
     def start_session(self, entry: Entry) -> _Session:
-        cfg = self.config
-        batch = make_batch([entry], self.vocab)
-        enc_states = enc_proj = None
-        enc_bias = None
-        if cfg.uses_encoder:
-            enc_states, enc_proj, enc_bias = self._encode(
-                batch.context_ids, batch.context_lengths, train=False)
-        x_trg = self._phrase_matrix(batch.phrase_words) if cfg.uses_global_embedding else None
-        c_trg = char_cnn(self.params.char, batch.phrase_words) if cfg.uses_char else None
-        x_masked = None
-        if cfg.variant == "i-attention":
-            x_masked = iattention_mask(self.params.masknet, enc_states, x_trg,
-                                       lengths=batch.context_lengths)
-        return _Session(state=self._zero_state(1), step=0, x_trg=x_trg, c_trg=c_trg,
-                        x_masked=x_masked, enc_states=enc_states, enc_proj=enc_proj,
-                        enc_bias=enc_bias)
+        return self._start(make_batch([entry], self.vocab), train=False)
 
     def step(self, session: _Session, prev_id: Optional[int]) -> tuple[np.ndarray, _Session]:
         """Advance one decode step; returns (log-probabilities over the
@@ -440,13 +374,8 @@ class DescriptionModel:
         if (prev_id is None) != (session.step == 0):
             raise ValueError("step: prev_id must be None exactly at the first step")
         prev = None if prev_id is None else np.array([prev_id], dtype=np.intp)
-        emb_in = self._step_input(session.step, prev, session.x_trg,
-                                  session.x_masked, 1)
-        logits, state = self._decode_step(
-            session.state, emb_in, session.enc_states, session.enc_proj,
-            session.enc_bias, session.x_trg, session.c_trg, train=False)
-        logp = log_softmax(logits, axis=1).data[0]
-        return logp, replace(session, state=state, step=session.step + 1)
+        logits, session = self._advance(session, prev, train=False)
+        return log_softmax(logits, axis=1).data[0], session
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +413,8 @@ def save_checkpoint(path, params: ModelParams, meta: Optional[dict] = None) -> N
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Read a checkpoint; the tensor blocks must tile the data exactly, in
+    manifest order, with unique names and lengths that match their shapes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     split = blob.find(_DATA_MARKER)
@@ -495,21 +426,37 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         raise ValueError(f"{path}: bad checkpoint magic")
     meta: dict[str, str] = {}
     tensors: dict[str, np.ndarray] = {}
+    end = 0
     for line in manifest[1:]:
-        kind, rest = line.split(" ", 1)
-        if kind == "meta":
+        kind, _, rest = line.partition(" ")
+        parts = rest.split(" ")
+        if kind == "meta" and "=" in rest:
             key, value = rest.split("=", 1)
             meta[key] = value
-        elif kind == "tensor":
-            name, shape_s, dtype_s, offset_s, nbytes_s = rest.split(" ")
+        elif kind == "tensor" and len(parts) == 5:
+            name, shape_s, dtype_s, offset_s, nbytes_s = parts
             if dtype_s != "float32":
-                raise ValueError(f"{path}: unsupported dtype {dtype_s}")
-            shape = tuple(int(d) for d in shape_s.split("x"))
-            offset, nbytes = int(offset_s), int(nbytes_s)
-            arr = np.frombuffer(data[offset : offset + nbytes], dtype="<f4").reshape(shape)
-            tensors[name] = arr
+                raise ValueError(f"{path}: tensor {name} has unsupported dtype {dtype_s}")
+            try:
+                shape = tuple(int(d) for d in shape_s.split("x"))
+                offset, nbytes = int(offset_s), int(nbytes_s)
+            except ValueError:
+                raise ValueError(f"{path}: bad manifest line {line!r}") from None
+            if name in tensors:
+                raise ValueError(f"{path}: tensor {name} appears twice")
+            if min(shape) <= 0 or nbytes != 4 * math.prod(shape):
+                raise ValueError(f"{path}: tensor {name} has {nbytes} bytes for shape {shape_s}")
+            if offset != end:
+                raise ValueError(f"{path}: tensor {name} starts at byte {offset}, expected {end}")
+            end = offset + nbytes
+            if end > len(data):
+                raise ValueError(f"{path}: tensor {name} runs past the end of the data")
+            tensors[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape)
         else:
             raise ValueError(f"{path}: bad manifest line {line!r}")
+    if end != len(data):
+        last = next(reversed(tensors), None)
+        raise ValueError(f"{path}: {len(data) - end} bytes follow the last tensor, {last}")
     return tensors, meta
 
 

@@ -229,6 +229,27 @@ class TestDescribeCommand:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault,named", [("no variant meta line", "variant"),
+                                             ("truncated data", "out.b")])
+    def test_damaged_checkpoint_fails_cleanly(self, trained_run, tmp_path, capsys,
+                                              fault, named):
+        _, out = trained_run
+        blob = (out / "model.ckpt").read_bytes()
+        if fault == "no variant meta line":
+            assert b"\nmeta variant=log-cad\n" in blob
+            blob = blob.replace(b"\nmeta variant=log-cad\n", b"\n", 1)
+        else:
+            blob = blob[:-4]
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(blob)
+        (tmp_path / "vocab.txt").write_bytes((out / "vocab.txt").read_bytes())
+        rc = main(["describe", "--ckpt", str(ckpt), "--phrase", "blue falcon",
+                   "--sentence", "the [TRG] near the harbor was seen ."])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
 
 class TestEvaluateCommand:
     def test_reports_and_files(self, trained_run, tmp_path, capsys):

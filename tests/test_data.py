@@ -90,6 +90,11 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match=r"vecs\.txt:2: non-finite"):
             load_embeddings(p)
 
+    def test_non_numeric_value_names_line_and_token(self, tmp_path):
+        p = self._write(tmp_path, "a 1.0 2.0\nsonic 0.5 abc\n")
+        with pytest.raises(ValueError, match=r"vecs\.txt:2: .*'abc'.*'sonic'"):
+            load_embeddings(p)
+
     def test_coverage_ratio(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "sonic 1 2\n"))
         phrases = [["sonic", "boom"], ["boom", "box"], ["zig"]]

@@ -19,7 +19,7 @@ from logcad.model import (
     phrase_embedding,
     save_checkpoint,
 )
-from logcad.tensor import GradGraph, Tensor, gradient_check
+from logcad.tensor import GradGraph, Tensor, gradient_check, log_softmax
 
 TINY = dict(enc_layers=2, enc_width=6, attn_width=3, word_emb_width=4,
             dec_layers=2, dec_width=5, vocab_size=64, dropout=0.5)
@@ -190,6 +190,24 @@ class TestConfig:
         cfg = tiny_config("i-attention")
         assert ModelConfig.from_meta(cfg.to_meta()) == cfg
 
+    def test_meta_extra_keys_ignored(self):
+        # seed/epoch, and the char widths that older checkpoints carry
+        cfg = tiny_config("log-cad")
+        meta = {**cfg.to_meta(), "seed": "3", "epoch": "2",
+                "char_out_width": "160", "char_emb_width": "16"}
+        assert ModelConfig.from_meta(meta) == cfg
+
+    @pytest.mark.parametrize("key,value", [("variant", None), ("dec_width", None),
+                                           ("enc_layers", "two"), ("dropout", "half")])
+    def test_meta_missing_or_non_numeric_key_named(self, key, value):
+        meta = tiny_config("log-cad").to_meta()
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        with pytest.raises(ValueError, match=key):
+            ModelConfig.from_meta(meta)
+
     def test_vocab_above_cap_rejected(self):
         cfg = ModelConfig(variant="global", vocab_size=6)
         with pytest.raises(ValueError, match="cap"):
@@ -283,12 +301,12 @@ class TestSequenceLoss:
         batch = make_batch([toy_entry()], vocab)
         gold = iter(batch.target_ids[0])
 
-        def rigged(state, emb_in, *args, **kwargs):
+        def rigged(session, prev_ids, train):
             logits = np.zeros((1, len(vocab)))
             logits[0, next(gold)] = 1e4
-            return Tensor(logits), state
+            return Tensor(logits), session
 
-        monkeypatch.setattr(model, "_decode_step", rigged)
+        monkeypatch.setattr(model, "_advance", rigged)
         loss, aux = model.forward_loss(batch)
         assert loss.item() < 1e-6
         assert aux["accuracy"] == 1.0
@@ -344,8 +362,21 @@ class TestSequenceLoss:
         for e in entries:
             loss, aux = model.forward_loss(make_batch([e], vocab))
             want += loss.item() * aux["tokens"]
-        loss, aux = model.forward_loss(make_batch(entries, vocab))
+        batch = make_batch(entries, vocab)
+        loss, aux = model.forward_loss(batch)
         assert loss.item() * aux["tokens"] == pytest.approx(want, abs=1e-12)
+
+        # decoding the three entries as one session gives each row the
+        # log-probabilities of decoding its entry alone
+        session = model._start(batch, train=False)
+        singles = [model.start_session(e) for e in entries]
+        for t in range(4):
+            prev_ids = batch.prev_ids[:, t]
+            logits, session = model._advance(session, prev_ids, train=False)
+            got = log_softmax(logits, axis=1).data
+            for i, single in enumerate(singles):
+                want_row, singles[i] = model.step(single, int(prev_ids[i]) if t else None)
+                npt.assert_allclose(got[i], want_row, rtol=0, atol=1e-12)
 
 
 ACTIVE_GROUPS = {
@@ -431,7 +462,7 @@ class TestVariantReduction:
             assert n1 == n2
             self._copy(t2, t1)
         # gate rows: [word(4); enc(6); char(160); state(5)] -> drop the enc rows
-        w, e, c = cfg.word_emb_width, cfg.enc_width, cfg.char_out_width
+        w, e, c = cfg.word_emb_width, cfg.enc_width, m1.params.char.out_width
         keep_rows = np.r_[0:w, w + e : w + e + c, w + e + c : w + e + c + cfg.dec_width]
         keep_f = np.r_[0:w, w + e : w + e + c]
         g1, g2 = m1.params.gate, m2.params.gate
@@ -467,7 +498,7 @@ class TestVariantReduction:
         ):
             assert n1 == n2
             self._copy(t2, t1)
-        w, e, c = cfg.word_emb_width, cfg.enc_width, cfg.char_out_width
+        w, e, c = cfg.word_emb_width, cfg.enc_width, m1.params.char.out_width
         keep_rows = np.r_[w : w + e + c, w + e + c : w + e + c + cfg.dec_width]
         keep_f = np.r_[w : w + e + c]
         g1, g2 = m1.params.gate, m2.params.gate
@@ -488,7 +519,54 @@ class TestVariantReduction:
             prev = int(np.argmax(l1))
 
 
+def _corrupt(path, how):
+    """Rewrite a checkpoint with one layout fault; returns the name of the
+    tensor the fault is reported against."""
+    head, data = path.read_bytes().split(b"\nDATA\n", 1)
+    lines = head.decode("utf-8").split("\n")
+    rows = [i for i, line in enumerate(lines) if line.startswith("tensor ")]
+    first, second = (lines[i].split(" ") for i in rows[:2])
+    last = lines[rows[-1]].split(" ")[1]
+    if how == "first block not at 0":
+        first[4] = "4"
+    elif how == "negative offset":
+        second[4] = "-32"
+    elif how == "overlapping block":
+        second[4] = str(int(second[4]) - 4)
+    elif how == "length not shape":
+        first[5] = str(int(first[5]) - 4)
+    elif how == "zero dimension":
+        first[2], first[5] = "0x" + first[2], "0"
+    elif how == "duplicate name":
+        second[1] = first[1]
+    elif how == "trailing bytes":
+        data += b"\0" * 4
+    elif how == "truncated":
+        data = data[:-4]
+    lines[rows[0]], lines[rows[1]] = " ".join(first), " ".join(second)
+    path.write_bytes("\n".join(lines).encode("utf-8") + b"\nDATA\n" + data)
+    if how in ("first block not at 0", "length not shape", "zero dimension"):
+        return first[1]
+    return last if how in ("trailing bytes", "truncated") else second[1]
+
+
+CORRUPTIONS = ["first block not at 0", "negative offset", "overlapping block",
+               "length not shape", "zero dimension", "duplicate name",
+               "trailing bytes", "truncated"]
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("how", CORRUPTIONS)
+    def test_corrupt_layout_rejected(self, tmp_path, how):
+        model = DescriptionModel(tiny_config("log-cad"), toy_vocab(), toy_table(), seed=17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.params, model.config.to_meta())
+        load_checkpoint(path)
+        name = _corrupt(path, how)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and name in str(err.value)
+
     def test_round_trip_bit_exact(self, tmp_path):
         vocab = toy_vocab()
         model = DescriptionModel(tiny_config("log-cad"), vocab, toy_table(), seed=12)
