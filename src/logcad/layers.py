@@ -21,6 +21,7 @@ from logcad.tensor import (
     concat,
     dropout,
     gather_time,
+    lstm_sequence,
     matmul,
     mul,
     reduce_max,
@@ -61,86 +62,54 @@ def matrix_init(rng: np.random.Generator, shape, dtype=np.float64) -> Tensor:
 
 @dataclass
 class LstmParams:
-    """Input-to-hidden / hidden-to-hidden weights and biases for the four
-    LSTM gates (input, forget, candidate, output), all ``hidden`` wide."""
+    """Input-to-hidden / hidden-to-hidden weights and biases of the four
+    LSTM gates, fused column-wise in gate order i, f, g, o (input, forget,
+    candidate, output): gate k owns columns ``k*hidden:(k+1)*hidden``."""
 
-    wx: dict  # gate -> (input_dim, hidden) Tensor
-    wh: dict  # gate -> (hidden, hidden) Tensor
-    b: dict   # gate -> (hidden,) Tensor
+    wx: Tensor  # (input_dim, 4*hidden)
+    wh: Tensor  # (hidden, 4*hidden)
+    b: Tensor   # (4*hidden,); the forget block starts at 1
     input_dim: int
     hidden: int
 
     @classmethod
     def create(cls, rng: np.random.Generator, input_dim: int, hidden: int,
                dtype=np.float64) -> "LstmParams":
-        wx, wh, b = {}, {}, {}
-        for gate in GATE_NAMES:
-            wx[gate] = matrix_init(rng, (input_dim, hidden), dtype)
-            wh[gate] = matrix_init(rng, (hidden, hidden), dtype)
-            if gate == "f":
-                b[gate] = Tensor(np.ones(hidden, dtype=dtype), requires_grad=True)
-            else:
-                b[gate] = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
-        return cls(wx=wx, wh=wh, b=b, input_dim=input_dim, hidden=hidden)
+        # per-gate draws in the order wx_i, wh_i, wx_f, ..., each with its own
+        # Glorot floor, placed side by side
+        wx, wh = [], []
+        for _ in GATE_NAMES:
+            wx.append(matrix_init(rng, (input_dim, hidden), dtype).data)
+            wh.append(matrix_init(rng, (hidden, hidden), dtype).data)
+        b = np.zeros(4 * hidden, dtype=dtype)
+        b[hidden:2 * hidden] = 1.0
+        return cls(wx=Tensor(np.concatenate(wx, axis=1), requires_grad=True),
+                   wh=Tensor(np.concatenate(wh, axis=1), requires_grad=True),
+                   b=Tensor(b, requires_grad=True), input_dim=input_dim, hidden=hidden)
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for gate in GATE_NAMES:
-            yield f"{prefix}.wx_{gate}", self.wx[gate]
-            yield f"{prefix}.wh_{gate}", self.wh[gate]
-            yield f"{prefix}.b_{gate}", self.b[gate]
+        yield f"{prefix}.wx", self.wx
+        yield f"{prefix}.wh", self.wh
+        yield f"{prefix}.b", self.b
 
 
 def lstm_cell(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """One step of the standard LSTM recurrence.
 
-    i = sigmoid(x Wx_i + h Wh_i + b_i)        f = sigmoid(... + b_f)
-    g = tanh(x Wx_g + h Wh_g + b_g)           o = sigmoid(... + b_o)
-    c' = f*c + i*g                            h' = o * tanh(c')
+    [z_i z_f z_g z_o] = x Wx + h Wh + b
+    i = sigmoid(z_i)   f = sigmoid(z_f)   g = tanh(z_g)   o = sigmoid(z_o)
+    c' = f*c + i*g                        h' = o * tanh(c')
     """
     if x.shape[-1] != p.input_dim or h.shape[-1] != p.hidden or c.shape[-1] != p.hidden:
         raise ShapeError(
             f"lstm_cell: got x {x.shape}, h {h.shape}, c {c.shape} for "
             f"(input_dim={p.input_dim}, hidden={p.hidden})"
         )
-
-    def pre(gate):
-        return add(add(matmul(x, p.wx[gate]), matmul(h, p.wh[gate])), p.b[gate])
-
-    i = sigmoid(pre("i"))
-    f = sigmoid(pre("f"))
-    g = tanh(pre("g"))
-    o = sigmoid(pre("o"))
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh(c_new))
+    z = add(add(matmul(x, p.wx), matmul(h, p.wh)), p.b)
+    i, f, g, o = (slice_axis(z, -1, k * p.hidden, (k + 1) * p.hidden) for k in range(4))
+    c_new = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
+    h_new = mul(sigmoid(o), tanh(c_new))
     return h_new, c_new
-
-
-def _zero_state(p: LstmParams, batch: int, dtype) -> tuple[Tensor, Tensor]:
-    z = Tensor(np.zeros((batch, p.hidden), dtype=dtype))
-    return z, Tensor(np.zeros((batch, p.hidden), dtype=dtype))
-
-
-def run_lstm(p: LstmParams, steps: Sequence[Tensor]) -> list[Tensor]:
-    """Run a unidirectional LSTM over per-step inputs, zero initial state."""
-    batch = steps[0].shape[0]
-    h, c = _zero_state(p, batch, steps[0].dtype)
-    out = []
-    for x in steps:
-        h, c = lstm_cell(p, x, h, c)
-        out.append(h)
-    return out
-
-
-def stack_steps(steps: Sequence[Tensor]) -> Tensor:
-    """List of (B, D) -> (B, T, D)."""
-    b, d = steps[0].shape
-    return concat([reshape(s, (b, 1, d)) for s in steps], axis=1)
-
-
-def split_steps(x: Tensor) -> list[Tensor]:
-    """(B, T, D) -> list of (B, D)."""
-    b, t, d = x.shape
-    return [reshape(slice_axis(x, 1, i, i + 1), (b, d)) for i in range(t)]
 
 
 def reverse_valid(x: Tensor, lengths: np.ndarray) -> Tensor:
@@ -201,9 +170,10 @@ def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
     for k, (fwd, bwd) in enumerate(p.layers):
         if k > 0 and drop > 0.0 and rng is not None:
             seq = dropout(seq, drop, rng)
-        fwd_out = stack_steps(run_lstm(fwd, split_steps(seq)))
+        fwd_out = lstm_sequence(add(matmul(seq, fwd.wx), fwd.b), fwd.wh)
         rev_in = reverse_valid(seq, lengths)
-        bwd_out = reverse_valid(stack_steps(run_lstm(bwd, split_steps(rev_in))), lengths)
+        bwd_out = reverse_valid(
+            lstm_sequence(add(matmul(rev_in, bwd.wx), bwd.b), bwd.wh), lengths)
         seq = concat([fwd_out, bwd_out], axis=2)
     return seq
 

@@ -81,6 +81,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, int) and value < 1:
+                raise ValueError(f"{f.name} must be at least 1, got {value}")
         if self.enc_width % 2:
             raise ValueError("enc_width must be even (two encoder directions)")
         if not 0.0 <= self.dropout < 1.0:
@@ -382,7 +386,10 @@ class DescriptionModel:
 # checkpoint format: text manifest, then raw little-endian float32 blocks
 
 
-_MAGIC = "logcad-checkpoint v1"
+# v2 stores each LSTM cell as fused ``wx``/``wh``/``b`` (gate order i, f, g, o);
+# v1 stored twelve per-gate tensors and is refused
+_MAGIC = "logcad-checkpoint v2"
+_V1_MAGIC = "logcad-checkpoint v1"
 _DATA_MARKER = b"\nDATA\n"
 
 
@@ -420,8 +427,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     split = blob.find(_DATA_MARKER)
     if split < 0:
         raise ValueError(f"{path}: not a checkpoint (missing data marker)")
-    manifest = blob[:split].decode("utf-8").splitlines()
+    try:
+        manifest = blob[:split].decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: checkpoint manifest is not UTF-8 "
+                         f"(byte {e.start}: {e.reason})") from None
     data = blob[split + len(_DATA_MARKER):]
+    if manifest and manifest[0] == _V1_MAGIC:
+        raise ValueError(f"{path}: checkpoint format v1 (per-gate LSTM tensors) is no "
+                         f"longer read; retrain to write {_MAGIC}")
     if not manifest or manifest[0] != _MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic")
     meta: dict[str, str] = {}

@@ -41,6 +41,7 @@ __all__ = [
     "take_rows",
     "pick",
     "gather_time",
+    "lstm_sequence",
     "dropout",
     "gradient_check",
 ]
@@ -245,10 +246,23 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product with numpy's broadcasting rules. A 2-D right operand
+    (a weight) is applied to all leading dims of ``a`` as one folded GEMM,
+    forward and backward, instead of a batched product and a sum."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+
+        def bw_folded(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+
+        out = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+        return _record("matmul", out, (a, b), bw_folded)
 
     def bw(g):
         ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
@@ -314,14 +328,13 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
-    out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                   np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    # the tanh form is one transcendental per element and cannot overflow
+    out = 0.5 * (1.0 + np.tanh(0.5 * x.data))
 
     def bw(g):
         return (g * out * (1.0 - out),)
 
-    return _record("sigmoid", out.astype(d.dtype, copy=False), (x,), bw)
+    return _record("sigmoid", out, (x,), bw)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -431,6 +444,68 @@ def gather_time(x: Tensor, idx) -> Tensor:
         return gx, None
 
     return _record("gather_time", x.data[b, idx], (x, idx), bw)
+
+
+def lstm_sequence(xw: Tensor, wh: Tensor) -> Tensor:
+    """Run an LSTM over a whole sequence from a zero state, as one tape op.
+
+    ``xw`` (B, T, 4H) is the hoisted input projection ``x @ wx + b`` of all
+    steps, ``wh`` (H, 4H) the recurrent weights; the column blocks are the
+    gates i, f, g, o. Step t computes ``z = xw[:, t] + h @ wh``, then
+    ``c = sig(z_f)*c + sig(z_i)*tanh(z_g)`` and ``h = sig(z_o)*tanh(c)``.
+    Returns the hidden states (B, T, H). The backward pass runs the
+    recurrence in reverse and forms ``d wh`` as one GEMM over all steps.
+    """
+    if xw.ndim != 3 or wh.ndim != 2 or wh.shape[1] != 4 * wh.shape[0] \
+            or xw.shape[2] != wh.shape[1]:
+        raise ShapeError(f"lstm_sequence: need xw (B,T,4H) and wh (H,4H), "
+                         f"got {xw.shape} and {wh.shape}")
+    bsz, steps, _ = xw.shape
+    hid = wh.shape[0]
+    dtype = xw.dtype
+    # sig(z) = 0.5*tanh(0.5*z) + 0.5 on the i, f, o blocks; tanh(z) on g
+    scale = np.full(4 * hid, 0.5, dtype=dtype)
+    scale[2 * hid:3 * hid] = 1.0
+    shift = 1.0 - scale
+    # time-major; hs[0] and cs[0] are the zero initial state
+    xs = np.swapaxes(xw.data, 0, 1)
+    acts = np.empty((steps, bsz, 4 * hid), dtype=dtype)
+    hs = np.zeros((steps + 1, bsz, hid), dtype=dtype)
+    cs = np.zeros((steps + 1, bsz, hid), dtype=dtype)
+    tcs = np.empty((steps, bsz, hid), dtype=dtype)
+    for t in range(steps):
+        a = acts[t]
+        np.tanh((xs[t] + hs[t] @ wh.data) * scale, out=a)
+        a *= scale
+        a += shift
+        i, f, g, o = np.split(a, 4, axis=1)
+        np.add(f * cs[t], i * g, out=cs[t + 1])
+        np.tanh(cs[t + 1], out=tcs[t])
+        np.multiply(o, tcs[t], out=hs[t + 1])
+
+    def bw(grad):
+        gs = np.swapaxes(grad, 0, 1)
+        dz = np.empty_like(acts)
+        dh = np.zeros((bsz, hid), dtype=dtype)
+        dc = np.zeros((bsz, hid), dtype=dtype)
+        wh_t = np.ascontiguousarray(wh.data.T)
+        for t in reversed(range(steps)):
+            i, f, g, o = np.split(acts[t], 4, axis=1)
+            dz_i, dz_f, dz_g, dz_o = np.split(dz[t], 4, axis=1)
+            dh += gs[t]
+            tc = tcs[t]
+            dc += dh * o * (1.0 - tc * tc)
+            np.multiply(dh * tc, o * (1.0 - o), out=dz_o)
+            np.multiply(dc * g, i * (1.0 - i), out=dz_i)
+            np.multiply(dc * cs[t], f * (1.0 - f), out=dz_f)
+            np.multiply(dc * i, 1.0 - g * g, out=dz_g)
+            dc *= f
+            dh = dz[t] @ wh_t
+        dwh = hs[:-1].reshape(-1, hid).T @ dz.reshape(-1, 4 * hid)
+        return np.ascontiguousarray(np.swapaxes(dz, 0, 1)), dwh
+
+    out = np.ascontiguousarray(np.swapaxes(hs[1:], 0, 1))
+    return _record("lstm_sequence", out, (xw, wh), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -11,17 +11,19 @@ def sigmoid(v):
 
 
 def lstm_cell_oracle(p, x, h, c):
+    # gate g owns column block g of the fused weights (order i, f, g, o)
     hidden = h.size
     h2 = np.zeros(hidden)
     c2 = np.zeros(hidden)
     for j in range(hidden):
         pre = {}
-        for g in "ifgo":
-            s = p.b[g].data[j]
+        for block, g in enumerate("ifgo"):
+            col = block * hidden + j
+            s = p.b.data[col]
             for k in range(x.size):
-                s += x[k] * p.wx[g].data[k, j]
+                s += x[k] * p.wx.data[k, col]
             for k in range(hidden):
-                s += h[k] * p.wh[g].data[k, j]
+                s += h[k] * p.wh.data[k, col]
             pre[g] = s
         i_g = sigmoid(pre["i"])
         f_g = sigmoid(pre["f"])

@@ -124,7 +124,7 @@ def test_criterion_1_gradient_suite():
 
             held = dict(model.params.named())
             rotation = [held[name] for name in
-                        ("attn.u_s", "gate.b_z", "decoder.l0.b_g", "encoder.l0.fwd.wx_g",
+                        ("attn.u_s", "gate.b_z", "decoder.l0.b", "encoder.l0.fwd.wx",
                          "masknet.b_m", "char.k2_bias")
                         if name in held]
             for target in (held["out.b"], rotation[point % len(rotation)]):

@@ -190,7 +190,10 @@ def trained_run(tmp_path_factory):
     data = root / "train.tsv"
     write_dataset(data, overfit_corpus())
     out = root / "run"
-    assert main(_train_args(data, out, epochs=220, seed=0)) == 0
+    # 500 epochs reproduce all 32 training descriptions; at 220 about half
+    # still swapped their cue word, so a last-bit change of arithmetic
+    # decided the golden strings below
+    assert main(_train_args(data, out, epochs=500, seed=0)) == 0
     return data, out
 
 
@@ -229,8 +232,11 @@ class TestDescribeCommand:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault,named", [("no variant meta line", "variant"),
-                                             ("truncated data", "out.b")])
+    @pytest.mark.parametrize("fault,named", [
+        ("no variant meta line", "variant"),
+        ("truncated data", "out.b"),
+        ("v1 format", "v1 (per-gate LSTM tensors) is no longer read"),
+        ("non-UTF-8 manifest", "not UTF-8")])
     def test_damaged_checkpoint_fails_cleanly(self, trained_run, tmp_path, capsys,
                                               fault, named):
         _, out = trained_run
@@ -238,8 +244,13 @@ class TestDescribeCommand:
         if fault == "no variant meta line":
             assert b"\nmeta variant=log-cad\n" in blob
             blob = blob.replace(b"\nmeta variant=log-cad\n", b"\n", 1)
-        else:
+        elif fault == "truncated data":
             blob = blob[:-4]
+        elif fault == "v1 format":
+            assert blob.startswith(b"logcad-checkpoint v2\n")
+            blob = b"logcad-checkpoint v1\n" + blob[21:]
+        else:
+            blob = blob[:30] + b"\xff" + blob[31:]
         ckpt = tmp_path / "model.ckpt"
         ckpt.write_bytes(blob)
         (tmp_path / "vocab.txt").write_bytes((out / "vocab.txt").read_bytes())

@@ -18,19 +18,27 @@ from logcad.layers import (
     iattention_mask,
     join_words,
     lstm_cell,
+    matrix_init,
+    reverse_valid,
 )
-from logcad.tensor import ShapeError, Tensor, gradient_check, reduce_sum
+from logcad.tensor import (
+    GradGraph,
+    ShapeError,
+    Tensor,
+    gradient_check,
+    lstm_sequence,
+    reduce_sum,
+)
 from oracles import attention_oracle, gate_oracle, lstm_cell_oracle
 from oracles import sigmoid as _sigmoid
 
 
 def _zero_lstm(input_dim, hidden, forget_bias=0.0):
     p = LstmParams.create(np.random.default_rng(0), input_dim, hidden)
-    for g in "ifgo":
-        p.wx[g].data[:] = 0.0
-        p.wh[g].data[:] = 0.0
-        p.b[g].data[:] = 0.0
-    p.b["f"].data[:] = forget_bias
+    p.wx.data[:] = 0.0
+    p.wh.data[:] = 0.0
+    p.b.data[:] = 0.0
+    p.b.data[hidden:2 * hidden] = forget_bias  # the forget gate's column block
     return p
 
 
@@ -84,8 +92,68 @@ class TestLstmCell:
 
             worst = max(worst, gradient_check(f, x))
             worst = max(worst, gradient_check(
-                lambda w: reduce_sum(lstm_cell(p, x, h0, c0)[0]), p.wh["g"]))
+                lambda w: reduce_sum(lstm_cell(p, x, h0, c0)[0]), p.wh))
         assert worst < 1e-3, worst
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM parameters and the sequence kernel
+
+
+def _cell_loop(p, seq):
+    """(B, T, D) array -> (B, T, H) hidden states, one lstm_cell per step."""
+    h = c = Tensor(np.zeros((seq.shape[0], p.hidden)))
+    outs = []
+    for t in range(seq.shape[1]):
+        h, c = lstm_cell(p, Tensor(seq[:, t]), h, c)
+        outs.append(h.data)
+    return np.stack(outs, axis=1)
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_init_equals_per_gate_draws(self, dtype):
+        # gate blocks hold the per-gate draws in the order wx_i, wh_i, wx_f, ...
+        p = LstmParams.create(np.random.default_rng(11), 5, 3, dtype)
+        rng = np.random.default_rng(11)
+        for k in range(4):
+            cols = slice(3 * k, 3 * (k + 1))
+            npt.assert_array_equal(p.wx.data[:, cols], matrix_init(rng, (5, 3), dtype).data)
+            npt.assert_array_equal(p.wh.data[:, cols], matrix_init(rng, (3, 3), dtype).data)
+        npt.assert_array_equal(p.b.data, [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+        assert p.wx.dtype == p.wh.dtype == p.b.dtype == dtype
+
+    def test_matches_cell_loop_on_padded_batch_both_directions(self):
+        rng = np.random.default_rng(12)
+        p = BiLstmParams.create(rng, 3, 8, n_layers=2)
+        lengths = np.array([2, 5, 4])
+        x = rng.normal(size=(3, 5, 3))
+        want = x
+        for fwd, bwd in p.layers:
+            rev = reverse_valid(Tensor(want), lengths).data
+            back = reverse_valid(Tensor(_cell_loop(bwd, rev)), lengths).data
+            want = np.concatenate([_cell_loop(fwd, want), back], axis=2)
+        got = bilstm_encode(p, Tensor(x), lengths).data
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="lstm_sequence"):
+            lstm_sequence(Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((3, 12))))
+        with pytest.raises(ShapeError, match="lstm_sequence"):
+            lstm_sequence(Tensor(np.zeros((1, 2, 12))), Tensor(np.zeros((3, 3))))
+
+    def test_encoder_tape_ops_do_not_grow_with_length(self):
+        # each layer and direction is a fixed number of ops, whatever T is
+        p = BiLstmParams.create(np.random.default_rng(14), 3, 4, n_layers=2)
+
+        def ops(steps):
+            x = Tensor(np.ones((2, steps, 3)))
+            with GradGraph() as g:
+                bilstm_encode(p, x, np.array([steps, 1]), drop=0.5,
+                              rng=np.random.default_rng(0))
+            return len(g.ops)
+
+        assert ops(3) == ops(40)
 
 
 # ---------------------------------------------------------------------------

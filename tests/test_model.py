@@ -4,6 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcad.data import EmbeddingTable, Entry, Vocab, make_batch
 from logcad.decode import greedy_decode
@@ -51,7 +53,8 @@ def np_sigmoid(x):
 
 
 def np_lstm_step(p, x, h, c):
-    pre = {g: x @ p.wx[g].data + h @ p.wh[g].data + p.b[g].data for g in "ifgo"}
+    z = x @ p.wx.data + h @ p.wh.data + p.b.data
+    pre = dict(zip("ifgo", np.split(z, 4, axis=-1)))
     c2 = np_sigmoid(pre["f"]) * c + np_sigmoid(pre["i"]) * np.tanh(pre["g"])
     return np_sigmoid(pre["o"]) * np.tanh(c2), c2
 
@@ -185,6 +188,11 @@ class TestConfig:
     def test_odd_encoder_width_rejected(self):
         with pytest.raises(ValueError, match="even"):
             ModelConfig(enc_width=601)
+
+    @pytest.mark.parametrize("key", ["enc_layers", "dec_width", "word_emb_width", "vocab_size"])
+    def test_non_positive_dimension_rejected(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be at least 1"):
+            ModelConfig(**{key: 0})
 
     def test_meta_round_trip(self):
         cfg = tiny_config("i-attention")
@@ -431,8 +439,8 @@ class TestGradientFlow:
 
         held = dict(model.params.named())
         targets = [held[name] for name in
-                   ("out.b", "attn.u_s", "gate.b_z", "decoder.l0.b_g",
-                    "encoder.l0.fwd.wx_g", "masknet.b_m", "char.k2_bias")
+                   ("out.b", "attn.u_s", "gate.b_z", "decoder.l0.b",
+                    "encoder.l0.fwd.wx", "masknet.b_m", "char.k2_bias")
                    if name in held]
         worst = 0.0
         for t in targets:
@@ -642,3 +650,72 @@ class TestCheckpoint:
                         model.config.to_meta())
         with pytest.raises(ValueError, match="missing tensor attn.u_h"):
             load_model(path, vocab, toy_table())
+
+    def test_v1_checkpoint_refused(self, tmp_path):
+        # v1 stored each LSTM cell as twelve per-gate tensors (wx_i, wh_i, b_i, ...)
+        model = DescriptionModel(tiny_config("log-cad"), toy_vocab(), toy_table(), seed=18)
+        named = []
+        for name, t in model.params.named():
+            prefix, _, kind = name.rpartition(".")
+            if prefix.startswith(("encoder.", "decoder.")):
+                for gate, block in zip("ifgo", np.split(t.data, 4, axis=-1)):
+                    named.append((f"{prefix}.{kind}_{gate}", Tensor(block)))
+            else:
+                named.append((name, t))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, SimpleNamespace(named=lambda: iter(named)),
+                        model.config.to_meta())
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"logcad-checkpoint v2\n", b"logcad-checkpoint v1\n", 1))
+        with pytest.raises(ValueError, match="v1 .* no longer read") as err:
+            load_model(path, toy_vocab(), toy_table())
+        assert str(path) in str(err.value)
+
+    def test_non_utf8_manifest_names_path(self, tmp_path):
+        model = DescriptionModel(tiny_config("log-cad"), toy_vocab(), toy_table(), seed=18)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model.params, model.config.to_meta())
+        blob = bytearray(path.read_bytes())
+        blob[30] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="not UTF-8") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A saved tiny log-cad checkpoint: (path to rewrite, original bytes)."""
+    model = DescriptionModel(tiny_config("log-cad"), toy_vocab(), toy_table(), seed=19)
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(path, model.params, {**model.config.to_meta(), "seed": "19", "epoch": "3"})
+    return path, path.read_bytes()
+
+
+class TestCheckpointFuzz:
+    """Damaged checkpoints raise ValueError, which the CLI reports, and
+    nothing else."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncation_raises_value_error(self, tiny_checkpoint, data):
+        path, blob = tiny_checkpoint
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError):
+            load_model(path, toy_vocab(), toy_table())
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_manifest_byte_flip_raises_value_error_or_loads(self, tiny_checkpoint, data):
+        path, blob = tiny_checkpoint
+        manifest_end = blob.index(b"\nDATA\n") + len(b"\nDATA\n")
+        pos = data.draw(st.integers(0, manifest_end - 1), label="pos")
+        mask = data.draw(st.integers(1, 255), label="xor mask")
+        flipped = bytearray(blob)
+        flipped[pos] ^= mask
+        path.write_bytes(bytes(flipped))
+        try:
+            load_model(path, toy_vocab(), toy_table())
+        except ValueError:
+            pass

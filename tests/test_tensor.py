@@ -14,6 +14,7 @@ from logcad.tensor import (
     gather_time,
     gradient_check,
     log_softmax,
+    lstm_sequence,
     matmul,
     mul,
     pick,
@@ -27,6 +28,7 @@ from logcad.tensor import (
     take_rows,
     tanh,
 )
+from oracles import sigmoid as scalar_sigmoid
 
 
 def _matmul_oracle(a, b):
@@ -66,6 +68,27 @@ class TestForward:
         out = matmul(Tensor(a), Tensor(b))
         for i in range(5):
             npt.assert_allclose(out.data[i], _matmul_oracle(a[i], b), atol=1e-6)
+
+    def test_matmul_folded_weight_equals_np_matmul(self):
+        # a 2-D right operand is applied to all leading dims as one GEMM
+        rng = np.random.default_rng(4)
+        for shape in ((5, 2, 3), (2, 3, 4, 3)):
+            a = rng.normal(size=shape)
+            b = rng.normal(size=(3, 6))
+            npt.assert_allclose(matmul(Tensor(a), Tensor(b)).data, np.matmul(a, b),
+                                rtol=0, atol=1e-12)
+
+    def test_sigmoid_matches_scalar_oracle(self):
+        x = np.linspace(-30.0, 30.0, 1201)
+        want = np.array([scalar_sigmoid(v) for v in x])
+        npt.assert_allclose(sigmoid(Tensor(x)).data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_saturates_without_overflow(self, dtype):
+        with np.errstate(all="raise"):
+            out = sigmoid(Tensor(np.array([-1000.0, 1000.0], dtype=dtype))).data
+        assert out.dtype == dtype
+        assert out[0] == 0.0 and out[1] == 1.0
 
     def test_shape_mismatch_names_op(self):
         with pytest.raises(ShapeError, match="matmul"):
@@ -225,6 +248,28 @@ class TestGradientCheckAllPrimitives:
             w = Tensor(rng.normal(size=(4, 2)))
             return lambda t: reduce_sum(tanh(matmul(t, w)))
         self._run(build, (2, 3, 4), 15)
+
+    def test_matmul_batched_weight(self):
+        # gradient of the folded 2-D right operand
+        def build(rng):
+            a = Tensor(rng.normal(size=(2, 3, 4)))
+            return lambda t: reduce_sum(tanh(matmul(a, t)))
+        self._run(build, (4, 2), 25)
+
+    def test_lstm_sequence_inputs(self):
+        # batch 2, 3 steps, hidden 2: xw (2, 3, 8), wh (2, 8)
+        def build(rng):
+            wh = Tensor(rng.normal(size=(2, 8)))
+            w = Tensor(rng.normal(size=(2, 3, 2)))
+            return lambda t: reduce_sum(mul(lstm_sequence(t, wh), w))
+        self._run(build, (2, 3, 8), 31)
+
+    def test_lstm_sequence_recurrent_weights(self):
+        def build(rng):
+            xw = Tensor(rng.normal(size=(2, 3, 8)))
+            w = Tensor(rng.normal(size=(2, 3, 2)))
+            return lambda t: reduce_sum(mul(lstm_sequence(xw, t), w))
+        self._run(build, (2, 8), 32)
 
     def test_concat(self):
         def build(rng):
