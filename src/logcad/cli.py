@@ -28,7 +28,9 @@ from logcad.data import (
     Entry,
     EmbeddingTable,
 )
-from logcad.decode import beam_search, greedy_decode
+# greedy_decode is not called here; perfbench's tracer wraps it under this
+# module's name
+from logcad.decode import beam_search, decode_batch, greedy_decode  # noqa: F401
 from logcad.evaluate import (
     AXES,
     avg_sentence_bleu,
@@ -133,6 +135,9 @@ def _load_table(path: Optional[str], seed: int) -> Optional[EmbeddingTable]:
 # ---------------------------------------------------------------------------
 # commands
 
+# entries ``evaluate`` decodes together; each is decoded as it would be alone
+EVAL_CHUNK = 32
+
 
 def cmd_extract(args) -> int:
     cfg = resolve_config(args)
@@ -211,12 +216,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decode_fn(cfg: RunConfig):
-    if cfg.beam <= 1:
-        return lambda model, entry: greedy_decode(model, entry, max_len=cfg.max_len)
-    return lambda model, entry: beam_search(model, entry, beam=cfg.beam, max_len=cfg.max_len)
-
-
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     try:
@@ -232,12 +231,15 @@ def cmd_evaluate(args) -> int:
         print("error: no entries to evaluate", file=sys.stderr)
         return 1
 
-    decode = _decode_fn(cfg)
-    candidates = [vocab.decode(decode(model, e)) for e in entries]
+    candidates = []
+    for start in range(0, len(entries), EVAL_CHUNK):
+        chunk = entries[start:start + EVAL_CHUNK]
+        candidates += [vocab.decode(ids)
+                       for ids in decode_batch(model, chunk, cfg.beam, cfg.max_len)]
     records = build_records(entries, candidates, table)
     corpus = corpus_bleu(records)
     sentence = avg_sentence_bleu(records)
-    mode = "greedy" if cfg.beam <= 1 else f"beam={cfg.beam}"
+    mode = "greedy" if cfg.beam == 1 else f"beam={cfg.beam}"
     print(f"entries: {len(records)}  decode: {mode}")
     print(f"corpus BLEU: {corpus:.2f}")
     print(f"avg sentence BLEU (smoothed): {sentence:.2f}")
@@ -297,7 +299,7 @@ def cmd_describe(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    ids = _decode_fn(cfg)(model, entry)
+    ids = beam_search(model, entry, beam=cfg.beam, max_len=cfg.max_len)
     print(" ".join(vocab.decode(ids)))
     return 0
 

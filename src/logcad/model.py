@@ -226,6 +226,20 @@ class _Session:
     enc_proj: Optional[Tensor]
     enc_bias: Optional[np.ndarray]
 
+    def take(self, rows) -> "_Session":
+        """The session made of rows ``rows`` of this one, in that order (rows
+        may repeat). Forward-only: the copies are not on any gradient tape."""
+        rows = np.asarray(rows, dtype=np.intp)
+
+        def pick(t):
+            return None if t is None else Tensor(t.data[rows])
+
+        return replace(self, layer_states=[(pick(h), pick(c)) for h, c in self.layer_states],
+                       s_prime=pick(self.s_prime), x_trg=pick(self.x_trg),
+                       c_trg=pick(self.c_trg), x_masked=pick(self.x_masked),
+                       enc_states=pick(self.enc_states), enc_proj=pick(self.enc_proj),
+                       enc_bias=None if self.enc_bias is None else self.enc_bias[rows])
+
 
 class DescriptionModel:
     """One encoder-decoder description generator instance.
@@ -369,17 +383,23 @@ class DescriptionModel:
     # ------------------------------------------------------------------
     # step-by-step decoding interface
 
-    def start_session(self, entry: Entry) -> _Session:
-        return self._start(make_batch([entry], self.vocab), train=False)
+    def start_session(self, entries: Sequence[Entry]) -> _Session:
+        """A decoding session with one row per entry."""
+        return self._start(make_batch(entries, self.vocab), train=False)
 
-    def step(self, session: _Session, prev_id: Optional[int]) -> tuple[np.ndarray, _Session]:
-        """Advance one decode step; returns (log-probabilities over the
-        vocabulary, next session). ``prev_id`` is None at the first step."""
-        if (prev_id is None) != (session.step == 0):
-            raise ValueError("step: prev_id must be None exactly at the first step")
-        prev = None if prev_id is None else np.array([prev_id], dtype=np.intp)
+    def step(self, session: _Session,
+             prev_ids: Optional[Sequence[int]]) -> tuple[np.ndarray, _Session]:
+        """Advance every row one decode step; returns the (rows, V)
+        log-probabilities and the next session. ``prev_ids`` holds each row's
+        previous token and is None exactly at the first step."""
+        if (prev_ids is None) != (session.step == 0):
+            raise ValueError("step: prev_ids must be None exactly at the first step")
+        prev = None if prev_ids is None else np.asarray(prev_ids, dtype=np.intp)
+        if prev is not None and prev.shape != (session.s_prime.shape[0],):
+            raise ValueError(f"step: {prev.shape} prev_ids for "
+                             f"{session.s_prime.shape[0]} session rows")
         logits, session = self._advance(session, prev, train=False)
-        return log_softmax(logits, axis=1).data[0], session
+        return log_softmax(logits, axis=1).data, session
 
 
 # ---------------------------------------------------------------------------

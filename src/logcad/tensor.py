@@ -3,8 +3,9 @@
 A :class:`Tensor` wraps a numpy float array. Primitive operations executed
 while a :class:`GradGraph` is active are recorded on that graph (a tape);
 ``graph.backward(loss)`` replays the tape once in reverse, accumulating
-gradients into ``tensor.grad``. With no active graph, primitives run
-forward-only, which is what inference-time code uses.
+gradients into the ``grad`` of the leaf tensors (those no op produced).
+With no active graph, primitives run forward-only, which is what
+inference-time code uses.
 
 Conventions:
   * vectors are 2-D ``(batch, dim)`` arrays; sequences are 3-D
@@ -151,8 +152,11 @@ class GradGraph:
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad
-        tensor recorded on this graph that ``loss`` depends on. Tensors the
-        loss does not reach keep their ``grad`` unchanged."""
+        leaf (a tensor no recorded op produced, such as a parameter) that
+        ``loss`` depends on. Tensors the loss does not reach, and op outputs,
+        keep their ``grad`` unchanged: an op output's gradient is dropped as
+        soon as its op's backward has run, since its consumers all come later
+        on the tape and have already run."""
         if loss.size != 1:
             raise ValueError(
                 f"backward: loss must be scalar, got shape {loss.shape}"
@@ -161,7 +165,7 @@ class GradGraph:
         acc: dict[int, tuple[Tensor, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.data))}
         for _name, inputs, out, backward_fn in reversed(self.ops):
-            reached = acc.get(id(out))
+            reached = acc.pop(id(out), None)
             if reached is None:
                 continue  # op does not contribute to the loss
             for tin, gin in zip(inputs, backward_fn(reached[1])):
@@ -363,10 +367,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
-    sm = np.exp(out)
 
     def bw(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
+        # the softmax is needed only here, so forward-only calls skip it
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
 
     return _record("log_softmax", out, (x,), bw)
 
@@ -430,17 +434,22 @@ def pick(x: Tensor, ids) -> Tensor:
 def gather_time(x: Tensor, idx) -> Tensor:
     """Reorder a sequence per batch entry: ``out[b, t] = x[b, idx[b, t]]``.
 
-    Used to realign the backward half of the bidirectional encoder with the
-    forward half on variable-length, padded batches.
+    Each row of ``idx`` must be a permutation of ``0..T-1``, so the backward
+    pass writes every input step's gradient exactly once. Used to realign
+    the backward half of the bidirectional encoder with the forward half on
+    variable-length, padded batches.
     """
     idx = np.asarray(idx)
     if x.ndim != 3 or idx.shape != x.shape[:2]:
         raise ShapeError(f"gather_time: need (B,T,D) and idx (B,T), got {x.shape} and {idx.shape}")
+    if not np.array_equal(np.sort(idx, axis=1), np.broadcast_to(np.arange(idx.shape[1]),
+                                                                 idx.shape)):
+        raise ShapeError("gather_time: each row of idx must be a permutation of 0..T-1")
     b = np.arange(x.shape[0])[:, None]
 
     def bw(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (b, idx), g)
+        gx = np.empty_like(x.data)
+        gx[b, idx] = g
         return gx, None
 
     return _record("gather_time", x.data[b, idx], (x, idx), bw)

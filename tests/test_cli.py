@@ -285,3 +285,18 @@ class TestEvaluateCommand:
                    "--beam", "3"])
         assert rc == 0
         assert "beam=3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["evaluate", "describe"])
+    @pytest.mark.parametrize("beam", ["0", "-2"])
+    def test_beam_below_one_rejected(self, trained_run, capsys, command, beam):
+        data, out = trained_run
+        inputs = {"evaluate": ["--data", str(data)],
+                  "describe": ["--phrase", "blue falcon",
+                               "--sentence", "the [TRG] near the harbor was seen ."]}
+        rc = main([command, "--ckpt", str(out / "model.ckpt"), "--beam", beam,
+                   *inputs[command]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"beam width must be at least 1, got {beam}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -228,11 +228,11 @@ class TestDecodeStep:
         vocab = toy_vocab()
         model = DescriptionModel(tiny_config(variant), vocab, toy_table(), seed=1,
                                  dtype=np.float64)
-        session = model.start_session(toy_entry())
+        session = model.start_session([toy_entry()])
         logp, session = model.step(session, None)
-        assert logp.shape == (len(vocab),)
-        logp, _ = model.step(session, vocab.index["red"])
-        assert logp.shape == (len(vocab),)
+        assert logp.shape == (1, len(vocab))
+        logp, _ = model.step(session, [vocab.index["red"]])
+        assert logp.shape == (1, len(vocab))
 
     def test_global_ignores_context(self):
         model = DescriptionModel(tiny_config("global"), toy_vocab(), toy_table(),
@@ -240,14 +240,14 @@ class TestDecodeStep:
         e1 = Entry(["sonic", "boom"], ["a", "[TRG]", "happened"], (1, 1), ["red"])
         e2 = Entry(["sonic", "boom"], ["totally", "different", "words", "[TRG]", "here", "now"],
                    (3, 3), ["red"])
-        s1 = model.start_session(e1)
-        s2 = model.start_session(e2)
+        s1 = model.start_session([e1])
+        s2 = model.start_session([e2])
         prev = None
         for _ in range(3):
             l1, s1 = model.step(s1, prev)
             l2, s2 = model.step(s2, prev)
             npt.assert_array_equal(l1, l2)
-            prev = int(np.argmax(l1))
+            prev = [int(np.argmax(l1[0]))]
 
     @pytest.mark.parametrize("variant", ["global", "local", "log-cad"])
     def test_gated_steps_match_numpy_reference(self, variant):
@@ -255,19 +255,19 @@ class TestDecodeStep:
                                  seed=4, dtype=np.float64)
         entry = toy_entry()
         want = np_gated_steps(model, entry, ["red", "fish"])
-        session = model.start_session(entry)
+        session = model.start_session([entry])
         got0, session = model.step(session, None)
-        npt.assert_allclose(got0, want[0], atol=1e-5)
-        got1, session = model.step(session, model.vocab.index["red"])
-        npt.assert_allclose(got1, want[1], atol=1e-5)
-        got2, _ = model.step(session, model.vocab.index["fish"])
-        npt.assert_allclose(got2, want[2], atol=1e-5)
+        npt.assert_allclose(got0[0], want[0], atol=1e-5)
+        got1, session = model.step(session, [model.vocab.index["red"]])
+        npt.assert_allclose(got1[0], want[1], atol=1e-5)
+        got2, _ = model.step(session, [model.vocab.index["fish"]])
+        npt.assert_allclose(got2[0], want[2], atol=1e-5)
 
     def test_iattention_masks_phrase_embedding_once(self):
         model = DescriptionModel(tiny_config("i-attention"), toy_vocab(), toy_table(),
                                  seed=5, dtype=np.float64)
         entry = toy_entry()
-        session = model.start_session(entry)
+        session = model.start_session([entry])
         # reference: mask computed from the encoded context, then constant
         p = model.params
         ctx_ids = np.array(model.vocab.encode(entry.context), dtype=np.intp)
@@ -281,12 +281,14 @@ class TestDecodeStep:
     def test_step_protocol_enforced(self):
         model = DescriptionModel(tiny_config("global"), toy_vocab(), toy_table(),
                                  seed=0, dtype=np.float64)
-        session = model.start_session(toy_entry())
+        session = model.start_session([toy_entry()])
         with pytest.raises(ValueError):
-            model.step(session, 7)  # first step must pass None
+            model.step(session, [7])  # first step must pass None
         _, session = model.step(session, None)
         with pytest.raises(ValueError):
             model.step(session, None)
+        with pytest.raises(ValueError, match="rows"):
+            model.step(session, [7, 7])  # one previous token per row
 
 
 class TestSequenceLoss:
@@ -377,14 +379,14 @@ class TestSequenceLoss:
         # decoding the three entries as one session gives each row the
         # log-probabilities of decoding its entry alone
         session = model._start(batch, train=False)
-        singles = [model.start_session(e) for e in entries]
+        singles = [model.start_session([e]) for e in entries]
         for t in range(4):
             prev_ids = batch.prev_ids[:, t]
             logits, session = model._advance(session, prev_ids, train=False)
             got = log_softmax(logits, axis=1).data
             for i, single in enumerate(singles):
-                want_row, singles[i] = model.step(single, int(prev_ids[i]) if t else None)
-                npt.assert_allclose(got[i], want_row, rtol=0, atol=1e-12)
+                want_row, singles[i] = model.step(single, [int(prev_ids[i])] if t else None)
+                npt.assert_allclose(got[i], want_row[0], rtol=0, atol=1e-12)
 
 
 ACTIVE_GROUPS = {
@@ -482,13 +484,13 @@ class TestVariantReduction:
         g2.b_s.data = g1.b_s.data.copy()
 
         entry = toy_entry()
-        s1, s2 = m1.start_session(entry), m2.start_session(entry)
+        s1, s2 = m1.start_session([entry]), m2.start_session([entry])
         prev = None
         for _ in range(3):
             l1, s1 = m1.step(s1, prev)
             l2, s2 = m2.step(s2, prev)
             npt.assert_allclose(l1, l2, atol=1e-10)
-            prev = int(np.argmax(l1))
+            prev = [int(np.argmax(l1[0]))]
 
     def test_zero_phrase_embedding_reduces_logcad_to_local(self):
         # a table whose vectors and UNK are all zero makes x_trg = 0
@@ -518,13 +520,13 @@ class TestVariantReduction:
         g2.b_s.data = g1.b_s.data.copy()
 
         entry = toy_entry()
-        s1, s2 = m1.start_session(entry), m2.start_session(entry)
+        s1, s2 = m1.start_session([entry]), m2.start_session([entry])
         prev = None
         for _ in range(3):
             l1, s1 = m1.step(s1, prev)
             l2, s2 = m2.step(s2, prev)
             npt.assert_allclose(l1, l2, atol=1e-10)
-            prev = int(np.argmax(l1))
+            prev = [int(np.argmax(l1[0]))]
 
 
 def _corrupt(path, how):
@@ -605,8 +607,8 @@ class TestCheckpoint:
         restored, meta2 = load_model(path, vocab, table)
         assert meta2["seed"] == "13"
         entry = toy_entry()
-        l1, _ = model.step(model.start_session(entry), None)
-        l2, _ = restored.step(restored.start_session(entry), None)
+        l1, _ = model.step(model.start_session([entry]), None)
+        l2, _ = restored.step(restored.start_session([entry]), None)
         npt.assert_allclose(l1, l2, atol=1e-6)
 
     def test_shape_mismatch_rejected(self, tmp_path):

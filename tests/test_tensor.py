@@ -160,6 +160,17 @@ class TestBackward:
         npt.assert_allclose(w_used.grad, [1.0, 2.0])
         assert w_unused.grad is None
 
+    def test_only_leaves_receive_grad(self):
+        # op outputs' gradients are dropped during the replay, not stored
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradGraph() as g:
+            h = mul(x, x)
+            loss = reduce_sum(sigmoid(h))
+        g.backward(loss)
+        s = 1.0 / (1.0 + np.exp(-x.data * x.data))
+        npt.assert_allclose(x.grad, s * (1.0 - s) * 2.0 * x.data, atol=1e-12)
+        assert h.grad is None and loss.grad is None
+
     def test_backward_linearity(self):
         rng = np.random.default_rng(4)
         base = rng.normal(size=(3, 3))
@@ -330,7 +341,7 @@ class TestGradientCheckAllPrimitives:
         self._run(lambda rng: (lambda t: reduce_sum(pick(log_softmax(t, axis=1), ids))), (3, 4), 27)
 
     def test_gather_time(self):
-        idx = np.array([[2, 1, 0], [0, 0, 2]])
+        idx = np.array([[2, 1, 0], [0, 2, 1]])
 
         def build(rng):
             w = Tensor(rng.normal(size=(2, 3, 4)))
@@ -369,6 +380,12 @@ class TestUtilities:
         out = gather_time(x, idx)
         npt.assert_allclose(out.data[0, 0], x.data[0, 2])
         npt.assert_allclose(out.data[1, 1], x.data[1, 2])
+
+    def test_gather_time_rejects_non_permutation(self):
+        x = Tensor(np.zeros((2, 3, 2)))
+        for idx in ([[2, 1, 0], [0, 0, 2]], [[0, 1, 3], [0, 1, 2]], [[0, 1, -1], [0, 1, 2]]):
+            with pytest.raises(ShapeError, match="permutation"):
+                gather_time(x, np.array(idx))
 
     def test_finite_after_mask_bias(self):
         # -1e9 additive masking keeps softmax finite
