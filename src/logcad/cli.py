@@ -45,7 +45,7 @@ from logcad.model import (
     ModelConfig,
     load_checkpoint,
     load_model,
-    load_params_into,
+    model_from_checkpoint,
     save_checkpoint,
 )
 from logcad.train import TrainSettings, train
@@ -188,11 +188,11 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     start_epoch = 0
     if args.resume:
+        # load_model's two steps, called apart: the traced benchmark's
+        # train-full phase reports load_checkpoint and model init, not load_model
         tensors, meta = load_checkpoint(args.resume)
-        model_cfg = ModelConfig.from_meta(meta)
         vocab = Vocab.load(Path(args.resume).with_name("vocab.txt"))
-        model = DescriptionModel(model_cfg, vocab, table, seed=int(meta.get("seed", cfg.seed)))
-        load_params_into(model.params, tensors)
+        model = model_from_checkpoint(tensors, meta, vocab, table)
         start_epoch = int(meta.get("epoch", "0"))
     else:
         vocab = build_vocab(train_entries, size=cfg.vocab_size)

@@ -41,16 +41,21 @@ MASK_BIAS = -1e9  # additive score mask for padded positions (keeps values finit
 GATE_NAMES = ("i", "f", "g", "o")
 
 
-def uniform_init(rng: np.random.Generator, shape, dtype=np.float64,
+def uniform_init(rng: Optional[np.random.Generator], shape, dtype=np.float64,
                  scale: float = INIT_SCALE) -> Tensor:
+    """Uniform [-scale, scale] weights; with no ``rng``, an uninitialized
+    placeholder of the shape, for weights a checkpoint load overwrites."""
+    if rng is None:
+        return Tensor(np.empty(shape, dtype=dtype), requires_grad=True)
     return Tensor(rng.uniform(-scale, scale, size=shape).astype(dtype), requires_grad=True)
 
 
-def matrix_init(rng: np.random.Generator, shape, dtype=np.float64) -> Tensor:
+def matrix_init(rng: Optional[np.random.Generator], shape, dtype=np.float64) -> Tensor:
     """Init for matmul weight matrices: uniform [-0.08, 0.08] floored by the
     Glorot bound sqrt(6/(fan_in+fan_out)). At the full-size widths (300-600)
     the flat 0.08 dominates; at the reduced test widths the floor keeps
-    activations from vanishing through the deep stack."""
+    activations from vanishing through the deep stack. No ``rng`` gives a
+    placeholder, as for ``uniform_init``."""
     fan_in, fan_out = shape[0], shape[-1]
     scale = max(INIT_SCALE, np.sqrt(6.0 / (fan_in + fan_out)))
     return uniform_init(rng, shape, dtype, scale=scale)
@@ -73,16 +78,20 @@ class LstmParams:
     hidden: int
 
     @classmethod
-    def create(cls, rng: np.random.Generator, input_dim: int, hidden: int,
+    def create(cls, rng: Optional[np.random.Generator], input_dim: int, hidden: int,
                dtype=np.float64) -> "LstmParams":
+        b = np.zeros(4 * hidden, dtype=dtype)
+        b[hidden:2 * hidden] = 1.0
+        if rng is None:
+            return cls(wx=matrix_init(None, (input_dim, 4 * hidden), dtype),
+                       wh=matrix_init(None, (hidden, 4 * hidden), dtype),
+                       b=Tensor(b, requires_grad=True), input_dim=input_dim, hidden=hidden)
         # per-gate draws in the order wx_i, wh_i, wx_f, ..., each with its own
         # Glorot floor, placed side by side
         wx, wh = [], []
         for _ in GATE_NAMES:
             wx.append(matrix_init(rng, (input_dim, hidden), dtype).data)
             wh.append(matrix_init(rng, (hidden, hidden), dtype).data)
-        b = np.zeros(4 * hidden, dtype=dtype)
-        b[hidden:2 * hidden] = 1.0
         return cls(wx=Tensor(np.concatenate(wx, axis=1), requires_grad=True),
                    wh=Tensor(np.concatenate(wh, axis=1), requires_grad=True),
                    b=Tensor(b, requires_grad=True), input_dim=input_dim, hidden=hidden)
@@ -135,7 +144,7 @@ class BiLstmParams:
     out_width: int
 
     @classmethod
-    def create(cls, rng: np.random.Generator, input_dim: int, out_width: int,
+    def create(cls, rng: Optional[np.random.Generator], input_dim: int, out_width: int,
                n_layers: int, dtype=np.float64) -> "BiLstmParams":
         if out_width % 2:
             raise ValueError("encoder width must be even (two directions)")
@@ -223,7 +232,7 @@ class CharCnnParams:
     DEFAULT_BANKS = ((2, 10), (3, 30), (4, 40), (5, 40), (6, 40))
 
     @classmethod
-    def create(cls, rng: np.random.Generator, char_emb: int = 16,
+    def create(cls, rng: Optional[np.random.Generator], char_emb: int = 16,
                bank_spec: Sequence[tuple[int, int]] = DEFAULT_BANKS,
                dtype=np.float64) -> "CharCnnParams":
         alphabet = CharAlphabet()
@@ -289,7 +298,7 @@ class AttentionParams:
     u_s: Tensor  # (dec_width, attn_width)
 
     @classmethod
-    def create(cls, rng: np.random.Generator, enc_width: int, dec_width: int,
+    def create(cls, rng: Optional[np.random.Generator], enc_width: int, dec_width: int,
                attn_width: int, dtype=np.float64) -> "AttentionParams":
         return cls(u_h=matrix_init(rng, (enc_width, attn_width), dtype),
                    u_s=matrix_init(rng, (dec_width, attn_width), dtype))
@@ -344,7 +353,7 @@ class GateParams:
     b_s: Tensor
 
     @classmethod
-    def create(cls, rng: np.random.Generator, feature_dim: int, state_dim: int,
+    def create(cls, rng: Optional[np.random.Generator], feature_dim: int, state_dim: int,
                dtype=np.float64) -> "GateParams":
         # the reset vector multiplies f_t element-wise, so W_r maps to the
         # feature width; the update gate and candidate map to the state width
@@ -388,7 +397,7 @@ class MaskNetParams:
     b_m: Tensor
 
     @classmethod
-    def create(cls, rng: np.random.Generator, enc_width: int, ff_width: int,
+    def create(cls, rng: Optional[np.random.Generator], enc_width: int, ff_width: int,
                emb_width: int, dtype=np.float64) -> "MaskNetParams":
         return cls(
             w_ff=matrix_init(rng, (enc_width, ff_width), dtype),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
@@ -148,10 +149,12 @@ class ModelConfig:
 
 class ModelParams:
     """The trainable weights of one variant: only the parameter groups its
-    ``ModelConfig.uses_*`` flags select (see the README's per-variant table)."""
+    ``ModelConfig.uses_*`` flags select (see the README's per-variant table).
+    With ``rng=None`` the weights are uninitialized placeholders of the right
+    shapes, for ``load_params_into`` to replace."""
 
     def __init__(self, config: ModelConfig, n_vocab: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: Optional[np.random.Generator], dtype=np.float32):
         self.dtype = dtype
         # unused groups are drawn, then dropped, so every kept tensor takes the
         # same values from the seed as when each variant held all groups
@@ -244,13 +247,14 @@ class _Session:
 class DescriptionModel:
     """One encoder-decoder description generator instance.
 
-    Construction draws all parameters from the seed; the same seed and
-    config always yield bit-identical parameters.
+    Construction draws all parameters from the seed, unless ``params`` are
+    given (``model_from_checkpoint`` passes placeholders it then loads); the
+    same seed and config always yield bit-identical parameters.
     """
 
     def __init__(self, config: ModelConfig, vocab: Vocab,
                  emb_table: Optional[EmbeddingTable] = None,
-                 seed: int = 0, dtype=np.float32):
+                 seed: int = 0, dtype=np.float32, params: Optional[ModelParams] = None):
         if len(vocab) > config.vocab_size:
             raise ValueError(
                 f"vocab has {len(vocab)} entries, above the configured cap "
@@ -268,7 +272,9 @@ class DescriptionModel:
                 f"{config.word_emb_width}"
             )
         self.emb_table = emb_table
-        self.params = ModelParams(config, len(vocab), np.random.default_rng([seed, 0]), dtype)
+        if params is None:
+            params = ModelParams(config, len(vocab), np.random.default_rng([seed, 0]), dtype)
+        self.params = params
         self._drop_rng = np.random.default_rng([seed, 1])
 
     # ------------------------------------------------------------------
@@ -441,18 +447,28 @@ def save_checkpoint(path, params: ModelParams, meta: Optional[dict] = None) -> N
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a checkpoint; the tensor blocks must tile the data exactly, in
-    manifest order, with unique names and lengths that match their shapes."""
+    manifest order, with unique names and lengths that match their shapes.
+
+    The data section is read once into one fresh buffer, and each returned
+    tensor is an aligned, writable, C-contiguous view of it."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    split = blob.find(_DATA_MARKER)
-    if split < 0:
-        raise ValueError(f"{path}: not a checkpoint (missing data marker)")
+        head = bytearray()
+        # the manifest ends at the first "DATA" line that follows a newline
+        for line in fh:
+            if line == _DATA_MARKER[1:] and head:
+                break
+            head += line
+        else:
+            raise ValueError(f"{path}: not a checkpoint (missing data marker)")
+        data = np.empty(os.fstat(fh.fileno()).st_size - fh.tell(), dtype=np.uint8)
+        got = fh.readinto(data)
+    if got != len(data):
+        raise ValueError(f"{path}: short read, {got} of {len(data)} data bytes")
     try:
-        manifest = blob[:split].decode("utf-8").splitlines()
+        manifest = head[:-1].decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: checkpoint manifest is not UTF-8 "
                          f"(byte {e.start}: {e.reason})") from None
-    data = blob[split + len(_DATA_MARKER):]
     if manifest and manifest[0] == _V1_MAGIC:
         raise ValueError(f"{path}: checkpoint format v1 (per-gate LSTM tensors) is no "
                          f"longer read; retrain to write {_MAGIC}")
@@ -485,7 +501,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             end = offset + nbytes
             if end > len(data):
                 raise ValueError(f"{path}: tensor {name} runs past the end of the data")
-            tensors[name] = np.frombuffer(data[offset:end], dtype="<f4").reshape(shape)
+            tensors[name] = data[offset:end].view("<f4").reshape(shape)
         else:
             raise ValueError(f"{path}: bad manifest line {line!r}")
     if end != len(data):
@@ -495,25 +511,35 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
 
 
 def load_params_into(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
-    """Copy the tensors ``params`` holds from ``tensors``; names the variant
-    does not hold, as in checkpoints that carry every group, are ignored."""
+    """Set the tensors ``params`` holds from ``tensors``; names the variant
+    does not hold, as in checkpoints that carry every group, are ignored.
+    Arrays already of ``params.dtype`` are adopted, not copied, so later
+    writes to the weights show in ``tensors``; others are cast."""
     for name, t in params.named():
         if name not in tensors:
             raise ValueError(f"checkpoint missing tensor {name}")
         arr = tensors[name]
         if arr.shape != t.shape:
             raise ValueError(f"checkpoint tensor {name} has shape {arr.shape}, expected {t.shape}")
-        t.data = arr.astype(params.dtype)
+        t.data = arr if arr.dtype == params.dtype else arr.astype(params.dtype)
+
+
+def model_from_checkpoint(tensors: dict[str, np.ndarray], meta: dict[str, str], vocab: Vocab,
+                          emb_table: Optional[EmbeddingTable] = None,
+                          dtype=np.float32) -> DescriptionModel:
+    """Rebuild a model from ``load_checkpoint``'s tensors and config metadata.
+    No weight is drawn: each starts as a placeholder that the checkpoint's
+    tensor replaces, and a tensor it lacks or shapes differently raises
+    ``ValueError``."""
+    config = ModelConfig.from_meta(meta)
+    model = DescriptionModel(config, vocab, emb_table, seed=int(meta.get("seed", "0")),
+                             dtype=dtype, params=ModelParams(config, len(vocab), None, dtype))
+    load_params_into(model.params, tensors)
+    return model
 
 
 def load_model(path, vocab: Vocab, emb_table: Optional[EmbeddingTable] = None,
                dtype=np.float32) -> tuple[DescriptionModel, dict[str, str]]:
-    """Rebuild a model from a checkpoint's config metadata and weights."""
+    """Rebuild a model from a checkpoint file; returns it with the metadata."""
     tensors, meta = load_checkpoint(path)
-    config = ModelConfig.from_meta(meta)
-    seed = int(meta.get("seed", "0"))
-    if emb_table is None:
-        emb_table = EmbeddingTable.empty(config.word_emb_width, seed)
-    model = DescriptionModel(config, vocab, emb_table, seed=seed, dtype=dtype)
-    load_params_into(model.params, tensors)
-    return model, meta
+    return model_from_checkpoint(tensors, meta, vocab, emb_table, dtype), meta

@@ -117,6 +117,13 @@ def token_accuracy(model: DescriptionModel, entries: Sequence[Entry],
     return correct / tokens
 
 
+def _first_non_finite(model: DescriptionModel) -> str:
+    for name, t in model.params.named():
+        if t.grad is not None and not np.all(np.isfinite(t.grad)):
+            return f"first non-finite gradient in group {name.split('.')[0]} ({name})"
+    return "every gradient is finite"
+
+
 def train(model: DescriptionModel, train_entries: Sequence[Entry],
           valid_entries: Optional[Sequence[Entry]] = None,
           settings: TrainSettings = TrainSettings(),
@@ -124,7 +131,9 @@ def train(model: DescriptionModel, train_entries: Sequence[Entry],
           verbose: bool = False) -> TrainResult:
     """Optimize the model in place; returns per-epoch rows. With validation
     entries and a nonzero patience, training stops after ``patience``
-    non-improving epochs and the best-validation parameters are restored."""
+    non-improving epochs and the best-validation parameters are restored.
+    A non-finite loss or gradient norm raises ``ValueError`` before the
+    update that would carry it into the weights."""
     if not train_entries:
         raise ValueError("train: no training entries")
     params = model.params.tensors()
@@ -139,15 +148,19 @@ def train(model: DescriptionModel, train_entries: Sequence[Entry],
                                seed=settings.seed + epoch)
         total = 0.0
         tokens = 0.0
-        for batch in batches:
+        for k, batch in enumerate(batches, start=1):
             for t in params:
                 t.zero_grad()
             with GradGraph() as graph:
                 loss, aux = model.forward_loss(batch, train=True)
             graph.backward(loss)
-            clip_gradients(params, settings.clip_norm)
+            norm = clip_gradients(params, settings.clip_norm)
+            loss_value = loss.item()
+            if not (math.isfinite(loss_value) and math.isfinite(norm)):
+                raise ValueError(f"epoch {epoch}, batch {k}: loss {loss_value}, gradient "
+                                 f"norm {norm}; {_first_non_finite(model)}")
             opt.step()
-            total += loss.item() * aux["tokens"]
+            total += loss_value * aux["tokens"]
             tokens += aux["tokens"]
         train_loss = total / tokens
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from logcad.cli import RunConfig, main, resolve_config, build_parser
-from logcad.data import load_dataset, write_dataset
+from logcad.data import Vocab, load_dataset, write_dataset
+from logcad.model import load_model, save_checkpoint
 from corpora import overfit_corpus
 
 ARTICLES_TSV = (
@@ -156,6 +157,24 @@ class TestTrainCommand:
         from logcad.model import load_checkpoint
         _, meta = load_checkpoint(out2 / "model.ckpt")
         assert meta["epoch"] == "4"
+
+    def test_non_finite_weight_fails_with_message(self, tmp_path, capsys):
+        data = tmp_path / "train.tsv"
+        write_dataset(data, overfit_corpus())
+        out1 = tmp_path / "r1"
+        assert main(_train_args(data, out1, epochs=1)) == 0
+        ckpt = out1 / "model.ckpt"
+        model, meta = load_model(ckpt, Vocab.load(out1 / "vocab.txt"))
+        model.params.out_w.data[0, 0] = np.nan
+        save_checkpoint(ckpt, model.params, meta)
+        capsys.readouterr()
+        out2 = tmp_path / "r2"
+        assert main(_train_args(data, out2, epochs=2, extra=["--resume", str(ckpt)])) == 1
+        err = capsys.readouterr().err
+        assert "\nerror: epoch 2, batch 1: loss nan, gradient norm nan; first non-finite " \
+               "gradient in group word_emb (word_emb)\n" in err
+        assert "Traceback" not in err
+        assert not (out2 / "model.ckpt").exists()
 
     def test_missing_dataset_fails(self, tmp_path, capsys):
         assert main(_train_args(tmp_path / "missing.tsv", tmp_path / "out")) == 1

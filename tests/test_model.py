@@ -1,3 +1,4 @@
+import io
 import math
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logcad.model
 from logcad.data import EmbeddingTable, Entry, Vocab, make_batch
 from logcad.decode import greedy_decode
 from logcad.layers import MaskNetParams
@@ -685,6 +687,88 @@ class TestCheckpoint:
         assert str(path) in str(err.value)
 
 
+class _NoDrawGenerator(np.random.Generator):
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("drew weights")
+
+
+def _saved(tmp_path, variant, seed=21):
+    model = DescriptionModel(tiny_config(variant), toy_vocab(), toy_table(), seed=seed)
+    path = tmp_path / f"{variant}.ckpt"
+    save_checkpoint(path, model.params, {**model.config.to_meta(), "seed": str(seed)})
+    return model, path
+
+
+class TestLoadPath:
+    """``load_model`` reads the file once, draws nothing and copies nothing."""
+
+    def test_load_draws_nothing_but_training_init_does(self, tmp_path, monkeypatch):
+        _, path = _saved(tmp_path, "log-cad")
+        table = toy_table()  # its UNK vector is drawn at construction
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: _NoDrawGenerator(np.random.PCG64(seed)))
+        load_model(path, toy_vocab(), table)
+        with pytest.raises(AssertionError, match="drew weights"):
+            DescriptionModel(tiny_config("log-cad"), toy_vocab(), table, seed=21)
+
+    def test_arrays_are_aligned_writable_views_of_one_buffer(self, tmp_path):
+        model, path = _saved(tmp_path, "log-cad")
+        tensors, _ = load_checkpoint(path)
+        for name, t in model.params.named():
+            arr = tensors[name]
+            assert arr.dtype == np.float32
+            assert arr.flags.aligned and arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.tobytes() == t.data.astype("<f4").tobytes()
+        assert len({id(arr.base) for arr in tensors.values()}) == 1
+
+    def test_two_loads_do_not_alias(self, tmp_path):
+        model, path = _saved(tmp_path, "log-cad")
+        saved = dict(model.params.named())
+        a, _ = load_model(path, toy_vocab(), toy_table())
+        b, _ = load_model(path, toy_vocab(), toy_table())
+        for (name, ta), (_, tb) in zip(a.params.named(), b.params.named()):
+            ta.data += 1.0
+            npt.assert_array_equal(tb.data, saved[name].data)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loaded_weights_and_predictions_match_draw_then_copy(self, tmp_path, variant):
+        _, path = _saved(tmp_path, variant)
+        tensors, _ = load_checkpoint(path)
+        loaded, _ = load_model(path, toy_vocab(), toy_table())
+        for name, t in loaded.params.named():
+            npt.assert_array_equal(t.data, tensors[name])
+            assert t.data.flags.aligned and t.data.flags.c_contiguous
+        # the previous load path: draw every weight from the seed, then copy
+        # the checkpoint's over them
+        old = DescriptionModel(tiny_config(variant), toy_vocab(), toy_table(), seed=21)
+        load_params_into(old.params, {n: a.copy() for n, a in tensors.items()})
+        entry = toy_entry()
+        npt.assert_array_equal(loaded.step(loaded.start_session([entry]), None)[0],
+                               old.step(old.start_session([entry]), None)[0])
+        assert greedy_decode(loaded, entry, max_len=6) == greedy_decode(old, entry, max_len=6)
+
+    def test_other_dtypes_are_cast(self, tmp_path):
+        model, path = _saved(tmp_path, "global")
+        tensors, _ = load_checkpoint(path)
+        params = ModelParams(model.config, len(toy_vocab()), None, np.float64)
+        load_params_into(params, tensors)
+        for name, t in params.named():
+            assert t.data.dtype == np.float64
+            npt.assert_array_equal(t.data, tensors[name])
+
+    def test_short_read_names_path(self, tmp_path, monkeypatch):
+        class ShortReader(io.BufferedReader):
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf)[:len(buf) // 2])
+
+        _, path = _saved(tmp_path, "log-cad")
+        monkeypatch.setattr(logcad.model, "open",
+                            lambda p, mode: ShortReader(io.FileIO(p, mode)), raising=False)
+        with pytest.raises(ValueError, match="short read") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
 @pytest.fixture(scope="module")
 def tiny_checkpoint(tmp_path_factory):
     """A saved tiny log-cad checkpoint: (path to rewrite, original bytes)."""
@@ -704,8 +788,9 @@ class TestCheckpointFuzz:
         path, blob = tiny_checkpoint
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
         path.write_bytes(blob[:cut])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             load_model(path, toy_vocab(), toy_table())
+        assert str(path) in str(err.value)
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

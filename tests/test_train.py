@@ -114,3 +114,16 @@ class TestTrainLoop:
         model = small_model(overfit_corpus())
         with pytest.raises(ValueError):
             train(model, [], None, TrainSettings(epochs=1))
+
+
+class TestNonFiniteGuard:
+    def test_nan_weight_stops_before_the_update(self):
+        entries = overfit_corpus()
+        model = small_model(entries)
+        model.params.decoder[0].wh.data[0, 0] = np.nan
+        before = [t.data.copy() for t in model.params.tensors()]
+        with pytest.raises(ValueError, match=r"epoch 1, batch 1: loss nan, gradient norm nan; "
+                                             r"first non-finite gradient in group word_emb"):
+            train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0))
+        for t, b in zip(model.params.tensors(), before):
+            npt.assert_array_equal(t.data, b)
