@@ -192,7 +192,10 @@ def cmd_train(args) -> int:
         # train-full phase reports load_checkpoint and model init, not load_model
         tensors, meta = load_checkpoint(args.resume)
         vocab = Vocab.load(Path(args.resume).with_name("vocab.txt"))
-        model = model_from_checkpoint(tensors, meta, vocab, table)
+        try:
+            model = model_from_checkpoint(tensors, meta, vocab, table)
+        except ValueError as e:
+            raise ValueError(f"{args.resume}: {e}") from None
         start_epoch = int(meta.get("epoch", "0"))
     else:
         vocab = build_vocab(train_entries, size=cfg.vocab_size)

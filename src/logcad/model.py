@@ -52,11 +52,8 @@ from logcad.tensor import (
     add,
     concat,
     dropout,
-    log_softmax,
+    masked_nll,
     matmul,
-    mul,
-    pick,
-    reduce_sum,
     take_rows,
 )
 
@@ -313,8 +310,8 @@ class DescriptionModel:
 
     def _advance(self, session: _Session, prev_ids: Optional[np.ndarray],
                  train: bool) -> tuple[Tensor, _Session]:
-        """One decoder step for every row of the session; returns the output
-        logits and the next session. At step 0 the input is the phrase
+        """One decoder step for every row of the session; returns the (gated)
+        output state and the next session. At step 0 the input is the phrase
         embedding (zeros for local) and ``prev_ids`` is ignored."""
         cfg = self.config
         if session.step > 0:
@@ -354,37 +351,30 @@ class DescriptionModel:
         else:
             s_out = s_t
 
-        logits = add(matmul(s_out, self.params.out_w), self.params.out_b)
-        return logits, replace(session, step=session.step + 1,
-                               layer_states=new_states, s_prime=s_out)
+        return s_out, replace(session, step=session.step + 1,
+                              layer_states=new_states, s_prime=s_out)
 
     # ------------------------------------------------------------------
     # training loss
 
     def forward_loss(self, batch: Batch, train: bool = False) -> tuple[Tensor, dict]:
         """Teacher-forced mean negative log-likelihood per non-pad target
-        token, plus accuracy counts in the aux dict."""
+        token, plus token counts in the aux dict."""
         if len(batch) == 0:
             raise ValueError("forward_loss: empty batch")
         session = self._start(batch, train)
-        total = None
-        correct = 0
+        states = []
         for t in range(batch.target_ids.shape[1]):
-            logits, session = self._advance(session, batch.prev_ids[:, t], train)
-            logp = log_softmax(logits, axis=1)
-            picked = pick(logp, batch.target_ids[:, t])
-            masked = mul(picked, Tensor(batch.target_mask[:, t].astype(self.dtype)))
-            step_sum = reduce_sum(masked)
-            total = step_sum if total is None else add(total, step_sum)
-            correct += int(
-                ((np.argmax(logits.data, axis=1) == batch.target_ids[:, t])
-                 * batch.target_mask[:, t]).sum()
-            )
-
-        n_tokens = float(batch.target_mask.sum())
-        loss = mul(total, -1.0 / n_tokens)
-        return loss, {"tokens": n_tokens, "correct": correct,
-                      "accuracy": correct / n_tokens}
+            s_out, session = self._advance(session, batch.prev_ids[:, t], train)
+            states.append(s_out)
+        # one output head for all steps: row t*B + b is entry b at step t
+        logits = add(matmul(concat(states, axis=0), self.params.out_w), self.params.out_b)
+        targets = batch.target_ids.T.reshape(-1)
+        mask = batch.target_mask.T.reshape(-1)
+        n_tokens = float(mask.sum())
+        loss = masked_nll(logits, targets, mask / n_tokens)
+        correct = int(((np.argmax(logits.data, axis=1) == targets) * mask).sum())
+        return loss, {"tokens": n_tokens, "correct": correct}
 
     # ------------------------------------------------------------------
     # step-by-step decoding interface
@@ -404,8 +394,10 @@ class DescriptionModel:
         if prev is not None and prev.shape != (session.s_prime.shape[0],):
             raise ValueError(f"step: {prev.shape} prev_ids for "
                              f"{session.s_prime.shape[0]} session rows")
-        logits, session = self._advance(session, prev, train=False)
-        return log_softmax(logits, axis=1).data, session
+        s_out, session = self._advance(session, prev, train=False)
+        logits = s_out.data @ self.params.out_w.data + self.params.out_b.data
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)), session
 
 
 # ---------------------------------------------------------------------------
@@ -542,4 +534,7 @@ def load_model(path, vocab: Vocab, emb_table: Optional[EmbeddingTable] = None,
                dtype=np.float32) -> tuple[DescriptionModel, dict[str, str]]:
     """Rebuild a model from a checkpoint file; returns it with the metadata."""
     tensors, meta = load_checkpoint(path)
-    return model_from_checkpoint(tensors, meta, vocab, emb_table, dtype), meta
+    try:
+        return model_from_checkpoint(tensors, meta, vocab, emb_table, dtype), meta
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

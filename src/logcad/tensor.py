@@ -36,11 +36,10 @@ __all__ = [
     "sigmoid",
     "tanh",
     "softmax",
-    "log_softmax",
     "reduce_max",
     "reduce_sum",
     "take_rows",
-    "pick",
+    "masked_nll",
     "gather_time",
     "lstm_sequence",
     "dropout",
@@ -363,18 +362,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _record("softmax", out, (x,), bw)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def bw(g):
-        # the softmax is needed only here, so forward-only calls skip it
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _record("log_softmax", out, (x,), bw)
-
-
 def reduce_max(x: Tensor, axis: int) -> Tensor:
     idx = np.argmax(x.data, axis=axis)  # ties: first index wins
     out = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
@@ -416,19 +403,32 @@ def take_rows(table: Tensor, ids) -> Tensor:
     return _record("take_rows", table.data[ids], (table, ids), bw)
 
 
-def pick(x: Tensor, ids) -> Tensor:
-    """Per-row gather: ``out[n] = x[n, ids[n]]`` for a 2-D ``x``."""
-    ids = np.asarray(ids)
-    if x.ndim != 2 or ids.shape != (x.shape[0],):
-        raise ShapeError(f"pick: need (N,V) and ids (N,), got {x.shape} and {ids.shape}")
+def masked_nll(logits: Tensor, targets, weights) -> Tensor:
+    """``sum_n weights[n] * -log softmax(logits[n])[targets[n]]`` for (N, V)
+    ``logits``; ``targets`` and ``weights`` are not differentiated. The
+    backward pass recomputes the softmax from the logits and the per-row
+    log-sum-exp, so no (N, V) table is kept."""
+    targets = np.asarray(targets)
+    weights = np.asarray(weights, dtype=logits.dtype)
+    if logits.ndim != 2 or targets.shape != (logits.shape[0],) \
+            or weights.shape != targets.shape:
+        raise ShapeError(f"masked_nll: need (N,V) logits with targets and weights (N,), got "
+                         f"{logits.shape}, {targets.shape} and {weights.shape}")
+    x = logits.data
     rows = np.arange(x.shape[0])
+    top = x.max(axis=1, keepdims=True)
+    e = x - top
+    lse = top + np.log(np.exp(e, out=e).sum(axis=1, keepdims=True))
 
     def bw(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, ids), g)
-        return gx, None
+        gx = x - lse
+        np.exp(gx, out=gx)
+        gx[rows, targets] -= 1.0
+        gx *= (g * weights)[:, None]
+        return gx, None, None
 
-    return _record("pick", x.data[rows, ids], (x, ids), bw)
+    out = weights @ (lse[:, 0] - x[rows, targets])
+    return _record("masked_nll", out, (logits, targets, weights), bw)
 
 
 def gather_time(x: Tensor, idx) -> Tensor:

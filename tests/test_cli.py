@@ -278,7 +278,25 @@ class TestDescribeCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert named in err
+        assert str(ckpt) in err
         assert "Traceback" not in err
+
+    def test_resume_from_checkpoint_without_variant_fails_cleanly(self, trained_run,
+                                                                  tmp_path, capsys):
+        data, out = trained_run
+        blob = (out / "model.ckpt").read_bytes()
+        assert b"\nmeta variant=log-cad\n" in blob
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(blob.replace(b"\nmeta variant=log-cad\n", b"\n", 1))
+        (tmp_path / "vocab.txt").write_bytes((out / "vocab.txt").read_bytes())
+        capsys.readouterr()
+        rc = main(_train_args(data, tmp_path / "resumed", epochs=1,
+                              extra=["--resume", str(ckpt)]))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: checkpoint meta has no 'variant'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "resumed" / "model.ckpt").exists()
 
 
 class TestEvaluateCommand:

@@ -23,7 +23,7 @@ from logcad.model import (
     phrase_embedding,
     save_checkpoint,
 )
-from logcad.tensor import GradGraph, Tensor, gradient_check, log_softmax
+from logcad.tensor import GradGraph, Tensor, gradient_check
 
 TINY = dict(enc_layers=2, enc_width=6, attn_width=3, word_emb_width=4,
             dec_layers=2, dec_width=5, vocab_size=64, dropout=0.5)
@@ -39,6 +39,16 @@ def toy_vocab(extra=("red", "fish", "blue", "dog")):
 
 def toy_entry(desc=("red", "fish")):
     return Entry(["sonic", "boom"], ["the", "[TRG]", "was", "loud"], (1, 1), list(desc))
+
+
+def padded_entries():
+    # contexts, phrases and descriptions of different lengths force padding
+    return [
+        toy_entry(desc=("red",)),
+        Entry(["dog"], ["a", "[TRG]", "barked", "at", "him", "twice"], (1, 1),
+              ["blue", "fish", "dog"]),
+        Entry(["x"], ["[TRG]"], (0, 0), ["fish", "fish", "red", "blue", "dog"]),
+    ]
 
 
 def toy_table(width=4, tokens=("sonic", "boom"), seed=3):
@@ -311,17 +321,21 @@ class TestSequenceLoss:
         model = DescriptionModel(tiny_config("global"), vocab, toy_table(),
                                  seed=1, dtype=np.float64)
         batch = make_batch([toy_entry()], vocab)
-        gold = iter(batch.target_ids[0])
+        # step t's state is the t-th unit vector, and the output head maps it
+        # to a logit of 1e4 on step t's gold token and 0 elsewhere
+        steps = batch.target_ids.shape[1]
+        model.params.out_w.data[:] = 0.0
+        model.params.out_w.data[np.arange(steps), batch.target_ids[0]] = 1e4
+        model.params.out_b.data[:] = 0.0
+        states = iter(np.eye(steps, TINY["dec_width"]))
 
         def rigged(session, prev_ids, train):
-            logits = np.zeros((1, len(vocab)))
-            logits[0, next(gold)] = 1e4
-            return Tensor(logits), session
+            return Tensor(next(states)[None, :]), session
 
         monkeypatch.setattr(model, "_advance", rigged)
         loss, aux = model.forward_loss(batch)
         assert loss.item() < 1e-6
-        assert aux["accuracy"] == 1.0
+        assert aux["correct"] == aux["tokens"]
 
     def test_batch_loss_is_length_weighted_mean(self):
         vocab = toy_vocab()
@@ -359,17 +373,11 @@ class TestSequenceLoss:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batch_composition_invariance(self, variant):
-        # an entry's loss does not depend on which entries share its batch:
-        # contexts, phrases and descriptions of different lengths force padding
+        # an entry's loss does not depend on which entries share its batch
         vocab = toy_vocab()
         model = DescriptionModel(tiny_config(variant), vocab, toy_table(),
                                  seed=14, dtype=np.float64)
-        entries = [
-            toy_entry(desc=("red",)),
-            Entry(["dog"], ["a", "[TRG]", "barked", "at", "him", "twice"], (1, 1),
-                  ["blue", "fish", "dog"]),
-            Entry(["x"], ["[TRG]"], (0, 0), ["fish", "fish", "red", "blue", "dog"]),
-        ]
+        entries = padded_entries()
         want = 0.0
         for e in entries:
             loss, aux = model.forward_loss(make_batch([e], vocab))
@@ -380,15 +388,51 @@ class TestSequenceLoss:
 
         # decoding the three entries as one session gives each row the
         # log-probabilities of decoding its entry alone
-        session = model._start(batch, train=False)
+        session = model.start_session(entries)
         singles = [model.start_session([e]) for e in entries]
         for t in range(4):
             prev_ids = batch.prev_ids[:, t]
-            logits, session = model._advance(session, prev_ids, train=False)
-            got = log_softmax(logits, axis=1).data
+            got, session = model.step(session, prev_ids if t else None)
             for i, single in enumerate(singles):
                 want_row, singles[i] = model.step(single, [int(prev_ids[i])] if t else None)
                 npt.assert_allclose(got[i], want_row[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["global", "local", "log-cad"])
+    def test_loss_matches_reference(self, variant):
+        # the output head scores the stacked steps of a padded batch: the
+        # loss is the negative mean of the reference's gold-token
+        # log-probabilities, which pins the row order and the mask
+        vocab = toy_vocab()
+        model = DescriptionModel(tiny_config(variant), vocab, toy_table(),
+                                 seed=20, dtype=np.float64)
+        entries = padded_entries()
+        gold, hits = [], 0
+        for e in entries:
+            targets = vocab.encode(e.description) + [Vocab.EOS]
+            for logp, target in zip(np_gated_steps(model, e, e.description), targets,
+                                    strict=True):
+                gold.append(logp[target])
+                hits += int(np.argmax(logp) == target)
+        loss, aux = model.forward_loss(make_batch(entries, vocab))
+        assert loss.item() == pytest.approx(-np.mean(gold), rel=0, abs=1e-9)
+        assert aux["tokens"] == len(gold)
+        assert 0 < hits < len(gold)  # this seed's argmax hits some gold tokens
+        assert aux["correct"] == hits
+
+    def test_one_output_head_per_batch(self):
+        # all S steps of a B-entry batch go through one (S*B)-row projection
+        # and one masked_nll op
+        vocab = toy_vocab()
+        model = DescriptionModel(tiny_config("log-cad"), vocab, toy_table(),
+                                 seed=16, dtype=np.float64)
+        batch = make_batch(padded_entries(), vocab)
+        steps, rows = batch.target_ids.shape[1], len(batch)
+        with GradGraph() as g:
+            model.forward_loss(batch, train=True)
+        assert [name for name, *_ in g.ops].count("masked_nll") == 1
+        heads = [out for name, inputs, out, _ in g.ops
+                 if name == "matmul" and inputs[1] is model.params.out_w]
+        assert [h.shape for h in heads] == [(steps * rows, len(vocab))]
 
 
 ACTIVE_GROUPS = {

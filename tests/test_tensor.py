@@ -13,11 +13,10 @@ from logcad.tensor import (
     dropout,
     gather_time,
     gradient_check,
-    log_softmax,
     lstm_sequence,
+    masked_nll,
     matmul,
     mul,
-    pick,
     reduce_max,
     reduce_sum,
     reshape,
@@ -313,12 +312,6 @@ class TestGradientCheckAllPrimitives:
             return lambda t: reduce_sum(mul(softmax(t, axis=1), w))
         self._run(build, (3, 4), 21)
 
-    def test_log_softmax(self):
-        def build(rng):
-            w = Tensor(rng.normal(size=(3, 4)))
-            return lambda t: reduce_sum(mul(log_softmax(t, axis=1), w))
-        self._run(build, (3, 4), 22)
-
     def test_reduce_max(self):
         self._run(lambda rng: (lambda t: reduce_sum(reduce_max(t, axis=1))), (3, 4), 23)
 
@@ -336,9 +329,14 @@ class TestGradientCheckAllPrimitives:
             return lambda t: reduce_sum(mul(take_rows(t, ids), w))
         self._run(build, (3, 4), 26)
 
-    def test_pick(self):
-        ids = np.array([1, 3, 0])
-        self._run(lambda rng: (lambda t: reduce_sum(pick(log_softmax(t, axis=1), ids))), (3, 4), 27)
+    def test_masked_nll(self):
+        # zero-weight rows, a repeated target, and one row shifted far past
+        # exp's float64 range, which only the max shift keeps finite
+        targets = np.array([1, 3, 1, 0, 1])
+        weights = np.array([0.5, 0.0, 1.5, 0.0, 0.25])
+        shift = Tensor(np.array([[0.0], [0.0], [0.0], [0.0], [1000.0]]))
+        self._run(lambda rng: (lambda t: masked_nll(add(t, shift), targets, weights)),
+                  (5, 4), 27)
 
     def test_gather_time(self):
         idx = np.array([[2, 1, 0], [0, 2, 1]])
@@ -373,6 +371,19 @@ class TestUtilities:
     def test_dropout_zero_rate_is_identity(self):
         x = Tensor([1.0, 2.0])
         assert dropout(x, 0.0, np.random.default_rng(0)) is x
+
+    def test_masked_nll_forward(self):
+        x = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
+        logp = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
+        out = masked_nll(Tensor(x), [2, 0], [0.25, 2.0])
+        npt.assert_allclose(out.item(), -(0.25 * logp[0, 2] + 2.0 * logp[1, 0]), rtol=1e-12)
+
+    @pytest.mark.parametrize("targets,weights", [([0, 1], [1.0, 1.0, 1.0]),
+                                                 ([0, 1, 2], [1.0, 1.0]),
+                                                 ([0, 1, 2], [[1.0, 1.0, 1.0]])])
+    def test_masked_nll_rejects_mismatched_rows(self, targets, weights):
+        with pytest.raises(ShapeError, match="masked_nll"):
+            masked_nll(Tensor(np.zeros((3, 4))), targets, weights)
 
     def test_gather_time_forward(self):
         x = Tensor(np.arange(12, dtype=float).reshape(2, 3, 2))
