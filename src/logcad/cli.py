@@ -168,6 +168,8 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
+    settings = TrainSettings(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+                             clip_norm=cfg.clip_norm, patience=cfg.patience, seed=cfg.seed)
     try:
         train_entries = load_dataset(args.train)
         valid_entries = load_dataset(args.valid) if args.valid else None
@@ -201,8 +203,6 @@ def cmd_train(args) -> int:
         vocab = build_vocab(train_entries, size=cfg.vocab_size)
         model = DescriptionModel(model_cfg, vocab, table, seed=cfg.seed)
 
-    settings = TrainSettings(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                             clip_norm=cfg.clip_norm, patience=cfg.patience, seed=cfg.seed)
     result = train(model, train_entries, valid_entries, settings,
                    start_epoch=start_epoch, verbose=not args.quiet)
 
@@ -353,8 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float)
-    p.add_argument("--patience", type=int)
+    p.add_argument("--clip-norm", dest="clip_norm", type=float,
+                   help="global gradient-norm bound; 0 disables clipping (default 5.0)")
+    p.add_argument("--patience", type=int,
+                   help="epochs without validation gain before stopping; 0 disables "
+                        "(default 5)")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=cmd_train)

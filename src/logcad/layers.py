@@ -20,7 +20,6 @@ from logcad.tensor import (
     add,
     concat,
     dropout,
-    gather_time,
     lstm_sequence,
     matmul,
     mul,
@@ -121,16 +120,6 @@ def lstm_cell(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, T
     return h_new, c_new
 
 
-def reverse_valid(x: Tensor, lengths: np.ndarray) -> Tensor:
-    """Reverse each sequence within its true length; padded tail untouched
-    in meaning (its contents are garbage either way and must stay masked)."""
-    b, t, _ = x.shape
-    pos = np.arange(t)[None, :]
-    idx = np.clip(lengths[:, None] - 1 - pos, 0, t - 1)
-    idx = np.where(pos < lengths[:, None], idx, pos)
-    return gather_time(x, idx)
-
-
 # ---------------------------------------------------------------------------
 # bidirectional encoder
 
@@ -169,9 +158,11 @@ def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
     """Encode (B, T, E) token embeddings into (B, T, out_width) states.
 
     Each position's state is [forward half; backward half] for that position.
-    ``lengths`` gives true sequence lengths; states past them are garbage and
-    must be masked by the consumer. Dropout, when requested, is applied
-    between stacked layers.
+    ``lengths`` gives true sequence lengths; each layer and direction is one
+    ``lstm_sequence`` op over the real tokens only, so states past them read
+    0 and cost nothing. They are still not context: consumers such as
+    attention must mask them. Dropout, when requested, is applied between
+    stacked layers.
     """
     if embs.ndim != 3 or embs.shape[1] == 0:
         raise ShapeError(f"bilstm_encode: need a nonempty (B, T, E) sequence, got {embs.shape}")
@@ -179,11 +170,9 @@ def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
     for k, (fwd, bwd) in enumerate(p.layers):
         if k > 0 and drop > 0.0 and rng is not None:
             seq = dropout(seq, drop, rng)
-        fwd_out = lstm_sequence(add(matmul(seq, fwd.wx), fwd.b), fwd.wh)
-        rev_in = reverse_valid(seq, lengths)
-        bwd_out = reverse_valid(
-            lstm_sequence(add(matmul(rev_in, bwd.wx), bwd.b), bwd.wh), lengths)
-        seq = concat([fwd_out, bwd_out], axis=2)
+        seq = concat([lstm_sequence(seq, fwd.wx, fwd.b, fwd.wh, lengths),
+                      lstm_sequence(seq, bwd.wx, bwd.b, bwd.wh, lengths, reverse=True)],
+                     axis=2)
     return seq
 
 

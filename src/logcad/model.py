@@ -367,13 +367,15 @@ class DescriptionModel:
         for t in range(batch.target_ids.shape[1]):
             s_out, session = self._advance(session, batch.prev_ids[:, t], train)
             states.append(s_out)
-        # one output head for all steps: row t*B + b is entry b at step t
-        logits = add(matmul(concat(states, axis=0), self.params.out_w), self.params.out_b)
-        targets = batch.target_ids.T.reshape(-1)
-        mask = batch.target_mask.T.reshape(-1)
-        n_tokens = float(mask.sum())
-        loss = masked_nll(logits, targets, mask / n_tokens)
-        correct = int(((np.argmax(logits.data, axis=1) == targets) * mask).sum())
+        # one output head for the real target tokens of all steps: stacked
+        # row t*B + b is entry b at step t
+        real = np.flatnonzero(batch.target_mask.T)
+        logits = add(matmul(take_rows(concat(states, axis=0), real), self.params.out_w),
+                     self.params.out_b)
+        targets = batch.target_ids.T.reshape(-1)[real]
+        n_tokens = float(len(real))
+        loss = masked_nll(logits, targets, np.full(len(real), 1.0 / n_tokens))
+        correct = int((np.argmax(logits.data, axis=1) == targets).sum())
         return loss, {"tokens": n_tokens, "correct": correct}
 
     # ------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "reduce_sum",
     "take_rows",
     "masked_nll",
-    "gather_time",
     "lstm_sequence",
     "dropout",
     "gradient_check",
@@ -431,90 +430,105 @@ def masked_nll(logits: Tensor, targets, weights) -> Tensor:
     return _record("masked_nll", out, (logits, targets, weights), bw)
 
 
-def gather_time(x: Tensor, idx) -> Tensor:
-    """Reorder a sequence per batch entry: ``out[b, t] = x[b, idx[b, t]]``.
+def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths,
+                  reverse: bool = False) -> Tensor:
+    """Run an LSTM from a zero state over each row's first ``lengths[r]``
+    steps of ``x`` (B, T, D), as one tape op; with ``reverse`` each row is
+    read from position ``lengths[r]-1`` back to 0.
 
-    Each row of ``idx`` must be a permutation of ``0..T-1``, so the backward
-    pass writes every input step's gradient exactly once. Used to realign
-    the backward half of the bidirectional encoder with the forward half on
-    variable-length, padded batches.
-    """
-    idx = np.asarray(idx)
-    if x.ndim != 3 or idx.shape != x.shape[:2]:
-        raise ShapeError(f"gather_time: need (B,T,D) and idx (B,T), got {x.shape} and {idx.shape}")
-    if not np.array_equal(np.sort(idx, axis=1), np.broadcast_to(np.arange(idx.shape[1]),
-                                                                 idx.shape)):
-        raise ShapeError("gather_time: each row of idx must be a permutation of 0..T-1")
-    b = np.arange(x.shape[0])[:, None]
-
-    def bw(g):
-        gx = np.empty_like(x.data)
-        gx[b, idx] = g
-        return gx, None
-
-    return _record("gather_time", x.data[b, idx], (x, idx), bw)
-
-
-def lstm_sequence(xw: Tensor, wh: Tensor) -> Tensor:
-    """Run an LSTM over a whole sequence from a zero state, as one tape op.
-
-    ``xw`` (B, T, 4H) is the hoisted input projection ``x @ wx + b`` of all
-    steps, ``wh`` (H, 4H) the recurrent weights; the column blocks are the
-    gates i, f, g, o. Step t computes ``z = xw[:, t] + h @ wh``, then
+    ``wx`` (D, 4H), ``b`` (4H,) and ``wh`` (H, 4H) hold the gates i, f, g, o
+    column-wise. Step t computes ``z = x_t @ wx + b + h @ wh``, then
     ``c = sig(z_f)*c + sig(z_i)*tanh(z_g)`` and ``h = sig(z_o)*tanh(c)``.
-    Returns the hidden states (B, T, H). The backward pass runs the
-    recurrence in reverse and forms ``d wh`` as one GEMM over all steps.
+    Returns the hidden states (B, T, H), each at the position it read; padded
+    positions are exactly 0, and no gradient reaches them.
+
+    Only real tokens are computed: rows are sorted longest first, so the rows
+    active at step t are a prefix, and the real positions are packed
+    time-major. The input projection is one GEMM over the packed positions,
+    and the backward pass forms ``d x``, ``d wx``, ``d b`` and ``d wh`` over
+    the packed rows with one GEMM each.
     """
-    if xw.ndim != 3 or wh.ndim != 2 or wh.shape[1] != 4 * wh.shape[0] \
-            or xw.shape[2] != wh.shape[1]:
-        raise ShapeError(f"lstm_sequence: need xw (B,T,4H) and wh (H,4H), "
-                         f"got {xw.shape} and {wh.shape}")
-    bsz, steps, _ = xw.shape
+    lengths = np.asarray(lengths)
+    if x.ndim != 3 or wh.ndim != 2 or wh.shape[1] != 4 * wh.shape[0] \
+            or wx.shape != (x.shape[2], wh.shape[1]) or b.shape != (wh.shape[1],):
+        raise ShapeError(f"lstm_sequence: need x (B,T,D), wx (D,4H), b (4H,) and wh (H,4H), "
+                         f"got {x.shape}, {wx.shape}, {b.shape} and {wh.shape}")
+    if lengths.shape != x.shape[:1] or not np.issubdtype(lengths.dtype, np.integer) \
+            or lengths.min() < 1 or lengths.max() > x.shape[1]:
+        raise ShapeError(f"lstm_sequence: need integer lengths (B,) in [1, {x.shape[1]}] "
+                         f"for x {x.shape}, got {lengths!r}")
     hid = wh.shape[0]
-    dtype = xw.dtype
+    dtype = x.dtype
+    # packed row k is step t_of[k] of sorted row j_of[k]; the n[t] rows of
+    # step t are k in [offs[t], offs[t+1]), and their previous step's rows
+    # are the first n[t] of step t-1
+    order = np.argsort(-lengths, kind="stable")
+    t_of, j_of = np.nonzero(lengths[order] > np.arange(lengths.max())[:, None])
+    n = np.bincount(t_of)
+    offs = np.concatenate(([0], np.cumsum(n)))
+    rows = order[j_of]
+    pos = lengths[rows] - 1 - t_of if reverse else t_of
     # sig(z) = 0.5*tanh(0.5*z) + 0.5 on the i, f, o blocks; tanh(z) on g
     scale = np.full(4 * hid, 0.5, dtype=dtype)
     scale[2 * hid:3 * hid] = 1.0
     shift = 1.0 - scale
-    # time-major; hs[0] and cs[0] are the zero initial state
-    xs = np.swapaxes(xw.data, 0, 1)
-    acts = np.empty((steps, bsz, 4 * hid), dtype=dtype)
-    hs = np.zeros((steps + 1, bsz, hid), dtype=dtype)
-    cs = np.zeros((steps + 1, bsz, hid), dtype=dtype)
-    tcs = np.empty((steps, bsz, hid), dtype=dtype)
-    for t in range(steps):
-        a = acts[t]
-        np.tanh((xs[t] + hs[t] @ wh.data) * scale, out=a)
+    acts = x.data[rows, pos] @ wx.data  # (N, 4H): z, then the gate activations
+    acts += b.data
+    hs = np.empty((len(rows), hid), dtype=dtype)
+    cs = np.empty_like(hs)
+    tcs = np.empty_like(hs)
+    for t, m in enumerate(n):
+        now, prev = slice(offs[t], offs[t] + m), slice(offs[t - 1], offs[t - 1] + m)
+        a = acts[now]
+        if t:
+            a += hs[prev] @ wh.data
+        a *= scale
+        np.tanh(a, out=a)
         a *= scale
         a += shift
         i, f, g, o = np.split(a, 4, axis=1)
-        np.add(f * cs[t], i * g, out=cs[t + 1])
-        np.tanh(cs[t + 1], out=tcs[t])
-        np.multiply(o, tcs[t], out=hs[t + 1])
+        if t:
+            np.add(f * cs[prev], i * g, out=cs[now])
+        else:
+            np.multiply(i, g, out=cs[now])
+        np.tanh(cs[now], out=tcs[now])
+        np.multiply(o, tcs[now], out=hs[now])
 
     def bw(grad):
-        gs = np.swapaxes(grad, 0, 1)
+        gs = grad[rows, pos]
         dz = np.empty_like(acts)
-        dh = np.zeros((bsz, hid), dtype=dtype)
-        dc = np.zeros((bsz, hid), dtype=dtype)
+        dh = np.zeros((n[0], hid), dtype=dtype)
+        dc = np.zeros_like(dh)
         wh_t = np.ascontiguousarray(wh.data.T)
-        for t in reversed(range(steps)):
-            i, f, g, o = np.split(acts[t], 4, axis=1)
-            dz_i, dz_f, dz_g, dz_o = np.split(dz[t], 4, axis=1)
-            dh += gs[t]
-            tc = tcs[t]
-            dc += dh * o * (1.0 - tc * tc)
-            np.multiply(dh * tc, o * (1.0 - o), out=dz_o)
-            np.multiply(dc * g, i * (1.0 - i), out=dz_i)
-            np.multiply(dc * cs[t], f * (1.0 - f), out=dz_f)
-            np.multiply(dc * i, 1.0 - g * g, out=dz_g)
-            dc *= f
-            dh = dz[t] @ wh_t
-        dwh = hs[:-1].reshape(-1, hid).T @ dz.reshape(-1, 4 * hid)
-        return np.ascontiguousarray(np.swapaxes(dz, 0, 1)), dwh
+        for t in reversed(range(len(n))):
+            m = n[t]
+            now, prev = slice(offs[t], offs[t] + m), slice(offs[t - 1], offs[t - 1] + m)
+            i, f, g, o = np.split(acts[now], 4, axis=1)
+            dz_i, dz_f, dz_g, dz_o = np.split(dz[now], 4, axis=1)
+            dh_t, dc_t = dh[:m], dc[:m]
+            dh_t += gs[now]
+            tc = tcs[now]
+            dc_t += dh_t * o * (1.0 - tc * tc)
+            np.multiply(dh_t * tc, o * (1.0 - o), out=dz_o)
+            np.multiply(dc_t * g, i * (1.0 - i), out=dz_i)
+            if t:
+                np.multiply(dc_t * cs[prev], f * (1.0 - f), out=dz_f)
+            else:
+                dz_f[:] = 0.0
+            np.multiply(dc_t * i, 1.0 - g * g, out=dz_g)
+            dc_t *= f
+            if t:
+                dh_t[:] = dz[now] @ wh_t
+        # the previous-step state of packed row k >= n[0] is row k - n[t_of[k]-1]
+        h_prev = hs[np.arange(n[0], len(rows)) - np.repeat(n[:-1], n[1:])]
+        dwh = h_prev.T @ dz[n[0]:]
+        dx = np.zeros_like(x.data)
+        dx[rows, pos] = dz @ wx.data.T
+        return dx, x.data[rows, pos].T @ dz, dz.sum(axis=0), dwh, None
 
-    out = np.ascontiguousarray(np.swapaxes(hs[1:], 0, 1))
-    return _record("lstm_sequence", out, (xw, wh), bw)
+    out = np.zeros(x.shape[:2] + (hid,), dtype=dtype)
+    out[rows, pos] = hs
+    return _record("lstm_sequence", out, (x, wx, b, wh, lengths), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -21,9 +21,19 @@ class TrainSettings:
     epochs: int = 20
     batch_size: int = 128
     lr: float = 1e-3
-    clip_norm: float = 5.0
+    clip_norm: float = 5.0  # global gradient-norm bound; 0 disables clipping
     patience: int = 5  # early-stopping patience on validation loss; 0 disables
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "patience"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a positive number, got {self.lr}")
+        if not self.clip_norm >= 0:
+            raise ValueError(f"clip_norm must be at least 0 (0 disables clipping), "
+                             f"got {self.clip_norm}")
 
 
 class Adam:

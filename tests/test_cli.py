@@ -202,6 +202,34 @@ class TestTrainCommand:
         assert "even" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epochs", "-2", "epochs must be at least 0, got -2"),
+        ("--lr", "-1", "lr must be a positive number, got -1.0"),
+        ("--lr", "0", "lr must be a positive number, got 0.0"),
+        ("--lr", "nan", "lr must be a positive number, got nan"),
+        ("--clip-norm", "-0.5", "clip_norm must be at least 0 (0 disables clipping), got -0.5"),
+        ("--patience", "-1", "patience must be at least 0, got -1"),
+    ])
+    def test_meaningless_training_option_rejected(self, tmp_path, capsys, flag, value,
+                                                  message):
+        data = tmp_path / "train.tsv"
+        write_dataset(data, overfit_corpus())
+        out = tmp_path / "out"
+        assert main(_train_args(data, out, extra=[flag, value])) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_zero_epochs_and_zero_clip_norm_accepted(self, tmp_path, capsys):
+        # --epochs 0 writes the untrained checkpoint; --clip-norm 0 means no clipping
+        data = tmp_path / "train.tsv"
+        write_dataset(data, overfit_corpus())
+        out = tmp_path / "out"
+        assert main(_train_args(data, out, epochs=0, extra=["--clip-norm", "0"])) == 0
+        assert "trained 0 epoch(s)" in capsys.readouterr().out
+        assert (out / "model.ckpt").exists()
+
 
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):

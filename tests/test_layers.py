@@ -19,7 +19,6 @@ from logcad.layers import (
     join_words,
     lstm_cell,
     matrix_init,
-    reverse_valid,
 )
 from logcad.tensor import (
     GradGraph,
@@ -128,19 +127,43 @@ class TestLstmSequence:
         p = BiLstmParams.create(rng, 3, 8, n_layers=2)
         lengths = np.array([2, 5, 4])
         x = rng.normal(size=(3, 5, 3))
+        valid = np.arange(5)[None, :] < lengths[:, None]
+
+        def reverse(seq):
+            # reverse each row within its length; the padded tail stays put
+            out = seq.copy()
+            for r, n in enumerate(lengths):
+                out[r, :n] = seq[r, n - 1::-1]
+            return out
+
         want = x
         for fwd, bwd in p.layers:
-            rev = reverse_valid(Tensor(want), lengths).data
-            back = reverse_valid(Tensor(_cell_loop(bwd, rev)), lengths).data
+            back = reverse(_cell_loop(bwd, reverse(want)))
             want = np.concatenate([_cell_loop(fwd, want), back], axis=2)
         got = bilstm_encode(p, Tensor(x), lengths).data
-        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+        npt.assert_allclose(got[valid], want[valid], rtol=0, atol=1e-12)
+        assert np.all(got[~valid] == 0.0)
 
     def test_shape_mismatch_rejected(self):
+        x = Tensor(np.zeros((1, 2, 4)))
+        wx, b, wh = Tensor(np.zeros((4, 12))), Tensor(np.zeros(12)), Tensor(np.zeros((3, 12)))
+        lengths = np.array([2])
+        for args in ((Tensor(np.zeros((1, 2, 5))), wx, b, wh),
+                     (x, Tensor(np.zeros((4, 8))), b, wh),
+                     (x, wx, Tensor(np.zeros(8)), wh),
+                     (x, wx, b, Tensor(np.zeros((3, 3))))):
+            with pytest.raises(ShapeError, match="lstm_sequence"):
+                lstm_sequence(*args, lengths)
+        for bad in ([2, 2], [[2]], [2.0]):
+            with pytest.raises(ShapeError, match="lstm_sequence"):
+                lstm_sequence(x, wx, b, wh, np.array(bad))
+
+    @pytest.mark.parametrize("length", [0, -1, 3])
+    def test_length_outside_range_rejected(self, length):
+        p = LstmParams.create(np.random.default_rng(0), 4, 3)
         with pytest.raises(ShapeError, match="lstm_sequence"):
-            lstm_sequence(Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((3, 12))))
-        with pytest.raises(ShapeError, match="lstm_sequence"):
-            lstm_sequence(Tensor(np.zeros((1, 2, 12))), Tensor(np.zeros((3, 3))))
+            lstm_sequence(Tensor(np.zeros((2, 2, 4))), p.wx, p.b, p.wh,
+                          np.array([1, length]))
 
     def test_encoder_tape_ops_do_not_grow_with_length(self):
         # each layer and direction is a fixed number of ops, whatever T is

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import logcad.model
 from logcad.data import EmbeddingTable, Entry, Vocab, make_batch
 from logcad.decode import greedy_decode
-from logcad.layers import MaskNetParams
+from logcad.layers import MaskNetParams, lstm_cell
 from logcad.model import (
     VARIANTS,
     DescriptionModel,
@@ -23,7 +23,19 @@ from logcad.model import (
     phrase_embedding,
     save_checkpoint,
 )
-from logcad.tensor import GradGraph, Tensor, gradient_check
+from logcad.tensor import (
+    GradGraph,
+    Tensor,
+    add,
+    concat,
+    dropout,
+    gradient_check,
+    masked_nll,
+    matmul,
+    reshape,
+    slice_axis,
+    take_rows,
+)
 
 TINY = dict(enc_layers=2, enc_width=6, attn_width=3, word_emb_width=4,
             dec_layers=2, dec_width=5, vocab_size=64, dropout=0.5)
@@ -420,19 +432,88 @@ class TestSequenceLoss:
         assert aux["correct"] == hits
 
     def test_one_output_head_per_batch(self):
-        # all S steps of a B-entry batch go through one (S*B)-row projection
-        # and one masked_nll op
+        # the real target tokens of all S steps of a B-entry batch go through
+        # one projection and one masked_nll op; padded rows are not scored
         vocab = toy_vocab()
         model = DescriptionModel(tiny_config("log-cad"), vocab, toy_table(),
                                  seed=16, dtype=np.float64)
         batch = make_batch(padded_entries(), vocab)
-        steps, rows = batch.target_ids.shape[1], len(batch)
+        real = int(batch.target_mask.sum())
+        assert real < batch.target_mask.size  # the batch has target padding
         with GradGraph() as g:
             model.forward_loss(batch, train=True)
         assert [name for name, *_ in g.ops].count("masked_nll") == 1
         heads = [out for name, inputs, out, _ in g.ops
                  if name == "matmul" and inputs[1] is model.params.out_w]
-        assert [h.shape for h in heads] == [(steps * rows, len(vocab))]
+        assert [h.shape for h in heads] == [(real, len(vocab))]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loss_and_gradients_match_padded_computation(self, variant, monkeypatch):
+        # the packed encoder and the real-rows head give the loss and every
+        # parameter gradient of running the encoder over every padded position
+        # and scoring every stacked row with its mask as weight
+        vocab = toy_vocab()
+        batch = make_batch(padded_entries(), vocab)
+
+        def grads(model):
+            with GradGraph() as g:
+                loss, _ = model.forward_loss(batch, train=True)
+            g.backward(loss)
+            return loss.item(), {name: t.grad for name, t in model.params.named()}
+
+        def fresh():
+            return DescriptionModel(tiny_config(variant), vocab, toy_table(),
+                                    seed=21, dtype=np.float64)
+
+        got_loss, got = grads(fresh())
+        monkeypatch.setattr(logcad.model, "bilstm_encode", padded_bilstm_encode)
+        monkeypatch.setattr(DescriptionModel, "forward_loss", padded_forward_loss)
+        want_loss, want = grads(fresh())
+        assert got_loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+        assert got.keys() == want.keys()
+        for name in want:
+            npt.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None):
+    """The encoder run over every padded position: one ``lstm_cell`` per step
+    of the whole batch, the backward direction on each row reversed within its
+    length; states past the lengths are garbage."""
+    b, t, _ = embs.shape
+    pos = np.arange(t)[None, :]
+    flat = (np.arange(b)[:, None] * t
+            + np.where(pos < lengths[:, None], lengths[:, None] - 1 - pos, pos)).reshape(-1)
+
+    def reverse(seq):
+        return reshape(take_rows(reshape(seq, (b * t, seq.shape[2])), flat), seq.shape)
+
+    def run(lp, seq):
+        h = c = Tensor(np.zeros((b, lp.hidden)))
+        outs = []
+        for k in range(t):
+            h, c = lstm_cell(lp, reshape(slice_axis(seq, 1, k, k + 1), (b, seq.shape[2])), h, c)
+            outs.append(reshape(h, (b, 1, lp.hidden)))
+        return concat(outs, axis=1)
+
+    seq = embs
+    for k, (fwd, bwd) in enumerate(p.layers):
+        if k > 0 and drop > 0.0 and rng is not None:
+            seq = dropout(seq, drop, rng)
+        seq = concat([run(fwd, seq), reverse(run(bwd, reverse(seq)))], axis=2)
+    return seq
+
+
+def padded_forward_loss(self, batch, train=False):
+    """``forward_loss`` scoring every stacked row, padded ones at weight 0."""
+    session = self._start(batch, train)
+    states = []
+    for t in range(batch.target_ids.shape[1]):
+        s_out, session = self._advance(session, batch.prev_ids[:, t], train)
+        states.append(s_out)
+    logits = add(matmul(concat(states, axis=0), self.params.out_w), self.params.out_b)
+    mask = batch.target_mask.T.reshape(-1)
+    loss = masked_nll(logits, batch.target_ids.T.reshape(-1), mask / mask.sum())
+    return loss, {"tokens": float(mask.sum())}
 
 
 ACTIVE_GROUPS = {

@@ -11,7 +11,6 @@ from logcad.tensor import (
     add,
     concat,
     dropout,
-    gather_time,
     gradient_check,
     lstm_sequence,
     masked_nll,
@@ -266,20 +265,38 @@ class TestGradientCheckAllPrimitives:
             return lambda t: reduce_sum(tanh(matmul(a, t)))
         self._run(build, (4, 2), 25)
 
+    # rows of unequal lengths, including 1 and T (= 4), in no sorted order
+    LSTM_LENGTHS = np.array([3, 1, 4])
+    LSTM_SHAPES = {"x": (3, 4, 2), "wx": (2, 8), "b": (8,), "wh": (2, 8)}
+
+    def _lstm_sequence(self, arg):
+        """Gradient check of lstm_sequence's ``arg`` input (batch 3, 4 steps,
+        2 inputs, hidden 2), forward and reverse."""
+        for seed, reverse in ((31, False), (35, True)):
+            def build(rng):
+                consts = {k: Tensor(rng.normal(size=shape))
+                          for k, shape in self.LSTM_SHAPES.items()}
+                w = Tensor(rng.normal(size=(3, 4, 2)))
+
+                def f(t):
+                    args = dict(consts, **{arg: t})
+                    out = lstm_sequence(args["x"], args["wx"], args["b"], args["wh"],
+                                        self.LSTM_LENGTHS, reverse=reverse)
+                    return reduce_sum(mul(out, w))
+                return f
+            self._run(build, self.LSTM_SHAPES[arg], seed)
+
     def test_lstm_sequence_inputs(self):
-        # batch 2, 3 steps, hidden 2: xw (2, 3, 8), wh (2, 8)
-        def build(rng):
-            wh = Tensor(rng.normal(size=(2, 8)))
-            w = Tensor(rng.normal(size=(2, 3, 2)))
-            return lambda t: reduce_sum(mul(lstm_sequence(t, wh), w))
-        self._run(build, (2, 3, 8), 31)
+        self._lstm_sequence("x")
+
+    def test_lstm_sequence_input_weights(self):
+        self._lstm_sequence("wx")
+
+    def test_lstm_sequence_bias(self):
+        self._lstm_sequence("b")
 
     def test_lstm_sequence_recurrent_weights(self):
-        def build(rng):
-            xw = Tensor(rng.normal(size=(2, 3, 8)))
-            w = Tensor(rng.normal(size=(2, 3, 2)))
-            return lambda t: reduce_sum(mul(lstm_sequence(xw, t), w))
-        self._run(build, (2, 8), 32)
+        self._lstm_sequence("wh")
 
     def test_concat(self):
         def build(rng):
@@ -338,14 +355,6 @@ class TestGradientCheckAllPrimitives:
         self._run(lambda rng: (lambda t: masked_nll(add(t, shift), targets, weights)),
                   (5, 4), 27)
 
-    def test_gather_time(self):
-        idx = np.array([[2, 1, 0], [0, 2, 1]])
-
-        def build(rng):
-            w = Tensor(rng.normal(size=(2, 3, 4)))
-            return lambda t: reduce_sum(mul(gather_time(t, idx), w))
-        self._run(build, (2, 3, 4), 28)
-
     def test_dropout_mask_apply(self):
         # fixed mask -> linear map; checked like any other primitive
         def build(rng):
@@ -357,6 +366,50 @@ class TestGradientCheckAllPrimitives:
     def test_linear_case_is_exact(self):
         x = Tensor(np.random.default_rng(30).normal(size=(5,)), requires_grad=True)
         assert gradient_check(lambda t: reduce_sum(t), x) < 1e-10
+
+
+def _np_lstm(x, wx, b, wh):
+    """(n, D) tokens -> (n, H) hidden states, one numpy step per token."""
+    hid = wh.shape[0]
+    sig = np.vectorize(scalar_sigmoid)
+    h = c = np.zeros(hid)
+    out = []
+    for x_t in x:
+        z = x_t @ wx + b + h @ wh
+        i, f, g, o = (z[k * hid:(k + 1) * hid] for k in range(4))
+        c = sig(f) * c + sig(i) * np.tanh(g)
+        h = sig(o) * np.tanh(c)
+        out.append(h)
+    return np.array(out)
+
+
+class TestLstmSequencePacked:
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           st.integers(0, 3), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_unpadded_runs(self, seed, lengths, extra, dim, hid, reverse):
+        # each row reads only its own tokens: PAD columns hold NaN, and the
+        # outputs there, and the gradient reaching them, are exactly 0
+        rng = np.random.default_rng(seed)
+        lengths = np.array(lengths)
+        steps = int(lengths.max()) + extra
+        valid = np.arange(steps)[None, :] < lengths[:, None]
+        x = np.where(valid[:, :, None], rng.normal(size=(len(lengths), steps, dim)), np.nan)
+        wx, b, wh = (rng.normal(size=s) for s in ((dim, 4 * hid), (4 * hid,), (hid, 4 * hid)))
+        xt = Tensor(x, requires_grad=True)
+        with GradGraph() as g:
+            out = lstm_sequence(xt, Tensor(wx), Tensor(b), Tensor(wh), lengths,
+                                reverse=reverse)
+            loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape))))
+        g.backward(loss)
+        for r, n in enumerate(lengths):
+            tokens = x[r, :n][::-1] if reverse else x[r, :n]
+            want = _np_lstm(tokens, wx, b, wh)
+            npt.assert_allclose(out.data[r, :n], want[::-1] if reverse else want,
+                                rtol=0, atol=1e-12)
+        assert np.all(out.data[~valid] == 0.0)
+        assert np.all(xt.grad[~valid] == 0.0)
+        assert np.all(np.isfinite(xt.grad))
 
 
 class TestUtilities:
@@ -384,19 +437,6 @@ class TestUtilities:
     def test_masked_nll_rejects_mismatched_rows(self, targets, weights):
         with pytest.raises(ShapeError, match="masked_nll"):
             masked_nll(Tensor(np.zeros((3, 4))), targets, weights)
-
-    def test_gather_time_forward(self):
-        x = Tensor(np.arange(12, dtype=float).reshape(2, 3, 2))
-        idx = np.array([[2, 1, 0], [0, 2, 1]])
-        out = gather_time(x, idx)
-        npt.assert_allclose(out.data[0, 0], x.data[0, 2])
-        npt.assert_allclose(out.data[1, 1], x.data[1, 2])
-
-    def test_gather_time_rejects_non_permutation(self):
-        x = Tensor(np.zeros((2, 3, 2)))
-        for idx in ([[2, 1, 0], [0, 0, 2]], [[0, 1, 3], [0, 1, 2]], [[0, 1, -1], [0, 1, 2]]):
-            with pytest.raises(ShapeError, match="permutation"):
-                gather_time(x, np.array(idx))
 
     def test_finite_after_mask_bias(self):
         # -1e9 additive masking keeps softmax finite
