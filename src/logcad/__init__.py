@@ -8,5 +8,3 @@ all on a small reverse-mode autodiff tensor core.
 """
 
 __version__ = "0.1.0"
-
-from logcad.tensor import Tensor, GradGraph, gradient_check  # noqa: F401

@@ -26,11 +26,10 @@ from logcad.data import (
     tokenize_with_marker,
     write_dataset,
     Entry,
-    EmbeddingTable,
 )
-# greedy_decode is not called here; perfbench's tracer wraps it under this
-# module's name
-from logcad.decode import beam_search, decode_batch, greedy_decode  # noqa: F401
+from logcad.decode import beam_search, decode_batch
+# not called here; perfbench's tracer wraps it under this module's name
+from logcad.decode import greedy_decode  # noqa: F401
 from logcad.evaluate import (
     AXES,
     avg_sentence_bleu,
@@ -104,32 +103,17 @@ def _parse_config_file(path) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    typed = {f.name: f.type for f in fields(RunConfig)}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
-            if key not in typed:
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce_option(key, raw))
-    for key in typed:
+            setattr(cfg, key, type(defaults[key])(raw))
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
     return cfg
-
-
-def _coerce_option(key: str, raw: str):
-    kind = {f.name: f.type for f in fields(RunConfig)}[key]
-    if kind in (int, "int"):
-        return int(raw)
-    if kind in (float, "float"):
-        return float(raw)
-    return raw
-
-
-def _load_table(path: Optional[str], seed: int) -> Optional[EmbeddingTable]:
-    if path is None:
-        return None
-    return load_embeddings(path, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +125,8 @@ EVAL_CHUNK = 32
 
 def cmd_extract(args) -> int:
     cfg = resolve_config(args)
-    try:
-        articles = read_articles(args.articles)
-        items = read_items(args.items)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    articles = read_articles(args.articles)
+    items = read_items(args.items)
     if not items:
         print("warning: empty items table, no entries will be produced", file=sys.stderr)
     entries, stats = extract_wikipedia(articles, items)
@@ -170,18 +150,14 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     settings = TrainSettings(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
                              clip_norm=cfg.clip_norm, patience=cfg.patience, seed=cfg.seed)
-    try:
-        train_entries = load_dataset(args.train)
-        valid_entries = load_dataset(args.valid) if args.valid else None
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    train_entries = load_dataset(args.train)
+    valid_entries = load_dataset(args.valid) if args.valid else None
     if not train_entries:
         print("error: no valid training entries", file=sys.stderr)
         return 1
 
     model_cfg = cfg.model_config()
-    table = _load_table(args.emb, cfg.seed)
+    table = None if args.emb is None else load_embeddings(args.emb, seed=cfg.seed)
     if table is None and model_cfg.uses_global_embedding:
         print("warning: no embedding file; phrase vectors fall back to the UNK vector",
               file=sys.stderr)
@@ -213,23 +189,19 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt, model.params, meta)
     model.vocab.save(out / "vocab.txt")
     (out / "train_log.tsv").write_text(result.log_text(), encoding="utf-8")
-    final_valid = "" if result.best_valid is None else f" best_valid={result.best_valid:.6f}"
-    print(f"trained {result.epochs_run} epoch(s); final_train={result.final_train:.6f}"
-          f"{final_valid}; checkpoint -> {ckpt}")
+    scores = "" if result.final_train is None else f"; final_train={result.final_train:.6f}"
+    if result.best_valid is not None:
+        scores += f" best_valid={result.best_valid:.6f}"
+    print(f"trained {result.epochs_run} epoch(s){scores}; checkpoint -> {ckpt}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
-    try:
-        entries = load_dataset(args.data)
-        vocab_path = args.vocab or str(Path(args.ckpt).with_name("vocab.txt"))
-        vocab = Vocab.load(vocab_path)
-        table = _load_table(args.emb, cfg.seed)
-        model, _meta = load_model(args.ckpt, vocab, table)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    entries = load_dataset(args.data)
+    vocab = Vocab.load(args.vocab or Path(args.ckpt).with_name("vocab.txt"))
+    table = None if args.emb is None else load_embeddings(args.emb, seed=cfg.seed)
+    model, _meta = load_model(args.ckpt, vocab, table)
     if not entries:
         print("error: no entries to evaluate", file=sys.stderr)
         return 1
@@ -291,17 +263,12 @@ def _locate_phrase(sentence: str, phrase: str) -> tuple[list, int]:
 
 def cmd_describe(args) -> int:
     cfg = resolve_config(args)
-    try:
-        vocab_path = args.vocab or str(Path(args.ckpt).with_name("vocab.txt"))
-        vocab = Vocab.load(vocab_path)
-        table = _load_table(args.emb, cfg.seed)
-        model, _meta = load_model(args.ckpt, vocab, table)
-        context, pos = _locate_phrase(args.sentence, args.phrase)
-        entry = Entry(phrase=tokenize(args.phrase), context=context, span=(pos, pos),
-                      description=["-"])  # placeholder, unused by decoding
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    vocab = Vocab.load(args.vocab or Path(args.ckpt).with_name("vocab.txt"))
+    table = None if args.emb is None else load_embeddings(args.emb, seed=cfg.seed)
+    model, _meta = load_model(args.ckpt, vocab, table)
+    context, pos = _locate_phrase(args.sentence, args.phrase)
+    entry = Entry(phrase=tokenize(args.phrase), context=context, span=(pos, pos),
+                  description=["-"])  # placeholder, unused by decoding
     ids = beam_search(model, entry, beam=cfg.beam, max_len=cfg.max_len)
     print(" ".join(vocab.decode(ids)))
     return 0

@@ -116,17 +116,11 @@ def read_entries(path) -> tuple[list[Entry], int]:
     return entries, rejected
 
 
-def load_dataset(path, split: Optional[str] = None) -> list[Entry]:
-    """Load entries from a TSV file, or from ``<path>/<split>.tsv`` when
-    ``path`` is a directory."""
-    p = Path(path)
-    if p.is_dir():
-        if split is None:
-            raise ValueError("load_dataset: split name required for a directory path")
-        p = p / f"{split}.tsv"
-    entries, rejected = read_entries(p)
+def load_dataset(path) -> list[Entry]:
+    """Load entries from a TSV file, warning about the lines it rejects."""
+    entries, rejected = read_entries(path)
     if rejected:
-        log.warning("%s: rejected %d malformed line(s)", p, rejected)
+        log.warning("%s: rejected %d malformed line(s)", Path(path), rejected)
     return entries
 
 
@@ -158,19 +152,8 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return token in self.vectors
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     def lookup(self, token: str) -> np.ndarray:
         return self.vectors.get(token, self.unk)
-
-    def coverage(self, phrases: Iterable[Sequence[str]]) -> float:
-        """Percentage of distinct phrase-component tokens that have a
-        pre-trained vector. 100.0 when every token is covered."""
-        tokens = {t for phrase in phrases for t in phrase}
-        if not tokens:
-            raise ValueError("coverage: no phrase tokens")
-        return 100.0 * sum(1 for t in tokens if t in self.vectors) / len(tokens)
 
 
 def load_embeddings(path, seed: int = 0) -> EmbeddingTable:

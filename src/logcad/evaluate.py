@@ -30,7 +30,6 @@ AXES = ("senses", "unk_ratio", "context_len")
 
 @dataclass
 class EvalRecord:
-    entry_id: int
     candidate: list
     reference: list
     senses: int
@@ -49,6 +48,14 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _clipped_matches(candidate: Sequence[str], reference: Sequence[str],
+                     n: int) -> tuple[int, int]:
+    """Candidate n-grams found in the reference, each counted at most as
+    often as the reference holds it, and the candidate's n-gram count."""
+    cand, ref = _ngrams(candidate, n), _ngrams(reference, n)
+    return sum(min(c, ref[g]) for g, c in cand.items()), sum(cand.values())
+
+
 def corpus_bleu(records: Sequence[EvalRecord]) -> float:
     if not records:
         raise ValueError("corpus_bleu: empty record list")
@@ -60,10 +67,9 @@ def corpus_bleu(records: Sequence[EvalRecord]) -> float:
         cand_len += len(r.candidate)
         ref_len += len(r.reference)
         for n in range(1, MAX_ORDER + 1):
-            cand_counts = _ngrams(r.candidate, n)
-            ref_counts = _ngrams(r.reference, n)
-            total[n - 1] += sum(cand_counts.values())
-            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+            m, t = _clipped_matches(r.candidate, r.reference, n)
+            matched[n - 1] += m
+            total[n - 1] += t
     if cand_len == 0 or any(t == 0 or m == 0 for m, t in zip(matched, total)):
         return 0.0
     log_prec = sum(math.log(m / t) for m, t in zip(matched, total)) / MAX_ORDER
@@ -77,10 +83,7 @@ def sentence_bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
         return 0.0
     logs = []
     for n in range(1, MAX_ORDER + 1):
-        cand_counts = _ngrams(candidate, n)
-        ref_counts = _ngrams(reference, n)
-        total = sum(cand_counts.values())
-        matched = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+        matched, total = _clipped_matches(candidate, reference, n)
         if n > 1:
             matched += 1
             total += 1
@@ -108,10 +111,9 @@ def build_records(entries: Sequence[Entry], candidates: Sequence[Sequence[str]],
     for e in entries:
         refs_by_phrase.setdefault(e.phrase_key(), set()).add(tuple(e.description))
     records = []
-    for i, (e, cand) in enumerate(zip(entries, candidates)):
+    for e, cand in zip(entries, candidates):
         known = 0 if table is None else sum(1 for w in e.phrase if w in table)
         records.append(EvalRecord(
-            entry_id=i,
             candidate=list(cand),
             reference=list(e.description),
             senses=len(refs_by_phrase[e.phrase_key()]),

@@ -37,8 +37,6 @@ from logcad.tensor import (
 INIT_SCALE = 0.08  # uniform weight init range; forget-gate bias starts at 1
 MASK_BIAS = -1e9  # additive score mask for padded positions (keeps values finite)
 
-GATE_NAMES = ("i", "f", "g", "o")
-
 
 def uniform_init(rng: Optional[np.random.Generator], shape, dtype=np.float64,
                  scale: float = INIT_SCALE) -> Tensor:
@@ -79,20 +77,18 @@ class LstmParams:
     @classmethod
     def create(cls, rng: Optional[np.random.Generator], input_dim: int, hidden: int,
                dtype=np.float64) -> "LstmParams":
+        # per-gate draws in the order wx_i, wh_i, wx_f, ..., each with its own
+        # Glorot floor, side by side; no rng leaves placeholders, as in matrix_init
+        wx = np.empty((input_dim, 4 * hidden), dtype=dtype)
+        wh = np.empty((hidden, 4 * hidden), dtype=dtype)
+        if rng is not None:
+            for k in range(4):
+                cols = slice(k * hidden, (k + 1) * hidden)
+                wx[:, cols] = matrix_init(rng, (input_dim, hidden), dtype).data
+                wh[:, cols] = matrix_init(rng, (hidden, hidden), dtype).data
         b = np.zeros(4 * hidden, dtype=dtype)
         b[hidden:2 * hidden] = 1.0
-        if rng is None:
-            return cls(wx=matrix_init(None, (input_dim, 4 * hidden), dtype),
-                       wh=matrix_init(None, (hidden, 4 * hidden), dtype),
-                       b=Tensor(b, requires_grad=True), input_dim=input_dim, hidden=hidden)
-        # per-gate draws in the order wx_i, wh_i, wx_f, ..., each with its own
-        # Glorot floor, placed side by side
-        wx, wh = [], []
-        for _ in GATE_NAMES:
-            wx.append(matrix_init(rng, (input_dim, hidden), dtype).data)
-            wh.append(matrix_init(rng, (hidden, hidden), dtype).data)
-        return cls(wx=Tensor(np.concatenate(wx, axis=1), requires_grad=True),
-                   wh=Tensor(np.concatenate(wh, axis=1), requires_grad=True),
+        return cls(wx=Tensor(wx, requires_grad=True), wh=Tensor(wh, requires_grad=True),
                    b=Tensor(b, requires_grad=True), input_dim=input_dim, hidden=hidden)
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
@@ -168,7 +164,7 @@ def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
         raise ShapeError(f"bilstm_encode: need a nonempty (B, T, E) sequence, got {embs.shape}")
     seq = embs
     for k, (fwd, bwd) in enumerate(p.layers):
-        if k > 0 and drop > 0.0 and rng is not None:
+        if k > 0:
             seq = dropout(seq, drop, rng)
         seq = concat([lstm_sequence(seq, fwd.wx, fwd.b, fwd.wh, lengths),
                       lstm_sequence(seq, bwd.wx, bwd.b, bwd.wh, lengths, reverse=True)],

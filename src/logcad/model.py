@@ -193,12 +193,6 @@ class ModelParams:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named()]
 
-    def groups(self) -> dict[str, list[Tensor]]:
-        out: dict[str, list[Tensor]] = {}
-        for name, t in self.named():
-            out.setdefault(name.split(".")[0], []).append(t)
-        return out
-
 
 def phrase_embedding(phrase_words: Sequence[str], table: EmbeddingTable) -> np.ndarray:
     """Sum of the pre-trained vectors of the phrase's words; every
@@ -277,11 +271,6 @@ class DescriptionModel:
     # ------------------------------------------------------------------
     # conditioning and the decoder step (shared by teacher forcing and decoding)
 
-    def _maybe_dropout(self, x: Tensor, train: bool) -> Tensor:
-        if train and self.config.dropout > 0.0:
-            return dropout(x, self.config.dropout, self._drop_rng)
-        return x
-
     def _start(self, batch: Batch, train: bool) -> _Session:
         """Build the batch's conditioning and the zero decoder state."""
         cfg = self.config
@@ -314,6 +303,7 @@ class DescriptionModel:
         output state and the next session. At step 0 the input is the phrase
         embedding (zeros for local) and ``prev_ids`` is ignored."""
         cfg = self.config
+        drop = cfg.dropout if train else 0.0
         if session.step > 0:
             x = take_rows(self.params.word_emb, prev_ids)
         elif cfg.uses_global_embedding:
@@ -323,7 +313,7 @@ class DescriptionModel:
                                 dtype=self.dtype))
         if cfg.variant == "i-attention":
             x = concat([x, session.x_masked], axis=1)
-        x = self._maybe_dropout(x, train)
+        x = dropout(x, drop, self._drop_rng)
         new_states = []
         top = cfg.dec_layers - 1
         for k, lstm_p in enumerate(self.params.decoder):
@@ -331,7 +321,7 @@ class DescriptionModel:
             if k == top and cfg.uses_gate:
                 h = session.s_prime  # the top layer recurs on the previous gated state
             if k > 0:
-                x = self._maybe_dropout(x, train)
+                x = dropout(x, drop, self._drop_rng)
             h, c = lstm_cell(lstm_p, x, h, c)
             new_states.append((h, c))
             x = h
@@ -505,10 +495,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
 
 
 def load_params_into(params: ModelParams, tensors: dict[str, np.ndarray]) -> None:
-    """Set the tensors ``params`` holds from ``tensors``; names the variant
-    does not hold, as in checkpoints that carry every group, are ignored.
-    Arrays already of ``params.dtype`` are adopted, not copied, so later
-    writes to the weights show in ``tensors``; others are cast."""
+    """Set the tensors ``params`` holds from ``tensors``; each must be there
+    with its shape, and names ``params`` does not hold are ignored. Arrays
+    already of ``params.dtype`` are adopted, not copied, so later writes to
+    the weights show in ``tensors``; others are cast."""
     for name, t in params.named():
         if name not in tensors:
             raise ValueError(f"checkpoint missing tensor {name}")

@@ -88,31 +88,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all routed through the recorded primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 # ---------------------------------------------------------------------------
 # gradient tape
@@ -373,11 +348,11 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     return _record("max", out, (x,), bw)
 
 
-def reduce_sum(x: Tensor, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def reduce_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
+    out = x.data.sum(axis=axis)
 
     def bw(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=False),)
 
@@ -533,7 +508,8 @@ def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths,
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-p), so inference applies
-    no rescaling. The sampled mask enters the graph as a constant."""
+    no rescaling. The sampled mask enters the graph as a constant. A rate of
+    0 returns ``x`` itself and draws nothing from ``rng``."""
     if p <= 0.0:
         return x
     if p >= 1.0:

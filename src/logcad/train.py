@@ -29,6 +29,8 @@ class TrainSettings:
         for name in ("epochs", "patience"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a positive number, got {self.lr}")
         if not self.clip_norm >= 0:
@@ -92,7 +94,7 @@ class EpochRow:
 class TrainResult:
     rows: list = field(default_factory=list)
     best_valid: Optional[float] = None
-    final_train: float = float("nan")
+    final_train: Optional[float] = None  # None when no epoch ran
     epochs_run: int = 0
     stopped_early: bool = False
 
@@ -102,29 +104,23 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _dataset_loss(model: DescriptionModel, entries: Sequence[Entry],
-                  batch_size: int) -> float:
-    batches = make_batches(entries, model.vocab, batch_size, seed=0)
-    total = 0.0
-    tokens = 0.0
-    for batch in batches:
+def _teacher_forced(model: DescriptionModel, entries: Sequence[Entry],
+                    batch_size: int) -> tuple[float, float]:
+    """Teacher-forced mean loss and next-token accuracy over the non-pad
+    target positions of ``entries``."""
+    total = correct = tokens = 0.0
+    for batch in make_batches(entries, model.vocab, batch_size, seed=0):
         loss, aux = model.forward_loss(batch, train=False)
         total += loss.item() * aux["tokens"]
+        correct += aux["correct"]
         tokens += aux["tokens"]
-    return total / tokens
+    return total / tokens, correct / tokens
 
 
 def token_accuracy(model: DescriptionModel, entries: Sequence[Entry],
                    batch_size: int = 128) -> float:
     """Teacher-forced next-token accuracy over non-pad target positions."""
-    batches = make_batches(entries, model.vocab, batch_size, seed=0)
-    correct = 0.0
-    tokens = 0.0
-    for batch in batches:
-        _, aux = model.forward_loss(batch, train=False)
-        correct += aux["correct"]
-        tokens += aux["tokens"]
-    return correct / tokens
+    return _teacher_forced(model, entries, batch_size)[1]
 
 
 def _first_non_finite(model: DescriptionModel) -> str:
@@ -176,7 +172,7 @@ def train(model: DescriptionModel, train_entries: Sequence[Entry],
 
         valid_loss = None
         if valid_entries:
-            valid_loss = _dataset_loss(model, valid_entries, settings.batch_size)
+            valid_loss = _teacher_forced(model, valid_entries, settings.batch_size)[0]
             if result.best_valid is None or valid_loss < result.best_valid - 1e-12:
                 result.best_valid = valid_loss
                 best_snapshot = [t.data.copy() for t in params]

@@ -11,7 +11,7 @@ sentence with that link replaced by the [TRG] marker.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np

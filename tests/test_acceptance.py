@@ -222,8 +222,8 @@ def test_criterion_4_directional_replication():
 def test_criterion_5_bleu_oracle():
     """Identity -> 100; disjoint -> 0; the five hand-worked pairs match the
     frozen arithmetic to 1e-6; duplication leaves the score unchanged."""
-    def rec(cand, ref, i=0):
-        return EvalRecord(i, cand.split(), ref.split(), 1, 0.0, 5)
+    def rec(cand, ref):
+        return EvalRecord(cand.split(), ref.split(), 1, 0.0, 5)
 
     identity = [rec("a b c d e", "a b c d e"), rec("x y z w", "x y z w")]
     disjoint = [rec("a b c d", "w x y z")]

@@ -209,13 +209,16 @@ class TestTrainCommand:
         ("--lr", "nan", "lr must be a positive number, got nan"),
         ("--clip-norm", "-0.5", "clip_norm must be at least 0 (0 disables clipping), got -0.5"),
         ("--patience", "-1", "patience must be at least 0, got -1"),
+        ("--batch-size", "0", "batch_size must be at least 1, got 0"),
+        # with no epoch to run, no batch would ever be cut
+        ("--batch-size", "-3 --epochs 0", "batch_size must be at least 1, got -3"),
     ])
     def test_meaningless_training_option_rejected(self, tmp_path, capsys, flag, value,
                                                   message):
         data = tmp_path / "train.tsv"
         write_dataset(data, overfit_corpus())
         out = tmp_path / "out"
-        assert main(_train_args(data, out, extra=[flag, value])) == 1
+        assert main(_train_args(data, out, extra=[flag, *value.split()])) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
@@ -227,7 +230,9 @@ class TestTrainCommand:
         write_dataset(data, overfit_corpus())
         out = tmp_path / "out"
         assert main(_train_args(data, out, epochs=0, extra=["--clip-norm", "0"])) == 0
-        assert "trained 0 epoch(s)" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "trained 0 epoch(s); checkpoint -> " in stdout
+        assert "nan" not in stdout  # no final training loss when no epoch ran
         assert (out / "model.ckpt").exists()
 
 
@@ -365,3 +370,24 @@ class TestEvaluateCommand:
         assert f"beam width must be at least 1, got {beam}" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "evaluate", "describe"])
+def test_missing_input_file_fails_cleanly(trained_run, tmp_path, capsys, command):
+    data, out = trained_run
+    missing = tmp_path / "missing"
+    argv = {
+        "extract": ["extract", "--articles", missing, "--items", data, "--out", tmp_path / "o"],
+        "train": _train_args(missing, tmp_path / "o"),
+        "evaluate": ["evaluate", "--data", missing, "--ckpt", out / "model.ckpt"],
+        "describe": ["describe", "--ckpt", missing, "--vocab", out / "vocab.txt",
+                     "--phrase", "blue falcon", "--sentence", "the [TRG] was seen ."],
+    }[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert str(missing) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()

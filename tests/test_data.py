@@ -68,7 +68,7 @@ class TestEmbeddings:
 
     def test_headerless_file(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "a 1.0 2.0\nb 3.0 4.0\n"))
-        assert table.width == 2 and len(table) == 2
+        assert table.width == 2 and len(table.vectors) == 2
 
     def test_unk_is_shared_and_deterministic(self, tmp_path):
         p = self._write(tmp_path, "a 1.0 2.0\n")
@@ -94,16 +94,6 @@ class TestEmbeddings:
         p = self._write(tmp_path, "a 1.0 2.0\nsonic 0.5 abc\n")
         with pytest.raises(ValueError, match=r"vecs\.txt:2: .*'abc'.*'sonic'"):
             load_embeddings(p)
-
-    def test_coverage_ratio(self, tmp_path):
-        table = load_embeddings(self._write(tmp_path, "sonic 1 2\n"))
-        phrases = [["sonic", "boom"], ["boom", "box"], ["zig"]]
-        # distinct phrase tokens: sonic boom box zig -> 1 of 4 covered
-        assert table.coverage(phrases) == pytest.approx(25.0)
-
-    def test_full_coverage_is_100(self, tmp_path):
-        table = load_embeddings(self._write(tmp_path, "a 1 2\nb 3 4\n"))
-        assert table.coverage([["a"], ["b", "a"]]) == pytest.approx(100.0)
 
 
 SAMPLE = (
@@ -157,12 +147,6 @@ class TestDataset:
         q = tmp_path / "rt.tsv"
         write_dataset(q, entries)
         assert load_dataset(q) == entries
-
-    def test_split_from_directory(self, tmp_path):
-        (tmp_path / "train.tsv").write_text(SAMPLE, encoding="utf-8")
-        assert len(load_dataset(tmp_path, "train")) == 1
-        with pytest.raises(ValueError):
-            load_dataset(tmp_path)
 
 
 class TestVocab:

@@ -15,8 +15,8 @@ from logcad.evaluate import (
 )
 
 
-def rec(cand, ref, senses=1, unk=0.0, ctx=5, i=0):
-    return EvalRecord(i, cand.split(), ref.split(), senses, unk, ctx)
+def rec(cand, ref, senses=1, unk=0.0, ctx=5):
+    return EvalRecord(cand.split(), ref.split(), senses, unk, ctx)
 
 
 # hand-worked fixture, frozen before the implementation existed:
@@ -145,13 +145,12 @@ class TestBinnedReport:
         assert results[0].label == "1" and results[0].count == 1
 
     def test_senses_bins(self):
-        records = [rec("a", "a", senses=s, i=i) for i, s in enumerate([1, 2, 3, 4, 7])]
+        records = [rec("a", "a", senses=s) for s in [1, 2, 3, 4, 7]]
         results = binned_report(records, "senses")
         assert [r.count for r in results] == [1, 1, 1, 2]
 
     def test_unk_ratio_deciles(self):
-        records = [rec("a", "a", unk=u, i=i) for i, u in
-                   enumerate([0.0, 0.05, 0.1, 0.55, 0.95, 1.0])]
+        records = [rec("a", "a", unk=u) for u in [0.0, 0.05, 0.1, 0.55, 0.95, 1.0]]
         results = binned_report(records, "unk_ratio")
         counts = {r.label: r.count for r in results}
         assert counts["0-10%"] == 2
@@ -160,18 +159,17 @@ class TestBinnedReport:
         assert counts["90-100%"] == 2
 
     def test_context_len_bins(self):
-        records = [rec("a", "a", ctx=c, i=i) for i, c in
-                   enumerate([3, 10, 11, 20, 21, 30, 31, 99])]
+        records = [rec("a", "a", ctx=c) for c in [3, 10, 11, 20, 21, 30, 31, 99]]
         results = binned_report(records, "context_len")
         assert [r.count for r in results] == [2, 2, 2, 2]
 
     def test_synthetic_populations_match_hand_count(self):
         rng = np.random.default_rng(1)
         records = []
-        for i in range(20):
+        for _ in range(20):
             records.append(rec("a b", "a b", senses=int(rng.integers(1, 6)),
                                unk=float(rng.integers(0, 11)) / 10,
-                               ctx=int(rng.integers(1, 40)), i=i))
+                               ctx=int(rng.integers(1, 40))))
         for axis, key in (("senses", lambda r: min(r.senses, 4)),
                           ("context_len", lambda r: r.context_len)):
             results = binned_report(records, axis)

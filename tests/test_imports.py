@@ -1,0 +1,44 @@
+"""Every name a module of the package imports is read in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "logcad"
+
+
+def unused_imports(source: str) -> list[str]:
+    """``"line N: name"`` for each name bound by an import that no expression
+    of the module reads. ``__future__`` imports and names whose import line
+    carries ``# noqa: F401`` are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_checker_flags_unused_and_honours_noqa():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "from typing import (\n"
+              "    Optional,\n"
+              "    Sequence,\n"
+              ")\n"
+              "import numpy as np\n"
+              "from json import dumps  # noqa: F401\n"
+              "def f(x: Optional[int]):\n"
+              "    return np.zeros(x)\n")
+    assert unused_imports(source) == ["line 2: os", "line 5: Sequence"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

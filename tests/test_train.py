@@ -79,8 +79,9 @@ class TestTrainLoop:
         result = train(model, entries, valid, settings)
         assert result.stopped_early
         assert result.epochs_run < 60
-        from logcad.train import _dataset_loss
-        assert _dataset_loss(model, valid, 8) == pytest.approx(result.best_valid, abs=1e-6)
+        from logcad.train import _teacher_forced
+        assert _teacher_forced(model, valid, 8)[0] == pytest.approx(result.best_valid,
+                                                                    abs=1e-6)
 
     def test_log_format(self):
         entries = overfit_corpus()
