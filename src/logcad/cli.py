@@ -51,6 +51,11 @@ from logcad.train import TrainSettings, train
 from logcad.wiki import extract_wikipedia, read_articles, read_items, split_by_phrase
 
 
+# each RunConfig option that sets a ModelConfig field, and that field
+_MODEL_OPTIONS = {("emb_width" if f.name == "word_emb_width" else f.name): f.name
+                  for f in fields(ModelConfig)}
+
+
 @dataclass
 class RunConfig:
     """Documented defaults for every tunable option."""
@@ -74,17 +79,8 @@ class RunConfig:
     vocab_size: int = 10000
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            variant=self.variant,
-            enc_layers=self.enc_layers,
-            enc_width=self.enc_width,
-            attn_width=self.attn_width,
-            word_emb_width=self.emb_width,
-            dec_layers=self.dec_layers,
-            dec_width=self.dec_width,
-            vocab_size=self.vocab_size,
-            dropout=self.dropout,
-        )
+        return ModelConfig(**{field: getattr(self, option)
+                              for option, field in _MODEL_OPTIONS.items()})
 
 
 def _parse_config_file(path) -> dict:
@@ -101,19 +97,24 @@ def _parse_config_file(path) -> dict:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def given_options(args: argparse.Namespace) -> dict:
+    """The options that the ``--config`` file and the flags set; flags win."""
     defaults = {f.name: f.default for f in fields(RunConfig)}
+    given = {}
     if getattr(args, "config", None):
         for key, raw in _parse_config_file(args.config).items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(cfg, key, type(defaults[key])(raw))
+            given[key] = type(defaults[key])(raw)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+            given[key] = value
+    return given
+
+
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig(**given_options(args))
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +148,30 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    given = given_options(args)
+    cfg = RunConfig(**given)
     settings = TrainSettings(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
                              clip_norm=cfg.clip_norm, patience=cfg.patience, seed=cfg.seed)
+    model_cfg = cfg.model_config()
+    if args.resume:
+        # the checkpoint fixes the model: an option set to another value is refused
+        tensors, meta = load_checkpoint(args.resume)
+        try:
+            model_cfg = ModelConfig.from_meta(meta)
+        except ValueError as e:
+            raise ValueError(f"{args.resume}: {e}") from None
+        clashes = [f"--{opt.replace('_', '-')} {given[opt]} disagrees with the checkpoint's "
+                   f"{field}={getattr(model_cfg, field)}" for opt, field in _MODEL_OPTIONS.items()
+                   if opt in given and given[opt] != getattr(model_cfg, field)]
+        if clashes:
+            raise ValueError(f"{args.resume}: " + "; ".join(clashes))
+        vocab = Vocab.load(Path(args.resume).with_name("vocab.txt"))
     train_entries = load_dataset(args.train)
     valid_entries = load_dataset(args.valid) if args.valid else None
     if not train_entries:
         print("error: no valid training entries", file=sys.stderr)
         return 1
 
-    model_cfg = cfg.model_config()
     table = None if args.emb is None else load_embeddings(args.emb, seed=cfg.seed)
     if table is None and model_cfg.uses_global_embedding:
         print("warning: no embedding file; phrase vectors fall back to the UNK vector",
@@ -168,8 +183,6 @@ def cmd_train(args) -> int:
     if args.resume:
         # load_model's two steps, called apart: the traced benchmark's
         # train-full phase reports load_checkpoint and model init, not load_model
-        tensors, meta = load_checkpoint(args.resume)
-        vocab = Vocab.load(Path(args.resume).with_name("vocab.txt"))
         try:
             model = model_from_checkpoint(tensors, meta, vocab, table)
         except ValueError as e:

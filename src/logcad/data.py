@@ -227,8 +227,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.strip()])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls([line.rstrip("\n") for line in fh if line.strip()])
+        except ValueError as e:  # includes a file that is not UTF-8
+            raise ValueError(f"{path}: {e}") from None
 
 
 def build_vocab(entries: Sequence[Entry], size: int = 10000) -> Vocab:

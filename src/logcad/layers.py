@@ -1,6 +1,6 @@
-"""Neural building blocks: LSTM cells, the bidirectional local-context
-encoder, the character-level CNN, bilinear attention, the context-fusion
-gate, and the soft-mask network used by the I-Attention baseline.
+"""Neural building blocks: the LSTM cell and the bidirectional local-context
+encoder (both on ``tensor.lstm_sequence``), the character-level CNN, bilinear
+attention, the context-fusion gate, and the I-Attention soft-mask network.
 
 Layers are pure functions of (params, inputs). Parameter containers expose
 ``named(prefix)`` so the model can assemble a flat name -> tensor registry.
@@ -27,7 +27,6 @@ from logcad.tensor import (
     reduce_sum,
     reshape,
     sigmoid,
-    slice_axis,
     softmax,
     sub,
     take_rows,
@@ -98,22 +97,13 @@ class LstmParams:
 
 
 def lstm_cell(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One step of the standard LSTM recurrence.
-
-    [z_i z_f z_g z_o] = x Wx + h Wh + b
-    i = sigmoid(z_i)   f = sigmoid(z_f)   g = tanh(z_g)   o = sigmoid(z_o)
-    c' = f*c + i*g                        h' = o * tanh(c')
-    """
-    if x.shape[-1] != p.input_dim or h.shape[-1] != p.hidden or c.shape[-1] != p.hidden:
-        raise ShapeError(
-            f"lstm_cell: got x {x.shape}, h {h.shape}, c {c.shape} for "
-            f"(input_dim={p.input_dim}, hidden={p.hidden})"
-        )
-    z = add(add(matmul(x, p.wx), matmul(h, p.wh)), p.b)
-    i, f, g, o = (slice_axis(z, -1, k * p.hidden, (k + 1) * p.hidden) for k in range(4))
-    c_new = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
-    h_new = mul(sigmoid(o), tanh(c_new))
-    return h_new, c_new
+    """One step of the ``tensor.lstm_sequence`` recurrence for each row of
+    ``x`` (B, input_dim) from the state ``(h, c)`` (B, hidden); returns the
+    new ``(h, c)``."""
+    rows = x.shape[0]
+    out, c_new = lstm_sequence(reshape(x, (rows, 1, x.shape[-1])), p.wx, p.b, p.wh,
+                               np.ones(rows, dtype=np.intp), h, c)
+    return reshape(out, (rows, p.hidden)), c_new
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +145,20 @@ def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
 
     Each position's state is [forward half; backward half] for that position.
     ``lengths`` gives true sequence lengths; each layer and direction is one
-    ``lstm_sequence`` op over the real tokens only, so states past them read
-    0 and cost nothing. They are still not context: consumers such as
-    attention must mask them. Dropout, when requested, is applied between
-    stacked layers.
+    ``lstm_sequence`` op from a zero state over the real tokens only, so
+    states past them read 0 and cost nothing. They are still not context:
+    consumers such as attention must mask them. Dropout, when requested, is
+    applied between stacked layers.
     """
     if embs.ndim != 3 or embs.shape[1] == 0:
         raise ShapeError(f"bilstm_encode: need a nonempty (B, T, E) sequence, got {embs.shape}")
+    zero = Tensor(np.zeros((embs.shape[0], p.out_width // 2), dtype=embs.dtype))
     seq = embs
     for k, (fwd, bwd) in enumerate(p.layers):
         if k > 0:
             seq = dropout(seq, drop, rng)
-        seq = concat([lstm_sequence(seq, fwd.wx, fwd.b, fwd.wh, lengths),
-                      lstm_sequence(seq, bwd.wx, bwd.b, bwd.wh, lengths, reverse=True)],
-                     axis=2)
+        seq = concat([lstm_sequence(seq, d.wx, d.b, d.wh, lengths, zero, zero, reverse=rev)[0]
+                      for d, rev in ((fwd, False), (bwd, True))], axis=2)
     return seq
 
 
@@ -254,13 +244,14 @@ def char_cnn(p: CharCnnParams, phrases: Sequence[Sequence[str]]) -> Tensor:
     lens = np.array([len(t) for t in texts], dtype=np.intp)
     width = max(int(lens.max()), max_kernel)
     ids = np.stack([p.alphabet.encode(t, width) for t in texts])
-    x = take_rows(p.emb, ids)  # (B, L, E)
     dtype = p.emb.dtype
 
     pooled = []
     for w, kernel, bias in p.banks:
         lw = width - w + 1
-        windows = concat([slice_axis(x, 1, i, i + lw) for i in range(w)], axis=2)
+        # window l is the embeddings of characters l..l+w-1 side by side
+        windows = reshape(take_rows(p.emb, ids[:, np.arange(lw)[:, None] + np.arange(w)]),
+                          (len(texts), lw, w * p.char_emb))
         conv = add(matmul(windows, kernel), bias)  # (B, lw, C)
         n_valid = np.maximum(lens - w + 1, 1)
         pos = np.arange(lw)[None, :]

@@ -212,7 +212,6 @@ class _Session:
 
     step: int
     layer_states: list             # per decoder layer (h, c), each (B, dec_width)
-    s_prime: Tensor                # (B, dec_width) previous (gated) output state
     x_trg: Optional[Tensor]        # (B, W) phrase embedding (None for local)
     c_trg: Optional[Tensor]        # (B, 160) char CNN features
     x_masked: Optional[Tensor]     # (B, W) masked embedding (i-attention)
@@ -229,8 +228,8 @@ class _Session:
             return None if t is None else Tensor(t.data[rows])
 
         return replace(self, layer_states=[(pick(h), pick(c)) for h, c in self.layer_states],
-                       s_prime=pick(self.s_prime), x_trg=pick(self.x_trg),
-                       c_trg=pick(self.c_trg), x_masked=pick(self.x_masked),
+                       x_trg=pick(self.x_trg), c_trg=pick(self.c_trg),
+                       x_masked=pick(self.x_masked),
                        enc_states=pick(self.enc_states), enc_proj=pick(self.enc_proj),
                        enc_bias=None if self.enc_bias is None else self.enc_bias[rows])
 
@@ -294,7 +293,7 @@ class DescriptionModel:
                                        lengths=batch.context_lengths)
         zeros = lambda: Tensor(np.zeros((len(batch), cfg.dec_width), dtype=self.dtype))  # noqa: E731
         return _Session(step=0, layer_states=[(zeros(), zeros()) for _ in self.params.decoder],
-                        s_prime=zeros(), x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
+                        x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
                         enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
 
     def _advance(self, session: _Session, prev_ids: Optional[np.ndarray],
@@ -309,17 +308,14 @@ class DescriptionModel:
         elif cfg.uses_global_embedding:
             x = session.x_trg
         else:
-            x = Tensor(np.zeros((session.s_prime.shape[0], cfg.word_emb_width),
+            x = Tensor(np.zeros((session.layer_states[0][0].shape[0], cfg.word_emb_width),
                                 dtype=self.dtype))
         if cfg.variant == "i-attention":
             x = concat([x, session.x_masked], axis=1)
         x = dropout(x, drop, self._drop_rng)
         new_states = []
-        top = cfg.dec_layers - 1
         for k, lstm_p in enumerate(self.params.decoder):
             h, c = session.layer_states[k]
-            if k == top and cfg.uses_gate:
-                h = session.s_prime  # the top layer recurs on the previous gated state
             if k > 0:
                 x = dropout(x, drop, self._drop_rng)
             h, c = lstm_cell(lstm_p, x, h, c)
@@ -340,9 +336,9 @@ class DescriptionModel:
             s_out = gate(self.params.gate, s_t, concat(feats, axis=1))
         else:
             s_out = s_t
-
-        return s_out, replace(session, step=session.step + 1,
-                              layer_states=new_states, s_prime=s_out)
+        # the top layer recurs on the output state, not on its own h
+        new_states[-1] = (s_out, new_states[-1][1])
+        return s_out, replace(session, step=session.step + 1, layer_states=new_states)
 
     # ------------------------------------------------------------------
     # training loss
@@ -383,9 +379,9 @@ class DescriptionModel:
         if (prev_ids is None) != (session.step == 0):
             raise ValueError("step: prev_ids must be None exactly at the first step")
         prev = None if prev_ids is None else np.asarray(prev_ids, dtype=np.intp)
-        if prev is not None and prev.shape != (session.s_prime.shape[0],):
-            raise ValueError(f"step: {prev.shape} prev_ids for "
-                             f"{session.s_prime.shape[0]} session rows")
+        rows = session.layer_states[0][0].shape[0]
+        if prev is not None and prev.shape != (rows,):
+            raise ValueError(f"step: {prev.shape} prev_ids for {rows} session rows")
         s_out, session = self._advance(session, prev, train=False)
         logits = s_out.data @ self.params.out_w.data + self.params.out_b.data
         shifted = logits - logits.max(axis=1, keepdims=True)

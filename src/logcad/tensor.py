@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "mul",
     "matmul",
     "concat",
-    "slice_axis",
     "reshape",
     "sigmoid",
     "tanh",
@@ -94,10 +94,9 @@ class Tensor:
 
 _GRAPH_STACK: list["GradGraph"] = []
 
-# one recorded primitive: (name, inputs, output, backward_fn)
-# backward_fn maps the output gradient to per-input gradients (None entries
-# for non-differentiable inputs such as index arrays).
-_OpRecord = tuple[str, tuple, "Tensor", Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]]
+# one recorded primitive: (name, inputs, output or tuple of outputs, backward_fn);
+# backward_fn maps the output gradient(s) to per-input gradients (None for ids).
+_OpRecord = tuple[str, tuple, object, Callable[..., Sequence[Optional[np.ndarray]]]]
 
 
 class GradGraph:
@@ -109,7 +108,8 @@ class GradGraph:
             loss = model_forward(...)
         g.backward(loss)
 
-    Single-threaded per graph; distinct graphs may live on distinct threads.
+    Not thread-safe: the active graph is the top of one module-global stack,
+    so every graph records and runs on one thread.
     """
 
     def __init__(self):
@@ -129,7 +129,8 @@ class GradGraph:
         ``loss`` depends on. Tensors the loss does not reach, and op outputs,
         keep their ``grad`` unchanged: an op output's gradient is dropped as
         soon as its op's backward has run, since its consumers all come later
-        on the tape and have already run."""
+        on the tape and have already run. An op with several outputs runs
+        once any of them is reached, with zeros for those that are not."""
         if loss.size != 1:
             raise ValueError(
                 f"backward: loss must be scalar, got shape {loss.shape}"
@@ -138,10 +139,13 @@ class GradGraph:
         acc: dict[int, tuple[Tensor, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.data))}
         for _name, inputs, out, backward_fn in reversed(self.ops):
-            reached = acc.pop(id(out), None)
-            if reached is None:
+            outs = out if isinstance(out, tuple) else (out,)
+            reached = [acc.pop(id(o), None) for o in outs]
+            if not any(reached):
                 continue  # op does not contribute to the loss
-            for tin, gin in zip(inputs, backward_fn(reached[1])):
+            grads = tuple(np.zeros_like(o.data) if r is None else r[1]
+                          for o, r in zip(outs, reached))
+            for tin, gin in zip(inputs, backward_fn(grads if outs is out else grads[0])):
                 if gin is None or not isinstance(tin, Tensor) or not tin.requires_grad:
                     continue
                 prev = acc.get(id(tin))
@@ -150,10 +154,10 @@ class GradGraph:
             t.grad = g if t.grad is None else t.grad + g
 
 
-def _record(name: str, out_data: np.ndarray, inputs: tuple,
-            backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
+def _record(name: str, out_data, inputs: tuple, backward_fn: Callable[..., Sequence]):
     req = any(isinstance(t, Tensor) and t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=req)
+    out = tuple(Tensor(d, requires_grad=req) for d in out_data) \
+        if isinstance(out_data, tuple) else Tensor(out_data, requires_grad=req)
     if req and _GRAPH_STACK:
         _GRAPH_STACK[-1].ops.append((name, inputs, out, backward_fn))
     return out
@@ -275,22 +279,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _record("concat", np.concatenate([t.data for t in ts], axis=axis), tuple(ts), bw)
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    dim = x.shape[axis]
-    if not (0 <= start < stop <= dim):
-        raise ShapeError(f"slice_axis: [{start}:{stop}] out of range for axis {axis} of {x.shape}")
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        return (gx,)
-
-    return _record("slice", x.data[idx], (x,), bw)
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
 
@@ -405,17 +393,25 @@ def masked_nll(logits: Tensor, targets, weights) -> Tensor:
     return _record("masked_nll", out, (logits, targets, weights), bw)
 
 
-def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths,
-                  reverse: bool = False) -> Tensor:
-    """Run an LSTM from a zero state over each row's first ``lengths[r]``
-    steps of ``x`` (B, T, D), as one tape op; with ``reverse`` each row is
-    read from position ``lengths[r]-1`` back to 0.
+@functools.lru_cache(maxsize=None)
+def _gate_affine(hid: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    # sig(z) = 0.5*tanh(0.5*z) + 0.5 on the i, f, o blocks; tanh(z) on g
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), hid)
+    return scale, 1.0 - scale
+
+
+def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths, h0: Tensor,
+                  c0: Tensor, reverse: bool = False) -> tuple[Tensor, Tensor]:
+    """Run an LSTM from the state ``(h0, c0)`` (B, H) over each row's first
+    ``lengths[r]`` steps of ``x`` (B, T, D), as one tape op; with ``reverse``
+    each row is read from position ``lengths[r]-1`` back to 0.
 
     ``wx`` (D, 4H), ``b`` (4H,) and ``wh`` (H, 4H) hold the gates i, f, g, o
     column-wise. Step t computes ``z = x_t @ wx + b + h @ wh``, then
     ``c = sig(z_f)*c + sig(z_i)*tanh(z_g)`` and ``h = sig(z_o)*tanh(c)``.
-    Returns the hidden states (B, T, H), each at the position it read; padded
-    positions are exactly 0, and no gradient reaches them.
+    Returns the hidden states (B, T, H), each at the position it read (padded
+    positions are exactly 0, and no gradient reaches them), and each row's
+    last cell state (B, H).
 
     Only real tokens are computed: rows are sorted longest first, so the rows
     active at step t are a prefix, and the real positions are packed
@@ -425,85 +421,85 @@ def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths,
     """
     lengths = np.asarray(lengths)
     if x.ndim != 3 or wh.ndim != 2 or wh.shape[1] != 4 * wh.shape[0] \
-            or wx.shape != (x.shape[2], wh.shape[1]) or b.shape != (wh.shape[1],):
-        raise ShapeError(f"lstm_sequence: need x (B,T,D), wx (D,4H), b (4H,) and wh (H,4H), "
-                         f"got {x.shape}, {wx.shape}, {b.shape} and {wh.shape}")
-    if lengths.shape != x.shape[:1] or not np.issubdtype(lengths.dtype, np.integer) \
-            or lengths.min() < 1 or lengths.max() > x.shape[1]:
-        raise ShapeError(f"lstm_sequence: need integer lengths (B,) in [1, {x.shape[1]}] "
-                         f"for x {x.shape}, got {lengths!r}")
-    hid = wh.shape[0]
+            or wx.shape != (x.shape[2], wh.shape[1]) or b.shape != (wh.shape[1],) \
+            or h0.shape != (x.shape[0], wh.shape[0]) or c0.shape != h0.shape:
+        raise ShapeError(f"lstm_sequence: need x (B,T,D), wx (D,4H), b (4H,), wh (H,4H) and "
+                         f"h0, c0 (B,H), got {x.shape}, {wx.shape}, {b.shape}, {wh.shape}, "
+                         f"{h0.shape} and {c0.shape}")
+    if lengths.shape != x.shape[:1] or lengths.dtype.kind != "i":
+        raise ShapeError(f"lstm_sequence: need signed integer lengths (B,) for x {x.shape}, "
+                         f"got {lengths!r}")
+    order = (-lengths).argsort(kind="stable")
+    longest_first = lengths[order]
+    if longest_first[-1] < 1 or longest_first[0] > x.shape[1]:
+        raise ShapeError(f"lstm_sequence: lengths must lie in [1, {x.shape[1]}], "
+                         f"got {lengths!r}")
+    bsz, hid = h0.shape
     dtype = x.dtype
-    # packed row k is step t_of[k] of sorted row j_of[k]; the n[t] rows of
-    # step t are k in [offs[t], offs[t+1]), and their previous step's rows
-    # are the first n[t] of step t-1
-    order = np.argsort(-lengths, kind="stable")
-    t_of, j_of = np.nonzero(lengths[order] > np.arange(lengths.max())[:, None])
-    n = np.bincount(t_of)
-    offs = np.concatenate(([0], np.cumsum(n)))
-    rows = order[j_of]
-    pos = lengths[rows] - 1 - t_of if reverse else t_of
-    # sig(z) = 0.5*tanh(0.5*z) + 0.5 on the i, f, o blocks; tanh(z) on g
-    scale = np.full(4 * hid, 0.5, dtype=dtype)
-    scale[2 * hid:3 * hid] = 1.0
-    shift = 1.0 - scale
-    acts = x.data[rows, pos] @ wx.data  # (N, 4H): z, then the gate activations
-    acts += b.data
-    hs = np.empty((len(rows), hid), dtype=dtype)
+    # state row k is sorted row j_of[k] after step s_of[k] - 1: block s has n[s]
+    # rows from offs[s] on, block 0 holds the B initial states, and the
+    # previous states of block s are the first n[s] rows of block s-1
+    s_of, j_of = (longest_first >= np.arange(x.shape[1] + 1)[:, None]).nonzero()
+    n = np.bincount(s_of)
+    offs = n.cumsum() - n
+    rows = order[j_of[bsz:]]
+    pos = lengths[rows] - s_of[bsz:] if reverse else s_of[bsz:] - 1
+    scale, shift = _gate_affine(hid, dtype)
+    # z, then the gate activations, of each state row (rows [0, B) unused)
+    acts = np.empty((len(s_of), 4 * hid), dtype=dtype)
+    np.matmul(x.data[rows, pos], wx.data, out=acts[bsz:])
+    acts[bsz:] += b.data
+    hs = np.empty((len(s_of), hid), dtype=dtype)
     cs = np.empty_like(hs)
     tcs = np.empty_like(hs)
-    for t, m in enumerate(n):
-        now, prev = slice(offs[t], offs[t] + m), slice(offs[t - 1], offs[t - 1] + m)
+    hs[:bsz], cs[:bsz] = h0.data[order], c0.data[order]
+    for s, m in enumerate(n[1:], start=1):
+        prev, now = slice(offs[s - 1], offs[s - 1] + m), slice(offs[s], offs[s] + m)
         a = acts[now]
-        if t:
-            a += hs[prev] @ wh.data
+        a += hs[prev] @ wh.data
         a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        i, f, g, o = np.split(a, 4, axis=1)
-        if t:
-            np.add(f * cs[prev], i * g, out=cs[now])
-        else:
-            np.multiply(i, g, out=cs[now])
+        i, f, g, o = a.reshape(m, 4, hid).swapaxes(0, 1)
+        np.add(f * cs[prev], i * g, out=cs[now])
         np.tanh(cs[now], out=tcs[now])
         np.multiply(o, tcs[now], out=hs[now])
 
-    def bw(grad):
-        gs = grad[rows, pos]
+    def bw(grads):  # of the hidden states and of the last cell states
+        gs = grads[0][rows, pos]
         dz = np.empty_like(acts)
-        dh = np.zeros((n[0], hid), dtype=dtype)
-        dc = np.zeros_like(dh)
+        dh = np.zeros((bsz, hid), dtype=dtype)
+        dc = grads[1][order]  # a row's last-cell gradient enters at its last step
         wh_t = np.ascontiguousarray(wh.data.T)
-        for t in reversed(range(len(n))):
-            m = n[t]
-            now, prev = slice(offs[t], offs[t] + m), slice(offs[t - 1], offs[t - 1] + m)
-            i, f, g, o = np.split(acts[now], 4, axis=1)
-            dz_i, dz_f, dz_g, dz_o = np.split(dz[now], 4, axis=1)
+        for s in reversed(range(1, len(n))):
+            m = n[s]
+            prev, now = slice(offs[s - 1], offs[s - 1] + m), slice(offs[s], offs[s] + m)
+            i, f, g, o = acts[now].reshape(m, 4, hid).swapaxes(0, 1)
+            dz_i, dz_f, dz_g, dz_o = dz[now].reshape(m, 4, hid).swapaxes(0, 1)
             dh_t, dc_t = dh[:m], dc[:m]
-            dh_t += gs[now]
+            dh_t += gs[offs[s] - bsz:offs[s] - bsz + m]
             tc = tcs[now]
             dc_t += dh_t * o * (1.0 - tc * tc)
             np.multiply(dh_t * tc, o * (1.0 - o), out=dz_o)
             np.multiply(dc_t * g, i * (1.0 - i), out=dz_i)
-            if t:
-                np.multiply(dc_t * cs[prev], f * (1.0 - f), out=dz_f)
-            else:
-                dz_f[:] = 0.0
+            np.multiply(dc_t * cs[prev], f * (1.0 - f), out=dz_f)
             np.multiply(dc_t * i, 1.0 - g * g, out=dz_g)
             dc_t *= f
-            if t:
-                dh_t[:] = dz[now] @ wh_t
-        # the previous-step state of packed row k >= n[0] is row k - n[t_of[k]-1]
-        h_prev = hs[np.arange(n[0], len(rows)) - np.repeat(n[:-1], n[1:])]
-        dwh = h_prev.T @ dz[n[0]:]
+            dh_t[:] = dz[now] @ wh_t
+        # the previous state of state row k in block s > 0 is row k - n[s-1]
+        h_prev = hs[np.arange(bsz, len(hs)) - np.repeat(n[:-1], n[1:])]
+        dz = dz[bsz:]
         dx = np.zeros_like(x.data)
         dx[rows, pos] = dz @ wx.data.T
-        return dx, x.data[rows, pos].T @ dz, dz.sum(axis=0), dwh, None
+        back = order.argsort()  # the sorted place of each row
+        return dx, x.data[rows, pos].T @ dz, dz.sum(axis=0), h_prev.T @ dz, None, dh[back], dc[back]
 
     out = np.zeros(x.shape[:2] + (hid,), dtype=dtype)
-    out[rows, pos] = hs
-    return _record("lstm_sequence", out, (x, wx, b, wh, lengths), bw)
+    out[rows, pos] = hs[bsz:]
+    c_last = np.empty_like(cs[:bsz])
+    c_last[order] = cs[offs[longest_first] + np.arange(bsz)]
+    return _record("lstm_sequence", (out, c_last), (x, wx, b, wh, lengths, h0, c0), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

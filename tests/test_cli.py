@@ -158,6 +158,35 @@ class TestTrainCommand:
         _, meta = load_checkpoint(out2 / "model.ckpt")
         assert meta["epoch"] == "4"
 
+    def test_resume_refuses_model_options_that_disagree(self, tmp_path, capsys):
+        data = tmp_path / "train.tsv"
+        write_dataset(data, overfit_corpus())
+        out1 = tmp_path / "r1"
+        assert main(_train_args(data, out1, epochs=1, extra=["--variant", "global"])) == 0
+        ckpt = out1 / "model.ckpt"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dec-layers=3\n", encoding="utf-8")
+        capsys.readouterr()
+        # refused before any data is read: this training file does not exist
+        out2 = tmp_path / "r2"
+        rc = main(_train_args(tmp_path / "missing.tsv", out2, epochs=1, extra=[
+            "--resume", str(ckpt), "--variant", "log-cad", "--enc-width", "64",
+            "--config", str(cfg_file)]))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {ckpt}: --variant log-cad disagrees with the checkpoint's "
+            "variant=global; --enc-width 64 disagrees with the checkpoint's enc_width=16; "
+            "--dec-layers 3 disagrees with the checkpoint's dec_layers=2\n")
+        assert captured.out == ""
+        assert not out2.exists()
+        # options that match the checkpoint are accepted
+        assert main(_train_args(data, out2, epochs=1,
+                                extra=["--resume", str(ckpt), "--variant", "global"])) == 0
+        from logcad.model import load_checkpoint
+        _, meta = load_checkpoint(out2 / "model.ckpt")
+        assert meta["variant"] == "global" and meta["epoch"] == "2"
+
     def test_non_finite_weight_fails_with_message(self, tmp_path, capsys):
         data = tmp_path / "train.tsv"
         write_dataset(data, overfit_corpus())
@@ -313,6 +342,22 @@ class TestDescribeCommand:
         assert named in err
         assert str(ckpt) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "describe"])
+    def test_wrong_vocab_file_fails_cleanly(self, trained_run, capsys, command):
+        # a dataset passed as --vocab: the error names that file
+        data, out = trained_run
+        inputs = {"evaluate": ["--data", str(data)],
+                  "describe": ["--phrase", "blue falcon",
+                               "--sentence", "the [TRG] near the harbor was seen ."]}
+        capsys.readouterr()
+        rc = main([command, "--ckpt", str(out / "model.ckpt"), "--vocab", str(data),
+                   *inputs[command]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {data}: Vocab: token list must start with the "
+                                "special tokens\n")
+        assert captured.out == ""
 
     def test_resume_from_checkpoint_without_variant_fails_cleanly(self, trained_run,
                                                                   tmp_path, capsys):

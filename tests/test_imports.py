@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read in that module."""
+"""Every name a module of the package imports is read in that module, and
+every name ``logcad.tensor`` exports is imported by another module."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,20 @@ def test_checker_flags_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# test support, called by the gradient-check tests only
+TENSOR_TEST_SUPPORT = {"gradient_check"}
+
+
+def test_every_tensor_export_is_used_by_the_package():
+    import logcad.tensor
+
+    imported = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "tensor.py":
+            imported |= {alias.name for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                         if isinstance(node, ast.ImportFrom) and node.module == "logcad.tensor"
+                         for alias in node.names}
+    unused = set(logcad.tensor.__all__) - TENSOR_TEST_SUPPORT - imported
+    assert sorted(unused) == []

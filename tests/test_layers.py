@@ -74,7 +74,7 @@ class TestLstmCell:
 
     def test_width_mismatch_rejected(self):
         p = LstmParams.create(np.random.default_rng(0), 3, 4)
-        with pytest.raises(ShapeError, match="lstm_cell"):
+        with pytest.raises(ShapeError, match="lstm_sequence"):
             lstm_cell(p, Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
 
     def test_gradient_check(self):
@@ -149,22 +149,26 @@ class TestLstmSequence:
         x = Tensor(np.zeros((1, 2, 4)))
         wx, b, wh = Tensor(np.zeros((4, 12))), Tensor(np.zeros(12)), Tensor(np.zeros((3, 12)))
         lengths = np.array([2])
-        for args in ((Tensor(np.zeros((1, 2, 5))), wx, b, wh),
-                     (x, Tensor(np.zeros((4, 8))), b, wh),
-                     (x, wx, Tensor(np.zeros(8)), wh),
-                     (x, wx, b, Tensor(np.zeros((3, 3))))):
+        h0 = c0 = Tensor(np.zeros((1, 3)))
+        for args in ((Tensor(np.zeros((1, 2, 5))), wx, b, wh, lengths, h0, c0),
+                     (x, Tensor(np.zeros((4, 8))), b, wh, lengths, h0, c0),
+                     (x, wx, Tensor(np.zeros(8)), wh, lengths, h0, c0),
+                     (x, wx, b, Tensor(np.zeros((3, 3))), lengths, h0, c0),
+                     (x, wx, b, wh, lengths, Tensor(np.zeros((2, 3))), c0),
+                     (x, wx, b, wh, lengths, h0, Tensor(np.zeros((1, 4))))):
             with pytest.raises(ShapeError, match="lstm_sequence"):
-                lstm_sequence(*args, lengths)
-        for bad in ([2, 2], [[2]], [2.0]):
+                lstm_sequence(*args)
+        for bad in ([2, 2], [[2]], [2.0], np.array([2], dtype=np.uint8)):
             with pytest.raises(ShapeError, match="lstm_sequence"):
-                lstm_sequence(x, wx, b, wh, np.array(bad))
+                lstm_sequence(x, wx, b, wh, np.array(bad), h0, c0)
 
     @pytest.mark.parametrize("length", [0, -1, 3])
     def test_length_outside_range_rejected(self, length):
         p = LstmParams.create(np.random.default_rng(0), 4, 3)
+        zero = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeError, match="lstm_sequence"):
             lstm_sequence(Tensor(np.zeros((2, 2, 4))), p.wx, p.b, p.wh,
-                          np.array([1, length]))
+                          np.array([1, length]), zero, zero)
 
     def test_encoder_tape_ops_do_not_grow_with_length(self):
         # each layer and direction is a fixed number of ops, whatever T is

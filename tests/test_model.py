@@ -33,7 +33,6 @@ from logcad.tensor import (
     masked_nll,
     matmul,
     reshape,
-    slice_axis,
     take_rows,
 )
 
@@ -447,6 +446,20 @@ class TestSequenceLoss:
                  if name == "matmul" and inputs[1] is model.params.out_w]
         assert [h.shape for h in heads] == [(real, len(vocab))]
 
+    def test_decoder_runs_one_kernel_op_per_layer_step(self):
+        # every decoder layer's step is one lstm_sequence op, as is every
+        # encoder layer and direction; no op slices gates out of a cell
+        vocab = toy_vocab()
+        cfg = tiny_config("log-cad")
+        model = DescriptionModel(cfg, vocab, toy_table(), seed=16, dtype=np.float64)
+        batch = make_batch(padded_entries(), vocab)
+        with GradGraph() as g:
+            model.forward_loss(batch, train=True)
+        names = [name for name, *_ in g.ops]
+        steps = batch.target_ids.shape[1]
+        assert names.count("lstm_sequence") == 2 * cfg.enc_layers + cfg.dec_layers * steps
+        assert "slice" not in names
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_loss_and_gradients_match_padded_computation(self, variant, monkeypatch):
         # the packed encoder and the real-rows head give the loss and every
@@ -491,7 +504,8 @@ def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None):
         h = c = Tensor(np.zeros((b, lp.hidden)))
         outs = []
         for k in range(t):
-            h, c = lstm_cell(lp, reshape(slice_axis(seq, 1, k, k + 1), (b, seq.shape[2])), h, c)
+            step = take_rows(reshape(seq, (b * t, seq.shape[2])), np.arange(b) * t + k)
+            h, c = lstm_cell(lp, step, h, c)
             outs.append(reshape(h, (b, 1, lp.hidden)))
         return concat(outs, axis=1)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from logcad.tensor import (
     GradGraph,
+    _record,
     ShapeError,
     Tensor,
     add,
@@ -20,7 +21,6 @@ from logcad.tensor import (
     reduce_sum,
     reshape,
     sigmoid,
-    slice_axis,
     softmax,
     sub,
     take_rows,
@@ -201,6 +201,26 @@ class TestBackward:
         g.backward(loss)
         npt.assert_allclose(x.grad, [5.0])  # 2x + 1 at x=2
 
+    def test_op_with_an_unused_output_runs_once_on_zeros(self):
+        # a two-output op runs once when any output is reached, and the
+        # gradient of an output the loss does not use arrives as zeros
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seen = []
+
+        def bw(grads):
+            seen.append(grads)
+            return (2.0 * grads[0] + 3.0 * grads[1],)
+
+        with GradGraph() as g:
+            doubled, tripled = _record("two", (2.0 * x.data, 3.0 * x.data), (x,), bw)
+            _dead_end = reduce_sum(doubled)  # recorded, but not part of the loss
+            loss = reduce_sum(mul(tripled, Tensor([5.0, 7.0])))
+        g.backward(loss)
+        assert len(seen) == 1
+        npt.assert_array_equal(seen[0][0], [0.0, 0.0])
+        npt.assert_array_equal(seen[0][1], [5.0, 7.0])
+        npt.assert_allclose(x.grad, [15.0, 21.0])
+
     def test_no_graph_means_no_recording(self):
         x = Tensor([1.0], requires_grad=True)
         y = mul(x, x)
@@ -267,22 +287,28 @@ class TestGradientCheckAllPrimitives:
 
     # rows of unequal lengths, including 1 and T (= 4), in no sorted order
     LSTM_LENGTHS = np.array([3, 1, 4])
-    LSTM_SHAPES = {"x": (3, 4, 2), "wx": (2, 8), "b": (8,), "wh": (2, 8)}
+    LSTM_SHAPES = {"x": (3, 4, 2), "wx": (2, 8), "b": (8,), "wh": (2, 8),
+                   "h0": (3, 2), "c0": (3, 2)}
 
-    def _lstm_sequence(self, arg):
+    def _lstm_sequence(self, arg, hidden_used=True):
         """Gradient check of lstm_sequence's ``arg`` input (batch 3, 4 steps,
-        2 inputs, hidden 2), forward and reverse."""
+        2 inputs, hidden 2), forward and reverse, from a random state; the
+        loss weighs the hidden states (unless ``hidden_used`` is False) and
+        the last cell states."""
         for seed, reverse in ((31, False), (35, True)):
             def build(rng):
                 consts = {k: Tensor(rng.normal(size=shape))
                           for k, shape in self.LSTM_SHAPES.items()}
                 w = Tensor(rng.normal(size=(3, 4, 2)))
+                v = Tensor(rng.normal(size=(3, 2)))
 
                 def f(t):
                     args = dict(consts, **{arg: t})
-                    out = lstm_sequence(args["x"], args["wx"], args["b"], args["wh"],
-                                        self.LSTM_LENGTHS, reverse=reverse)
-                    return reduce_sum(mul(out, w))
+                    out, c_last = lstm_sequence(
+                        args["x"], args["wx"], args["b"], args["wh"], self.LSTM_LENGTHS,
+                        args["h0"], args["c0"], reverse=reverse)
+                    last = reduce_sum(mul(c_last, v))
+                    return add(reduce_sum(mul(out, w)), last) if hidden_used else last
                 return f
             self._run(build, self.LSTM_SHAPES[arg], seed)
 
@@ -298,18 +324,22 @@ class TestGradientCheckAllPrimitives:
     def test_lstm_sequence_recurrent_weights(self):
         self._lstm_sequence("wh")
 
+    def test_lstm_sequence_initial_hidden(self):
+        self._lstm_sequence("h0")
+
+    def test_lstm_sequence_initial_cell(self):
+        self._lstm_sequence("c0")
+
+    def test_lstm_sequence_last_cell_alone(self):
+        # the hidden-state output reaches no loss: the op runs on a zero gradient
+        self._lstm_sequence("x", hidden_used=False)
+
     def test_concat(self):
         def build(rng):
             other = Tensor(rng.normal(size=(3, 2)))
             w = Tensor(rng.normal(size=(6, 1)))
             return lambda t: reduce_sum(matmul(concat([t, other], axis=1), w))
         self._run(build, (3, 4), 16)
-
-    def test_slice(self):
-        def build(rng):
-            w = Tensor(rng.normal(size=(3, 2)))
-            return lambda t: reduce_sum(mul(slice_axis(t, 1, 1, 3), w))
-        self._run(build, (3, 4), 17)
 
     def test_reshape(self):
         def build(rng):
@@ -368,11 +398,11 @@ class TestGradientCheckAllPrimitives:
         assert gradient_check(lambda t: reduce_sum(t), x) < 1e-10
 
 
-def _np_lstm(x, wx, b, wh):
-    """(n, D) tokens -> (n, H) hidden states, one numpy step per token."""
+def _np_lstm(x, wx, b, wh, h, c):
+    """(n, D) tokens from the state (h, c) -> the (n, H) hidden states and the
+    last cell state, one numpy step per token."""
     hid = wh.shape[0]
     sig = np.vectorize(scalar_sigmoid)
-    h = c = np.zeros(hid)
     out = []
     for x_t in x:
         z = x_t @ wx + b + h @ wh
@@ -380,7 +410,7 @@ def _np_lstm(x, wx, b, wh):
         c = sig(f) * c + sig(i) * np.tanh(g)
         h = sig(o) * np.tanh(c)
         out.append(h)
-    return np.array(out)
+    return np.array(out), c
 
 
 class TestLstmSequencePacked:
@@ -388,25 +418,29 @@ class TestLstmSequencePacked:
            st.integers(0, 3), st.integers(1, 3), st.integers(1, 3), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_rows_equal_unpadded_runs(self, seed, lengths, extra, dim, hid, reverse):
-        # each row reads only its own tokens: PAD columns hold NaN, and the
-        # outputs there, and the gradient reaching them, are exactly 0
+        # each row reads only its own tokens from its own initial state: PAD
+        # columns hold NaN, and the outputs there, and the gradient reaching
+        # them, are exactly 0
         rng = np.random.default_rng(seed)
         lengths = np.array(lengths)
         steps = int(lengths.max()) + extra
         valid = np.arange(steps)[None, :] < lengths[:, None]
         x = np.where(valid[:, :, None], rng.normal(size=(len(lengths), steps, dim)), np.nan)
         wx, b, wh = (rng.normal(size=s) for s in ((dim, 4 * hid), (4 * hid,), (hid, 4 * hid)))
+        h0, c0 = rng.normal(size=(2, len(lengths), hid))
         xt = Tensor(x, requires_grad=True)
         with GradGraph() as g:
-            out = lstm_sequence(xt, Tensor(wx), Tensor(b), Tensor(wh), lengths,
-                                reverse=reverse)
-            loss = reduce_sum(mul(out, Tensor(rng.normal(size=out.shape))))
+            out, c_last = lstm_sequence(xt, Tensor(wx), Tensor(b), Tensor(wh), lengths,
+                                        Tensor(h0), Tensor(c0), reverse=reverse)
+            loss = add(reduce_sum(mul(out, Tensor(rng.normal(size=out.shape)))),
+                       reduce_sum(mul(c_last, Tensor(rng.normal(size=c_last.shape)))))
         g.backward(loss)
         for r, n in enumerate(lengths):
             tokens = x[r, :n][::-1] if reverse else x[r, :n]
-            want = _np_lstm(tokens, wx, b, wh)
+            want, want_c = _np_lstm(tokens, wx, b, wh, h0[r], c0[r])
             npt.assert_allclose(out.data[r, :n], want[::-1] if reverse else want,
                                 rtol=0, atol=1e-12)
+            npt.assert_allclose(c_last.data[r], want_c, rtol=0, atol=1e-12)
         assert np.all(out.data[~valid] == 0.0)
         assert np.all(xt.grad[~valid] == 0.0)
         assert np.all(np.isfinite(xt.grad))
