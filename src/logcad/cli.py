@@ -22,6 +22,7 @@ from logcad.data import (
     format_stats,
     load_dataset,
     load_embeddings,
+    read_lines,
     tokenize,
     tokenize_with_marker,
     write_dataset,
@@ -84,16 +85,17 @@ class RunConfig:
 
 
 def _parse_config_file(path) -> dict:
+    """Option name -> (line number, raw value) of a ``key=value`` file; a
+    later line for the same key wins."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = (lineno, value.strip())
     return values
 
 
@@ -102,10 +104,15 @@ def given_options(args: argparse.Namespace) -> dict:
     defaults = {f.name: f.default for f in fields(RunConfig)}
     given = {}
     if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
+        for key, (lineno, raw) in _parse_config_file(args.config).items():
             if key not in defaults:
-                raise ValueError(f"unknown config key {key!r}")
-            given[key] = type(defaults[key])(raw)
+                raise ValueError(f"{args.config}:{lineno}: unknown config key {key!r}")
+            kind = type(defaults[key])
+            try:
+                given[key] = kind(raw)
+            except ValueError:
+                raise ValueError(f"{args.config}:{lineno}: {key}={raw!r} is not "
+                                 f"{'an integer' if kind is int else 'a number'}") from None
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -181,8 +188,8 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     start_epoch = 0
     if args.resume:
-        # load_model's two steps, called apart: the traced benchmark's
-        # train-full phase reports load_checkpoint and model init, not load_model
+        # load_model's two steps, called apart: the meta was read above to
+        # refuse clashing options before any data was read
         try:
             model = model_from_checkpoint(tensors, meta, vocab, table)
         except ValueError as e:
@@ -209,12 +216,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
-    entries = load_dataset(args.data)
+def _load_trained(args, cfg: RunConfig):
+    """The vocab, embedding table and model that ``evaluate`` and
+    ``describe`` decode with."""
+    if Path(args.ckpt).is_dir():
+        raise ValueError(f"{args.ckpt}: is a directory; --ckpt takes the checkpoint "
+                         f"file, such as {Path(args.ckpt) / 'model.ckpt'}")
     vocab = Vocab.load(args.vocab or Path(args.ckpt).with_name("vocab.txt"))
     table = None if args.emb is None else load_embeddings(args.emb, seed=cfg.seed)
     model, _meta = load_model(args.ckpt, vocab, table)
+    return vocab, table, model
+
+
+def cmd_evaluate(args) -> int:
+    cfg = resolve_config(args)
+    entries = load_dataset(args.data)
+    vocab, table, model = _load_trained(args, cfg)
     if not entries:
         print("error: no entries to evaluate", file=sys.stderr)
         return 1
@@ -276,9 +293,7 @@ def _locate_phrase(sentence: str, phrase: str) -> tuple[list, int]:
 
 def cmd_describe(args) -> int:
     cfg = resolve_config(args)
-    vocab = Vocab.load(args.vocab or Path(args.ckpt).with_name("vocab.txt"))
-    table = None if args.emb is None else load_embeddings(args.emb, seed=cfg.seed)
-    model, _meta = load_model(args.ckpt, vocab, table)
+    vocab, _table, model = _load_trained(args, cfg)
     context, pos = _locate_phrase(args.sentence, args.phrase)
     entry = Entry(phrase=tokenize(args.phrase), context=context, span=(pos, pos),
                   description=["-"])  # placeholder, unused by decoding

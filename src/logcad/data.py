@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,28 @@ UNK_INIT_SCALE = 0.08
 # punctuation detached as separate tokens
 _PUNCT_RE = re.compile(r"""([.,;:!?'"()])""")
 _TRG_RE = re.compile(re.escape(TRG_TOKEN), re.IGNORECASE)
+
+
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 text file, as text-mode ``open`` reads
+    them; bytes that are not UTF-8 raise ``ValueError`` naming ``path:line``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> ValueError:
+    # text mode decodes in chunks, so find the line by decoding line by line
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return ValueError(f"{path}:{lineno}: not UTF-8 ({e.reason}: byte "
+                                  f"0x{raw[e.start]:02x} at column {e.start + 1})")
+    return ValueError(f"{path}: not UTF-8")
 
 
 def tokenize(text: str) -> list[str]:
@@ -104,15 +126,14 @@ def read_entries(path) -> tuple[list[Entry], int]:
     """Parse a dataset TSV; invalid lines are skipped and counted."""
     entries: list[Entry] = []
     rejected = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(_parse_line(line))
-            except ValueError as e:
-                rejected += 1
-                log.debug("%s:%d rejected: %s", path, lineno, e)
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            entries.append(_parse_line(line))
+        except ValueError as e:
+            rejected += 1
+            log.debug("%s:%d rejected: %s", path, lineno, e)
     return entries, rejected
 
 
@@ -161,34 +182,33 @@ def load_embeddings(path, seed: int = 0) -> EmbeddingTable:
     one token plus ``width`` space-separated decimal floats per line."""
     vectors: dict[str, np.ndarray] = {}
     width: Optional[int] = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            parts = [p for p in parts if p]
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                except ValueError:
-                    pass
-                else:
-                    width = int(parts[1])
-                    continue
-            token, values = parts[0], parts[1:]
-            if width is None:
-                width = len(values)
-            if len(values) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} values, got {len(values)}"
-                )
+    for lineno, line in read_lines(path):
+        parts = line.rstrip("\n").split(" ")
+        parts = [p for p in parts if p]
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.asarray([float(v) for v in values])
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e} (vector of {token!r})") from None
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}:{lineno}: non-finite value for {token!r}")
-            vectors[token] = vec
+                int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                width = int(parts[1])
+                continue
+        token, values = parts[0], parts[1:]
+        if width is None:
+            width = len(values)
+        if len(values) != width:
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} values, got {len(values)}"
+            )
+        try:
+            vec = np.asarray([float(v) for v in values])
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e} (vector of {token!r})") from None
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{path}:{lineno}: non-finite value for {token!r}")
+        vectors[token] = vec
     if width is None:
         raise ValueError(f"{path}: no vectors found")
     return EmbeddingTable(vectors, width, seed)

@@ -51,9 +51,13 @@ from logcad.tensor import (
     Tensor,
     add,
     concat,
-    dropout,
+    dropout_mask,
+    lstm_sequence,
     masked_nll,
     matmul,
+    mul,
+    reshape,
+    select,
     take_rows,
 )
 
@@ -220,12 +224,15 @@ class _Session:
     enc_bias: Optional[np.ndarray]
 
     def take(self, rows) -> "_Session":
-        """The session made of rows ``rows`` of this one, in that order (rows
-        may repeat). Forward-only: the copies are not on any gradient tape."""
-        rows = np.asarray(rows, dtype=np.intp)
+        """The session made of rows ``rows`` of this one, in that order: a
+        slice or an index array. Each tensor is a ``select`` op, so on a
+        gradient tape the gradients flow back to this session, and the rows
+        must then be distinct; decoding records no tape and may repeat rows."""
+        if not isinstance(rows, slice):
+            rows = np.asarray(rows, dtype=np.intp)
 
         def pick(t):
-            return None if t is None else Tensor(t.data[rows])
+            return None if t is None else select(t, rows)
 
         return replace(self, layer_states=[(pick(h), pick(c)) for h, c in self.layer_states],
                        x_trg=pick(self.x_trg), c_trg=pick(self.c_trg),
@@ -296,71 +303,120 @@ class DescriptionModel:
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
                         enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
 
-    def _advance(self, session: _Session, prev_ids: Optional[np.ndarray],
-                 train: bool) -> tuple[Tensor, _Session]:
-        """One decoder step for every row of the session; returns the (gated)
-        output state and the next session. At step 0 the input is the phrase
-        embedding (zeros for local) and ``prev_ids`` is ignored."""
-        cfg = self.config
-        drop = cfg.dropout if train else 0.0
-        if session.step > 0:
-            x = take_rows(self.params.word_emb, prev_ids)
-        elif cfg.uses_global_embedding:
-            x = session.x_trg
-        else:
-            x = Tensor(np.zeros((session.layer_states[0][0].shape[0], cfg.word_emb_width),
-                                dtype=self.dtype))
-        if cfg.variant == "i-attention":
-            x = concat([x, session.x_masked], axis=1)
-        x = dropout(x, drop, self._drop_rng)
-        new_states = []
-        for k, lstm_p in enumerate(self.params.decoder):
-            h, c = session.layer_states[k]
-            if k > 0:
-                x = dropout(x, drop, self._drop_rng)
-            h, c = lstm_cell(lstm_p, x, h, c)
-            new_states.append((h, c))
-            x = h
-        s_t = x
+    def _first_input(self, session: _Session) -> Tensor:
+        """The decoder's input at step 0: the phrase embedding, or zeros for
+        local, which has none."""
+        if self.config.uses_global_embedding:
+            return session.x_trg
+        rows = session.layer_states[0][0].shape[0]
+        return Tensor(np.zeros((rows, self.config.word_emb_width), dtype=self.dtype))
 
-        if cfg.uses_gate:
-            feats = []
-            if cfg.uses_global_embedding:
-                feats.append(session.x_trg)
-            if cfg.uses_attention:
-                d_t, _alpha = attention(self.params.attn, session.enc_states, s_t,
-                                        mask_bias=session.enc_bias,
-                                        projected=session.enc_proj)
-                feats.append(d_t)
-            feats.append(session.c_trg)
-            s_out = gate(self.params.gate, s_t, concat(feats, axis=1))
+    def _top(self, session: _Session, x: Tensor) -> tuple[Tensor, Tensor]:
+        """The top decoder layer's step on input ``x`` from its state in
+        ``session``, then, for gated variants, attention and the fusion gate.
+        Returns the output state, on which the layer recurs, and the cell
+        state. Teacher forcing and decoding both step through here."""
+        cfg = self.config
+        h, c = lstm_cell(self.params.decoder[-1], x, *session.layer_states[-1])
+        if not cfg.uses_gate:
+            return h, c
+        feats = []
+        if cfg.uses_global_embedding:
+            feats.append(session.x_trg)
+        if cfg.uses_attention:
+            d_t, _alpha = attention(self.params.attn, session.enc_states, h,
+                                    mask_bias=session.enc_bias, projected=session.enc_proj)
+            feats.append(d_t)
+        feats.append(session.c_trg)
+        return gate(self.params.gate, h, concat(feats, axis=1)), c
+
+    def _advance(self, session: _Session,
+                 prev_ids: Optional[np.ndarray]) -> tuple[Tensor, _Session]:
+        """One decoding step for every row of the session, without dropout;
+        returns the output state and the next session. At step 0 ``prev_ids``
+        is ignored."""
+        if session.step == 0:
+            x = self._first_input(session)
         else:
-            s_out = s_t
-        # the top layer recurs on the output state, not on its own h
-        new_states[-1] = (s_out, new_states[-1][1])
-        return s_out, replace(session, step=session.step + 1, layer_states=new_states)
+            x = take_rows(self.params.word_emb, prev_ids)
+        if self.config.variant == "i-attention":
+            x = concat([x, session.x_masked], axis=1)
+        states = []
+        for lstm_p, (h, c) in zip(self.params.decoder[:-1], session.layer_states):
+            h, c = lstm_cell(lstm_p, x, h, c)
+            states.append((h, c))
+            x = h
+        states.append(self._top(session, x))
+        return states[-1][0], replace(session, step=session.step + 1, layer_states=states)
 
     # ------------------------------------------------------------------
     # training loss
 
+    def _dropout_masks(self, rows: int, steps: int) -> list[np.ndarray]:
+        """Each decoder layer's input dropout masks for all steps, (rows,
+        steps, input width), drawn step by step and layer by layer over all
+        rows, in the order that stepping every row would draw them."""
+        draws = [[dropout_mask((rows, p.input_dim), self.config.dropout, self._drop_rng,
+                               self.dtype) for p in self.params.decoder] for _ in range(steps)]
+        return [np.stack(layer, axis=1) for layer in zip(*draws)]
+
     def forward_loss(self, batch: Batch, train: bool = False) -> tuple[Tensor, dict]:
         """Teacher-forced mean negative log-likelihood per non-pad target
-        token, plus token counts in the aux dict."""
+        token, plus token counts in the aux dict.
+
+        Only real target positions are computed. The rows are sorted by
+        description length, longest first, so the rows still describing at
+        step t are a prefix of ``live[t]`` rows. Under teacher forcing every
+        input of the layers below the top is known in advance, so each of
+        them is one ``lstm_sequence``; so is the top layer of i-attention,
+        which has no gate. The gated top layer steps through ``_top`` on the
+        live rows only, and its stacked outputs are the real target rows,
+        time-major."""
         if len(batch) == 0:
             raise ValueError("forward_loss: empty batch")
+        cfg = self.config
         session = self._start(batch, train)
-        states = []
-        for t in range(batch.target_ids.shape[1]):
-            s_out, session = self._advance(session, batch.prev_ids[:, t], train)
-            states.append(s_out)
-        # one output head for the real target tokens of all steps: stacked
-        # row t*B + b is entry b at step t
-        real = np.flatnonzero(batch.target_mask.T)
-        logits = add(matmul(take_rows(concat(states, axis=0), real), self.params.out_w),
-                     self.params.out_b)
-        targets = batch.target_ids.T.reshape(-1)[real]
-        n_tokens = float(len(real))
-        loss = masked_nll(logits, targets, np.full(len(real), 1.0 / n_tokens))
+        rows, steps = batch.target_ids.shape
+        masks = self._dropout_masks(rows, steps) if train and cfg.dropout > 0.0 else None
+        lengths = batch.target_mask.sum(axis=1).astype(np.intp)  # description + <eos>
+        order = (-lengths).argsort(kind="stable")
+        lengths = lengths[order]
+        real = lengths > np.arange(steps)[:, None]  # (steps, rows), time-major
+        live = real.sum(axis=1)
+        session = session.take(order)
+
+        # every step's input: the first input, then the previous gold words
+        first = self._first_input(session)
+        x = concat([reshape(first, (rows, 1, first.shape[1])),
+                    take_rows(self.params.word_emb, batch.prev_ids[order, 1:])], axis=1)
+        if cfg.variant == "i-attention":
+            masked = session.x_masked
+            x = concat([x, add(Tensor(np.zeros(x.shape, dtype=self.dtype)),
+                               reshape(masked, (rows, 1, masked.shape[1])))], axis=2)
+        zero = Tensor(np.zeros((rows, cfg.dec_width), dtype=self.dtype))
+        for k, lstm_p in enumerate(self.params.decoder):
+            if masks is not None:
+                x = mul(x, Tensor(masks[k][order]))
+            if k < cfg.dec_layers - 1 or not cfg.uses_gate:
+                x, _c = lstm_sequence(x, lstm_p.wx, lstm_p.b, lstm_p.wh, lengths, zero, zero)
+        if cfg.uses_gate:
+            states = []
+            for t, n in enumerate(live):
+                if t and n < live[t - 1]:
+                    session = session.take(slice(0, n))
+                s_out, c = self._top(session, select(x, np.s_[:n, t]))
+                # only the top layer steps; the lower layers' states go unused
+                session = replace(session, layer_states=[*session.layer_states[:-1], (s_out, c)])
+                states.append(s_out)
+            out = concat(states, axis=0)
+        else:
+            steps_of, rows_of = real.nonzero()
+            out = select(x, (rows_of, steps_of))
+
+        logits = add(matmul(out, self.params.out_w), self.params.out_b)
+        targets = batch.target_ids[order].T[real]
+        n_tokens = float(len(targets))
+        loss = masked_nll(logits, targets, np.full(len(targets), 1.0 / n_tokens))
         correct = int((np.argmax(logits.data, axis=1) == targets).sum())
         return loss, {"tokens": n_tokens, "correct": correct}
 
@@ -382,7 +438,7 @@ class DescriptionModel:
         rows = session.layer_states[0][0].shape[0]
         if prev is not None and prev.shape != (rows,):
             raise ValueError(f"step: {prev.shape} prev_ids for {rows} session rows")
-        s_out, session = self._advance(session, prev, train=False)
+        s_out, session = self._advance(session, prev)
         logits = s_out.data @ self.params.out_w.data + self.params.out_b.data
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)), session

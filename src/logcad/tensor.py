@@ -39,9 +39,11 @@ __all__ = [
     "reduce_max",
     "reduce_sum",
     "take_rows",
+    "select",
     "masked_nll",
     "lstm_sequence",
     "dropout",
+    "dropout_mask",
     "gradient_check",
 ]
 
@@ -365,6 +367,19 @@ def take_rows(table: Tensor, ids) -> Tensor:
     return _record("take_rows", table.data[ids], (table, ids), bw)
 
 
+def select(x: Tensor, key) -> Tensor:
+    """``x.data[key]`` for a ``key`` that picks each element at most once:
+    slices, or distinct indices such as a permutation. The backward pass
+    assigns the gradient into zeros, where ``take_rows`` must sum it."""
+
+    def bw(g):
+        gx = np.zeros(x.shape, dtype=x.dtype)
+        gx[key] = g
+        return gx, None
+
+    return _record("select", x.data[key], (x, key), bw)
+
+
 def masked_nll(logits: Tensor, targets, weights) -> Tensor:
     """``sum_n weights[n] * -log softmax(logits[n])[targets[n]]`` for (N, V)
     ``logits``; ``targets`` and ``weights`` are not differentiated. The
@@ -502,16 +517,21 @@ def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths, h0: Ten
     return _record("lstm_sequence", (out, c_last), (x, wx, b, wh, lengths, h0, c0), bw)
 
 
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """The multiplier of inverted dropout at rate ``p``: each unit is 0 with
+    probability ``p`` and 1/(1-p) otherwise, one ``rng.random`` draw per unit."""
+    if p >= 1.0:
+        raise ValueError("dropout: rate must be < 1")
+    return (rng.random(shape) >= p).astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
+
+
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-p), so inference applies
     no rescaling. The sampled mask enters the graph as a constant. A rate of
     0 returns ``x`` itself and draws nothing from ``rng``."""
     if p <= 0.0:
         return x
-    if p >= 1.0:
-        raise ValueError("dropout: rate must be < 1")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype)
-    return mul(x, Tensor(keep))
+    return mul(x, Tensor(dropout_mask(x.shape, p, rng, x.dtype)))
 
 
 # ---------------------------------------------------------------------------

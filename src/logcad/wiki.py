@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from logcad.data import Entry, TRG_TOKEN, tokenize, tokenize_with_marker
+from logcad.data import Entry, TRG_TOKEN, read_lines, tokenize, tokenize_with_marker
 
 _LINK_RE = re.compile(r"\[\[([^\[\]|]+?)(?:\|([^\[\]]*?))?\]\]")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?]) ")
@@ -148,13 +148,9 @@ def extract_wikipedia(articles: Iterable[tuple[str, str]],
 def read_articles(path) -> list[tuple[str, str]]:
     """TSV of ``title <TAB> first-paragraph text``, one article per line."""
     articles = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t", 1)
-            if len(fields) != 2:
-                continue
+    for _lineno, line in read_lines(path):
+        fields = line.rstrip("\n").split("\t", 1)
+        if line.strip() and len(fields) == 2:
             articles.append((fields[0], fields[1]))
     return articles
 
@@ -162,13 +158,9 @@ def read_articles(path) -> list[tuple[str, str]]:
 def read_items(path) -> dict[str, str]:
     """TSV of ``title <TAB> description``; later duplicates win."""
     items: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t", 1)
-            if len(fields) != 2:
-                continue
+    for _lineno, line in read_lines(path):
+        fields = line.rstrip("\n").split("\t", 1)
+        if line.strip() and len(fields) == 2:
             items[fields[0]] = fields[1]
     return items
 

@@ -436,3 +436,67 @@ def test_missing_input_file_fails_cleanly(trained_run, tmp_path, capsys, command
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "o").exists()
+
+
+def _non_utf8_copy(src, dst, line):
+    """``dst`` holds ``src`` with a 0xff byte at the start of line ``line``."""
+    lines = src.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    dst.write_bytes(b"".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("reader", ["dataset", "embeddings", "articles", "items", "config"])
+def test_non_utf8_text_file_names_path_and_line(trained_run, dump, tmp_path, capsys, reader):
+    data, out = trained_run
+    articles, items = dump
+    emb = tmp_path / "vectors.txt"
+    emb.write_text("".join(f"w{i} 0.1 0.2\n" for i in range(4)), encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\nbeam=2\nmax_len=5\n", encoding="utf-8")
+    bad = tmp_path / "bad"
+    source, argv = {
+        "dataset": (data, ["evaluate", "--data", bad, "--ckpt", out / "model.ckpt"]),
+        "embeddings": (emb, ["evaluate", "--data", data, "--ckpt", out / "model.ckpt",
+                             "--emb", bad]),
+        "articles": (articles, ["extract", "--articles", bad, "--items", items,
+                                "--out", tmp_path / "o"]),
+        "items": (items, ["extract", "--articles", articles, "--items", bad,
+                          "--out", tmp_path / "o"]),
+        "config": (cfg, ["evaluate", "--data", data, "--ckpt", out / "model.ckpt",
+                         "--config", bad]),
+    }[reader]
+    _non_utf8_copy(source, bad, line=3)
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {bad}:3: not UTF-8 (invalid start byte: byte 0xff "
+                            "at column 1)\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("line,value,kind", [("enc_width=abc", "'abc'", "an integer"),
+                                             ("lr = 1e-3x", "'1e-3x'", "a number")])
+def test_bad_config_value_names_file_line_and_key(tmp_path, capsys, line, value, kind):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# options\nseed=3\n{line}\n", encoding="utf-8")
+    rc = main(["train", "--train", str(tmp_path / "unread.tsv"), "--out", str(tmp_path / "o"),
+               "--config", str(cfg)])
+    assert rc == 1
+    key = line.split("=")[0].strip()
+    assert capsys.readouterr().err == f"error: {cfg}:3: {key}={value} is not {kind}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "describe"])
+def test_checkpoint_directory_named(trained_run, capsys, command):
+    data, out = trained_run
+    inputs = {"evaluate": ["--data", str(data)],
+              "describe": ["--phrase", "blue falcon",
+                           "--sentence", "the [TRG] near the harbor was seen ."]}
+    capsys.readouterr()
+    assert main([command, "--ckpt", str(out), *inputs[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {out}: is a directory; --ckpt takes the checkpoint "
+                            f"file, such as {out / 'model.ckpt'}\n")
+    assert captured.out == ""

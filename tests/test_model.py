@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import logcad.model
 from logcad.data import EmbeddingTable, Entry, Vocab, make_batch
 from logcad.decode import greedy_decode
-from logcad.layers import MaskNetParams, lstm_cell
+from logcad.layers import MaskNetParams, attention, gate, lstm_cell
 from logcad.model import (
     VARIANTS,
     DescriptionModel,
@@ -340,10 +340,10 @@ class TestSequenceLoss:
         model.params.out_b.data[:] = 0.0
         states = iter(np.eye(steps, TINY["dec_width"]))
 
-        def rigged(session, prev_ids, train):
-            return Tensor(next(states)[None, :]), session
+        def rigged(session, x):
+            return Tensor(next(states)[None, :]), Tensor(np.zeros((1, TINY["dec_width"])))
 
-        monkeypatch.setattr(model, "_advance", rigged)
+        monkeypatch.setattr(model, "_top", rigged)
         loss, aux = model.forward_loss(batch)
         assert loss.item() < 1e-6
         assert aux["correct"] == aux["tokens"]
@@ -447,24 +447,36 @@ class TestSequenceLoss:
         assert [h.shape for h in heads] == [(real, len(vocab))]
 
     def test_decoder_runs_one_kernel_op_per_layer_step(self):
-        # every decoder layer's step is one lstm_sequence op, as is every
-        # encoder layer and direction; no op slices gates out of a cell
+        # every encoder layer and direction is one lstm_sequence op, and so is
+        # every decoder layer below the top (i-attention: the whole stack); a
+        # gated top layer is one op per step over the rows still describing
         vocab = toy_vocab()
-        cfg = tiny_config("log-cad")
-        model = DescriptionModel(cfg, vocab, toy_table(), seed=16, dtype=np.float64)
         batch = make_batch(padded_entries(), vocab)
-        with GradGraph() as g:
-            model.forward_loss(batch, train=True)
-        names = [name for name, *_ in g.ops]
         steps = batch.target_ids.shape[1]
-        assert names.count("lstm_sequence") == 2 * cfg.enc_layers + cfg.dec_layers * steps
-        assert "slice" not in names
+        live = [int((batch.target_mask[:, t] > 0).sum()) for t in range(steps)]
+        assert live[-1] < live[0]  # some rows finish before others
+        for variant in VARIANTS:
+            cfg = tiny_config(variant)
+            model = DescriptionModel(cfg, vocab, toy_table(), seed=16, dtype=np.float64)
+            with GradGraph() as g:
+                model.forward_loss(batch, train=True)
+            names = [name for name, *_ in g.ops]
+            kernels = [inputs for name, inputs, *_ in g.ops if name == "lstm_sequence"]
+            encoder = 2 * cfg.enc_layers if cfg.uses_encoder else 0
+            if cfg.uses_gate:
+                assert len(kernels) == encoder + (cfg.dec_layers - 1) + steps, variant
+                assert [x.shape[0] for x, *_ in kernels[-steps:]] == live, variant
+            else:
+                assert len(kernels) == encoder + cfg.dec_layers, variant
+            assert "slice" not in names
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_loss_and_gradients_match_padded_computation(self, variant, monkeypatch):
-        # the packed encoder and the real-rows head give the loss and every
-        # parameter gradient of running the encoder over every padded position
-        # and scoring every stacked row with its mask as weight
+        # the packed encoder, the live-rows decoder and the real-rows head give
+        # the loss, every parameter gradient and the dropout stream of running
+        # the encoder over every padded position, stepping every row through
+        # every decoder layer and scoring every stacked row with its mask as
+        # weight, for 1 to 3 decoder layers
         vocab = toy_vocab()
         batch = make_batch(padded_entries(), vocab)
 
@@ -472,20 +484,25 @@ class TestSequenceLoss:
             with GradGraph() as g:
                 loss, _ = model.forward_loss(batch, train=True)
             g.backward(loss)
-            return loss.item(), {name: t.grad for name, t in model.params.named()}
+            return (loss.item(), {name: t.grad for name, t in model.params.named()},
+                    model._drop_rng.bit_generator.state)
 
-        def fresh():
-            return DescriptionModel(tiny_config(variant), vocab, toy_table(),
-                                    seed=21, dtype=np.float64)
+        def fresh(dec_layers):
+            cfg = ModelConfig(variant=variant, **{**TINY, "dec_layers": dec_layers})
+            return DescriptionModel(cfg, vocab, toy_table(), seed=21, dtype=np.float64)
 
-        got_loss, got = grads(fresh())
-        monkeypatch.setattr(logcad.model, "bilstm_encode", padded_bilstm_encode)
-        monkeypatch.setattr(DescriptionModel, "forward_loss", padded_forward_loss)
-        want_loss, want = grads(fresh())
-        assert got_loss == pytest.approx(want_loss, rel=0, abs=1e-12)
-        assert got.keys() == want.keys()
-        for name in want:
-            npt.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+        for dec_layers in (1, 2, 3):
+            got_loss, got, got_rng = grads(fresh(dec_layers))
+            with monkeypatch.context() as m:
+                m.setattr(logcad.model, "bilstm_encode", padded_bilstm_encode)
+                m.setattr(DescriptionModel, "forward_loss", padded_forward_loss)
+                want_loss, want, want_rng = grads(fresh(dec_layers))
+            assert got_loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+            assert got.keys() == want.keys()
+            for name in want:
+                npt.assert_allclose(got[name], want[name], rtol=0, atol=1e-12,
+                                    err_msg=f"{name}, {dec_layers} decoder layers")
+            assert got_rng == want_rng
 
 
 def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None):
@@ -518,13 +535,41 @@ def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None):
 
 
 def padded_forward_loss(self, batch, train=False):
-    """``forward_loss`` scoring every stacked row, padded ones at weight 0."""
+    """``forward_loss`` computed step by step on every row: each step runs
+    every row through each decoder layer's ``lstm_cell``, the top layer of a
+    gated variant recurring on its gated output, and draws each layer's
+    dropout over all rows before that layer; every stacked row is scored,
+    padded ones at weight 0."""
+    cfg = self.config
+    p = self.params
+    drop = cfg.dropout if train else 0.0
     session = self._start(batch, train)
+    rows = len(batch)
+    layer_states = [(Tensor(np.zeros((rows, cfg.dec_width))),) * 2 for _ in p.decoder]
     states = []
     for t in range(batch.target_ids.shape[1]):
-        s_out, session = self._advance(session, batch.prev_ids[:, t], train)
-        states.append(s_out)
-    logits = add(matmul(concat(states, axis=0), self.params.out_w), self.params.out_b)
+        if t:
+            x = take_rows(p.word_emb, batch.prev_ids[:, t])
+        elif cfg.uses_global_embedding:
+            x = session.x_trg
+        else:
+            x = Tensor(np.zeros((rows, cfg.word_emb_width)))
+        if cfg.variant == "i-attention":
+            x = concat([x, session.x_masked], axis=1)
+        for k, lp in enumerate(p.decoder):
+            x = dropout(x, drop, self._drop_rng)
+            h, c = lstm_cell(lp, x, *layer_states[k])
+            if k == cfg.dec_layers - 1 and cfg.uses_gate:
+                feats = [session.x_trg] if cfg.uses_global_embedding else []
+                if cfg.uses_attention:
+                    feats.append(attention(p.attn, session.enc_states, h,
+                                           mask_bias=session.enc_bias,
+                                           projected=session.enc_proj)[0])
+                h = gate(p.gate, h, concat(feats + [session.c_trg], axis=1))
+            layer_states[k] = (h, c)
+            x = h
+        states.append(x)
+    logits = add(matmul(concat(states, axis=0), p.out_w), p.out_b)
     mask = batch.target_mask.T.reshape(-1)
     loss = masked_nll(logits, batch.target_ids.T.reshape(-1), mask / mask.sum())
     return loss, {"tokens": float(mask.sum())}
