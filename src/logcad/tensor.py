@@ -13,7 +13,11 @@ Conventions:
   * float64 is the default dtype (used by the gradient-check tests),
     training code builds float32 parameters explicitly;
   * a tensor used several times in a graph sums the gradients from each
-    use, which is what weight sharing across time steps requires.
+    use, which is what weight sharing across time steps requires. The second
+    use's gradient and the first are summed into a buffer the graph
+    allocates, and later uses add into that buffer in place;
+  * after ``backward``, every leaf gradient is writable and shares no memory
+    with another leaf's, so an optimizer may scale or update it in place.
 """
 
 from __future__ import annotations
@@ -137,9 +141,11 @@ class GradGraph:
             raise ValueError(
                 f"backward: loss must be scalar, got shape {loss.shape}"
             )
-        # id -> (tensor, gradient); holding the tensor keeps its id unique
-        acc: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(loss): (loss, np.ones_like(loss.data))}
+        # id -> [tensor, gradient, whether the graph owns the gradient];
+        # holding the tensor keeps its id unique. Only an owned buffer is
+        # written in place: an array a backward function returned may be a
+        # view of another gradient (reshape, concat) or go to two inputs (add).
+        acc: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data), True]}
         for _name, inputs, out, backward_fn in reversed(self.ops):
             outs = out if isinstance(out, tuple) else (out,)
             reached = [acc.pop(id(o), None) for o in outs]
@@ -151,9 +157,28 @@ class GradGraph:
                 if gin is None or not isinstance(tin, Tensor) or not tin.requires_grad:
                     continue
                 prev = acc.get(id(tin))
-                acc[id(tin)] = (tin, gin if prev is None else prev[1] + gin)
-        for t, g in acc.values():
-            t.grad = g if t.grad is None else t.grad + g
+                if prev is None:
+                    acc[id(tin)] = [tin, gin, False]
+                elif prev[2]:
+                    prev[1] += gin
+                else:
+                    prev[1], prev[2] = prev[1] + gin, True
+        # a leaf keeps an array a backward function returned unless it is
+        # read-only (reduce_sum's broadcast) or its memory is already another
+        # leaf's; those are copied, so leaf gradients can be written in place
+        leaf_memory: set[int] = set()
+        for t, g, owned in acc.values():
+            if t.grad is not None:
+                g = t.grad + g
+            elif not owned:
+                root = g
+                while isinstance(root.base, np.ndarray):
+                    root = root.base
+                if not g.flags.writeable or id(root) in leaf_memory:
+                    g = g.copy()
+                else:
+                    leaf_memory.add(id(root))
+            t.grad = g
 
 
 def _record(name: str, out_data, inputs: tuple, backward_fn: Callable[..., Sequence]):
@@ -353,7 +378,9 @@ def take_rows(table: Tensor, ids) -> Tensor:
     """Embedding lookup: ``out[..., :] = table[ids[...], :]``.
 
     ``ids`` is an integer array (not differentiated); duplicates sum their
-    gradients into the same table row.
+    gradients into the same table row. The backward pass sorts the ids
+    (stably), sums each run of equal ids with one ``np.add.reduceat`` and
+    writes the sums into a zero table with one scatter.
     """
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
@@ -361,7 +388,13 @@ def take_rows(table: Tensor, ids) -> Tensor:
 
     def bw(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        flat = ids.reshape(-1) % len(gt)  # -1 and len(gt)-1 are one row
+        if flat.size:
+            order = flat.argsort(kind="stable")
+            sorted_ids = flat[order]
+            starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+            rows = g.reshape((flat.size,) + table.shape[1:])[order]
+            gt[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
         return gt, None
 
     return _record("take_rows", table.data[ids], (table, ids), bw)

@@ -38,8 +38,16 @@ class TrainSettings:
                              f"got {self.clip_norm}")
 
 
+# Adam and clipping walk each tensor in blocks of this many elements, so that
+# a block's weights, moments and gradients stay in cache across the update's
+# passes and each element crosses memory once.
+BLOCK = 1 << 15
+
+
 class Adam:
-    """Adaptive-moment update of every tensor from its ``grad``."""
+    """Adaptive-moment update of every tensor from its ``grad``, in place:
+    ``t.data`` stays the same array, so a weight adopted from a checkpoint
+    buffer keeps being a view of that buffer."""
 
     def __init__(self, tensors: Sequence[Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -49,33 +57,63 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(t.data) for t in self.tensors]
-        self._v = [np.zeros_like(t.data) for t in self.tensors]
+        for t in self.tensors:
+            if not t.data.flags.c_contiguous:
+                raise ValueError(f"Adam: weights of shape {t.shape} are not C-contiguous, "
+                                 "so they cannot be updated in place")
+        self._m = [np.zeros(t.size, dtype=t.dtype) for t in self.tensors]
+        self._v = [np.zeros(t.size, dtype=t.dtype) for t in self.tensors]
+        # two scratch blocks per dtype hold the update's temporaries
+        self._scratch = {dtype: (np.empty(BLOCK, dtype), np.empty(BLOCK, dtype))
+                         for dtype in {t.dtype for t in self.tensors}}
 
     def step(self) -> None:
+        """``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+        ``w -= lr * (m/bias1) / (sqrt(v/bias2) + eps)``, with the operations
+        in this order and rounded in the weights' dtype."""
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
-        for i, t in enumerate(self.tensors):
-            g = t.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            t.data = t.data - (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(t.dtype)
+        for t, m_all, v_all in zip(self.tensors, self._m, self._v):
+            w_all, g_all = t.data.reshape(-1), t.grad.reshape(-1)
+            a_all, b_all = self._scratch[t.dtype]
+            for lo in range(0, w_all.size, BLOCK):
+                block = slice(lo, lo + BLOCK)
+                w, g, m, v = w_all[block], g_all[block], m_all[block], v_all[block]
+                a, b = a_all[:w.size], b_all[:w.size]
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - self.beta2
+                v += a
+                np.divide(m, bias1, out=a)
+                a *= self.lr
+                np.divide(v, bias2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                w -= a
 
 
 def clip_gradients(tensors: Sequence[Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``;
-    returns the pre-clip norm."""
+    """Scale all gradients in place so their global L2 norm is at most
+    ``max_norm``; returns the pre-clip norm, summed in float64. A norm that is
+    not finite scales nothing."""
     total = 0.0
+    buf = np.empty(BLOCK, dtype=np.float64)
     for t in tensors:
-        total += float((t.grad.astype(np.float64) ** 2).sum())
+        g = t.grad.reshape(-1)
+        for lo in range(0, g.size, BLOCK):
+            b = buf[:min(BLOCK, g.size - lo)]
+            b[...] = g[lo:lo + BLOCK]
+            total += float(np.dot(b, b))
     norm = math.sqrt(total)
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and math.isfinite(norm) and norm > max_norm:
         scale = max_norm / norm
         for t in tensors:
-            t.grad = (t.grad * scale).astype(t.grad.dtype)
+            t.grad *= scale
     return norm
 
 

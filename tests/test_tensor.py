@@ -26,6 +26,7 @@ from logcad.tensor import (
     take_rows,
     tanh,
 )
+from logcad.train import clip_gradients
 from oracles import sigmoid as scalar_sigmoid
 
 
@@ -200,6 +201,52 @@ class TestBackward:
             loss = reduce_sum(add(mul(x, x), x))
         g.backward(loss)
         npt.assert_allclose(x.grad, [5.0])  # 2x + 1 at x=2
+
+    def test_leaf_gradients_are_writable_and_unshared(self):
+        # add hands one array to its two equal-shaped leaves, c is reached
+        # only through reduce_sum's read-only broadcast, and d is used three
+        # times through reshape and concat, whose gradients are views
+        rng = np.random.default_rng(8)
+        a, b, c, d = (Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float32)
+                      for _ in range(4))
+        k = rng.normal(size=(3, 4)).astype(np.float32)
+        w = rng.normal(size=(9, 4)).astype(np.float32)
+        with GradGraph() as g:
+            stacked = concat([d, reshape(reshape(d, (4, 3)), (3, 4)), d], axis=0)
+            loss = add(add(reduce_sum(mul(add(a, b), Tensor(k))), reduce_sum(c)),
+                       reduce_sum(mul(stacked, Tensor(w))))
+        g.backward(loss)
+        leaves = [a, b, c, d]
+        w64 = w.astype(np.float64)
+        ref = [k.astype(np.float64)] * 2 + [np.ones((3, 4)), w64[:3] + w64[3:6] + w64[6:]]
+        for t, r in zip(leaves, ref):
+            npt.assert_allclose(t.grad, r, rtol=1e-6)
+        for i, t in enumerate(leaves):
+            assert t.grad.flags.writeable
+            for u in leaves[i + 1:]:
+                assert not np.shares_memory(t.grad, u.grad)
+        norm = np.sqrt(sum((r * r).sum() for r in ref))
+        assert clip_gradients(leaves, 1.0) == pytest.approx(norm, rel=1e-6)
+        for t, r in zip(leaves, ref):
+            npt.assert_allclose(t.grad, r / norm, rtol=1e-6)
+
+    def test_fresh_leaf_gradients_are_not_copied(self):
+        # a weight's GEMM gradient and a table's take_rows gradient are fresh
+        # arrays, which the leaves keep as the backward functions returned them
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        with GradGraph() as g:
+            loss = reduce_sum(matmul(take_rows(table, np.array([[1, 2], [2, 5]])), w))
+        returned = {}
+        for i, (name, inputs, out, bw) in enumerate(g.ops):
+            def spy(grads, bw=bw, name=name):
+                returned[name] = bw(grads)
+                return returned[name]
+            g.ops[i] = (name, inputs, out, spy)
+        g.backward(loss)
+        assert w.grad is returned["matmul"][1]
+        assert table.grad is returned["take_rows"][0]
 
     def test_op_with_an_unused_output_runs_once_on_zeros(self):
         # a two-output op runs once when any output is reached, and the
@@ -444,6 +491,35 @@ class TestLstmSequencePacked:
         assert np.all(out.data[~valid] == 0.0)
         assert np.all(xt.grad[~valid] == 0.0)
         assert np.all(np.isfinite(xt.grad))
+
+
+class TestTakeRowsBackward:
+    def test_empty_ids_give_a_zero_table(self):
+        table = Tensor(np.ones((5, 3)), requires_grad=True)
+        with GradGraph() as g:
+            loss = reduce_sum(take_rows(table, np.zeros((2, 0), dtype=np.int64)))
+        g.backward(loss)
+        npt.assert_array_equal(table.grad, np.zeros((5, 3)))
+
+    def test_heavy_duplicates_match_a_float64_reference(self):
+        rng = np.random.default_rng(10)
+        # about 512 uses of each of 5 ids; -2 and 48 name the same row
+        ids = rng.choice([-2, -1, 0, 1, 48], size=(64, 40))
+        up = rng.normal(size=(64, 40, 8)).astype(np.float32)
+        table = Tensor(np.zeros((50, 8)), requires_grad=True, dtype=np.float32)
+        with GradGraph() as g:
+            loss = reduce_sum(mul(take_rows(table, ids), Tensor(up)))
+        g.backward(loss)
+        ref = np.zeros((50, 8))
+        np.add.at(ref, ids, up.astype(np.float64))
+        magnitude = np.zeros((50, 8))
+        np.add.at(magnitude, ids, np.abs(up.astype(np.float64)))
+        uses = np.bincount(ids.ravel() % 50, minlength=50)[:, None]
+        # the summation order differs from np.add.at's; any float32 order of n
+        # terms errs by at most n * eps32 times the sum of their magnitudes
+        bound = uses * np.finfo(np.float32).eps * magnitude
+        assert np.all(np.abs(table.grad - ref) <= bound)
+        assert not table.grad[2:48].any()
 
 
 class TestUtilities:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +9,7 @@ from corpora import overfit_corpus
 from logcad.data import Entry, build_vocab
 from logcad.model import DescriptionModel, ModelConfig
 from logcad.tensor import GradGraph, Tensor, reduce_sum, mul
-from logcad.train import Adam, TrainSettings, clip_gradients, token_accuracy, train
+from logcad.train import BLOCK, Adam, TrainSettings, clip_gradients, token_accuracy, train
 
 SMALL = dict(enc_width=16, dec_width=16, attn_width=16, word_emb_width=16, dropout=0.0)
 
@@ -28,6 +31,46 @@ class TestAdam:
             g.backward(loss)
             opt.step()
         npt.assert_allclose(x.data, 0.0, atol=1e-3)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_update_equals_out_of_place_formula(self, dtype):
+        # the out-of-place update, kept here as the reference
+        def reference(w, m, v, g, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * (g * g)
+            m_hat = m / (1.0 - beta1 ** step)
+            v_hat = v / (1.0 - beta2 ** step)
+            return w - (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(w.dtype), m, v
+
+        rng = np.random.default_rng(12)
+        shapes = [(7, BLOCK // 3), (1,)]  # over two blocks and not a multiple; one element
+        assert math.prod(shapes[0]) > BLOCK and math.prod(shapes[0]) % BLOCK
+        # the weights are views of one buffer, as load_params_into adopts them
+        sizes = [math.prod(s) for s in shapes]
+        buf = rng.normal(size=sum(sizes)).astype(dtype)
+        tensors = [Tensor(buf[:sizes[0]].reshape(shapes[0]), requires_grad=True),
+                   Tensor(buf[sizes[0]:].reshape(shapes[1]), requires_grad=True)]
+        arrays = [t.data for t in tensors]
+        state = [(t.data.copy(), np.zeros(t.shape, dtype), np.zeros(t.shape, dtype))
+                 for t in tensors]
+        opt = Adam(tensors, lr=1e-2)
+        for step in range(1, 5):
+            for k, t in enumerate(tensors):
+                t.grad = (rng.normal(size=t.shape) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+                t.grad[rng.random(t.shape) < 0.1] = 0.0
+                state[k] = reference(*state[k], t.grad, step, lr=1e-2)
+            opt.step()
+            for t, array, (w, _m, _v) in zip(tensors, arrays, state):
+                assert t.data is array
+                assert w.dtype == dtype
+                npt.assert_array_equal(t.data, w)
+        npt.assert_array_equal(buf, np.concatenate([w.reshape(-1) for w, _m, _v in state]))
+
+    def test_weights_that_cannot_be_updated_in_place_rejected(self):
+        w = Tensor(np.zeros((3, 4)).T, requires_grad=True)
+        with pytest.raises(ValueError, match=r"shape \(4, 3\) are not C-contiguous"):
+            Adam([w])
 
 
 class TestClip:
@@ -126,5 +169,26 @@ class TestNonFiniteGuard:
         with pytest.raises(ValueError, match=r"epoch 1, batch 1: loss nan, gradient norm nan; "
                                              r"first non-finite gradient in group word_emb"):
             train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0))
+        for t, b in zip(model.params.tensors(), before):
+            npt.assert_array_equal(t.data, b)
+
+    def test_inf_gradient_stops_before_the_update_without_a_warning(self, monkeypatch):
+        entries = overfit_corpus()
+        model = small_model(entries)
+        wh = model.params.decoder[0].wh
+
+        class InfGradGraph(GradGraph):
+            def backward(self, loss):
+                super().backward(loss)
+                wh.grad[0, 0] = np.inf
+
+        monkeypatch.setattr("logcad.train.GradGraph", InfGradGraph)
+        before = [t.data.copy() for t in model.params.tensors()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"epoch 1, batch 1: loss [0-9.]+, gradient "
+                                                 r"norm inf; first non-finite gradient in "
+                                                 r"group decoder \(decoder\.l0\.wh\)"):
+                train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0))
         for t, b in zip(model.params.tensors(), before):
             npt.assert_array_equal(t.data, b)
