@@ -1,16 +1,16 @@
 """Command-line entry points: extract, train, evaluate, describe.
 
-Options resolve in order: built-in defaults, then a ``--config`` file of
-flat ``key=value`` lines, then explicit flags. One seed governs all
-randomness (parameter init, shuffling, dropout, the UNK vector), so every
-command is deterministic given its inputs and seed.
+Options resolve in order: their owners' defaults (``OPTIONS``), then a
+``--config`` file of flat ``key=value`` lines, then explicit flags. One seed
+governs all randomness (parameter init, shuffling, dropout, the UNK vector),
+so every command is deterministic given its inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,7 @@ from logcad.data import (
     write_dataset,
     Entry,
 )
-from logcad.decode import beam_search, decode_batch
+from logcad.decode import DEFAULT_MAX_LEN, beam_search, check_search, decode_batch
 # not called here; perfbench's tracer wraps it under this module's name
 from logcad.decode import greedy_decode  # noqa: F401
 from logcad.evaluate import (
@@ -41,87 +41,69 @@ from logcad.evaluate import (
     format_binned,
 )
 from logcad.model import (
+    VARIANTS,
     DescriptionModel,
+    InputMismatch,
     ModelConfig,
     load_checkpoint,
     load_model,
     model_from_checkpoint,
+    parse_value,
     save_checkpoint,
 )
 from logcad.train import TrainSettings, train
 from logcad.wiki import extract_wikipedia, read_articles, read_items, split_by_phrase
 
 
-# each RunConfig option that sets a ModelConfig field, and that field
-_MODEL_OPTIONS = {("emb_width" if f.name == "word_emb_width" else f.name): f.name
-                  for f in fields(ModelConfig)}
+def _option(field: str) -> str:
+    """The option that sets ``ModelConfig`` field ``field``."""
+    return "emb_width" if field == "word_emb_width" else field
 
 
-@dataclass
-class RunConfig:
-    """Documented defaults for every tunable option."""
-
-    seed: int = 0
-    variant: str = "log-cad"
-    epochs: int = 20
-    batch_size: int = 128
-    lr: float = 1e-3
-    clip_norm: float = 5.0
-    patience: int = 5
-    beam: int = 1
-    max_len: int = 30
-    dropout: float = 0.5
-    enc_layers: int = 2
-    enc_width: int = 600
-    dec_layers: int = 2
-    dec_width: int = 300
-    attn_width: int = 300
-    emb_width: int = 300
-    vocab_size: int = 10000
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(**{field: getattr(self, option)
-                              for option, field in _MODEL_OPTIONS.items()})
+# every tunable option and its owner's default: ModelConfig's fields (its
+# word_emb_width is the option emb_width), TrainSettings' and the decoder's
+OPTIONS = {**{_option(f.name): f.default for f in fields(ModelConfig)},
+           **{f.name: f.default for f in fields(TrainSettings)},
+           "beam": 1, "max_len": DEFAULT_MAX_LEN}
 
 
-def _parse_config_file(path) -> dict:
-    """Option name -> (line number, raw value) of a ``key=value`` file; a
-    later line for the same key wins."""
-    values = {}
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = (lineno, value.strip())
-    return values
+def _owners(opts: dict) -> tuple[TrainSettings, ModelConfig]:
+    """The training settings and model config that ``opts`` set; each owner
+    refuses a value it cannot use."""
+    return (TrainSettings(**{f.name: opts[f.name] for f in fields(TrainSettings)}),
+            ModelConfig(**{f.name: opts[_option(f.name)] for f in fields(ModelConfig)}))
 
 
 def given_options(args: argparse.Namespace) -> dict:
-    """The options that the ``--config`` file and the flags set; flags win."""
-    defaults = {f.name: f.default for f in fields(RunConfig)}
+    """The options that the flags and the ``--config`` file's ``key=value``
+    lines set: a flag wins, then the file's last line for the key. A line
+    whose key or value the option's owner refuses is refused with its line."""
     given = {}
-    if getattr(args, "config", None):
-        for key, (lineno, raw) in _parse_config_file(args.config).items():
-            if key not in defaults:
-                raise ValueError(f"{args.config}:{lineno}: unknown config key {key!r}")
-            kind = type(defaults[key])
-            try:
-                given[key] = kind(raw)
-            except ValueError:
-                raise ValueError(f"{args.config}:{lineno}: {key}={raw!r} is not "
-                                 f"{'an integer' if kind is int else 'a number'}") from None
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            given[key] = value
+    for lineno, line in read_lines(args.config) if args.config else ():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        try:
+            if not eq:
+                raise ValueError("expected key=value")
+            if key not in OPTIONS:
+                raise ValueError(f"unknown config key {key!r}")
+            opts = {**OPTIONS, key: parse_value(key, raw.strip(), OPTIONS[key])}
+            _owners(opts)
+            check_search(opts["beam"], opts["max_len"])
+        except ValueError as e:
+            raise ValueError(f"{args.config}:{lineno}: {e}") from None
+        given[key] = opts[key]
+    given.update({key: value for key in OPTIONS
+                  if (value := getattr(args, key, None)) is not None})
     return given
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**given_options(args))
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Every option's value: given, else its owner's default."""
+    return argparse.Namespace(**{**OPTIONS, **given_options(args)})
 
 
 # ---------------------------------------------------------------------------
@@ -156,48 +138,50 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     given = given_options(args)
-    cfg = RunConfig(**given)
-    settings = TrainSettings(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                             clip_norm=cfg.clip_norm, patience=cfg.patience, seed=cfg.seed)
-    model_cfg = cfg.model_config()
+    settings, model_cfg = _owners({**OPTIONS, **given})
     if args.resume:
         # the checkpoint fixes the model: an option set to another value is refused
         tensors, meta = load_checkpoint(args.resume)
         try:
             model_cfg = ModelConfig.from_meta(meta)
+            # model_from_checkpoint reads the seed after the data: refuse it now
+            parse_value("seed", meta.get("seed", "0"), 0)
+            start_epoch = parse_value("epoch", meta.get("epoch", "0"), 0)
         except ValueError as e:
             raise ValueError(f"{args.resume}: {e}") from None
         clashes = [f"--{opt.replace('_', '-')} {given[opt]} disagrees with the checkpoint's "
-                   f"{field}={getattr(model_cfg, field)}" for opt, field in _MODEL_OPTIONS.items()
-                   if opt in given and given[opt] != getattr(model_cfg, field)]
+                   f"{f.name}={value}" for f in fields(ModelConfig)
+                   if (opt := _option(f.name)) in given
+                   and given[opt] != (value := getattr(model_cfg, f.name))]
         if clashes:
             raise ValueError(f"{args.resume}: " + "; ".join(clashes))
         vocab = Vocab.load(Path(args.resume).with_name("vocab.txt"))
     train_entries = load_dataset(args.train)
     valid_entries = load_dataset(args.valid) if args.valid else None
     if not train_entries:
-        print("error: no valid training entries", file=sys.stderr)
+        print(f"error: {args.train}: no valid training entries", file=sys.stderr)
         return 1
 
-    table = None if args.emb is None else load_embeddings(args.emb, seed=cfg.seed)
+    table = None if args.emb is None else load_embeddings(args.emb, seed=settings.seed)
     if table is None and model_cfg.uses_global_embedding:
         print("warning: no embedding file; phrase vectors fall back to the UNK vector",
               file=sys.stderr)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    start_epoch = 0
     if args.resume:
         # load_model's two steps, called apart: the meta was read above to
         # refuse clashing options before any data was read
         try:
             model = model_from_checkpoint(tensors, meta, vocab, table)
+        except InputMismatch:
+            raise  # names the vocabulary's or the embedding table's file
         except ValueError as e:
             raise ValueError(f"{args.resume}: {e}") from None
-        start_epoch = int(meta.get("epoch", "0"))
     else:
-        vocab = build_vocab(train_entries, size=cfg.vocab_size)
-        model = DescriptionModel(model_cfg, vocab, table, seed=cfg.seed)
+        start_epoch = 0
+        vocab = build_vocab(train_entries, size=model_cfg.vocab_size)
+        model = DescriptionModel(model_cfg, vocab, table, seed=settings.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     result = train(model, train_entries, valid_entries, settings,
                    start_epoch=start_epoch, verbose=not args.quiet)
@@ -216,14 +200,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_trained(args, cfg: RunConfig):
+def _load_trained(args, seed: int):
     """The vocab, embedding table and model that ``evaluate`` and
     ``describe`` decode with."""
     if Path(args.ckpt).is_dir():
         raise ValueError(f"{args.ckpt}: is a directory; --ckpt takes the checkpoint "
                          f"file, such as {Path(args.ckpt) / 'model.ckpt'}")
     vocab = Vocab.load(args.vocab or Path(args.ckpt).with_name("vocab.txt"))
-    table = None if args.emb is None else load_embeddings(args.emb, seed=cfg.seed)
+    table = None if args.emb is None else load_embeddings(args.emb, seed=seed)
     model, _meta = load_model(args.ckpt, vocab, table)
     return vocab, table, model
 
@@ -231,9 +215,9 @@ def _load_trained(args, cfg: RunConfig):
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     entries = load_dataset(args.data)
-    vocab, table, model = _load_trained(args, cfg)
+    vocab, table, model = _load_trained(args, cfg.seed)
     if not entries:
-        print("error: no entries to evaluate", file=sys.stderr)
+        print(f"error: {args.data}: no entries to evaluate", file=sys.stderr)
         return 1
 
     candidates = []
@@ -293,7 +277,7 @@ def _locate_phrase(sentence: str, phrase: str) -> tuple[list, int]:
 
 def cmd_describe(args) -> int:
     cfg = resolve_config(args)
-    vocab, _table, model = _load_trained(args, cfg)
+    vocab, _table, model = _load_trained(args, cfg.seed)
     context, pos = _locate_phrase(args.sentence, args.phrase)
     entry = Entry(phrase=tokenize(args.phrase), context=context, span=(pos, pos),
                   description=["-"])  # placeholder, unused by decoding
@@ -306,22 +290,21 @@ def cmd_describe(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value option file")
-    p.add_argument("--seed", type=int, help="seed governing all randomness (default 0)")
+# what --help says of an option besides its default
+_HELP = {"seed": "seed governing all randomness",
+         "clip_norm": "global gradient-norm bound; 0 disables clipping",
+         "patience": "epochs without validation gain before stopping; 0 disables",
+         "beam": "beam width; 1 = greedy"}
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--variant", choices=("global", "local", "i-attention", "log-cad"),
-                   help="model variant (default log-cad)")
-    p.add_argument("--enc-layers", dest="enc_layers", type=int)
-    p.add_argument("--enc-width", dest="enc_width", type=int)
-    p.add_argument("--dec-layers", dest="dec_layers", type=int)
-    p.add_argument("--dec-width", dest="dec_width", type=int)
-    p.add_argument("--attn-width", dest="attn_width", type=int)
-    p.add_argument("--emb-width", dest="emb_width", type=int)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--dropout", type=float)
+def _add_options(p: argparse.ArgumentParser, names: str) -> None:
+    """A flag for each option in ``names``, of its default's type; the
+    parsed value is None unless the flag is given."""
+    for name in names.split():
+        default = OPTIONS[name]
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default),
+                       choices=VARIANTS if name == "variant" else None,
+                       help=f"{_HELP.get(name, '')} (default {default})".lstrip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,54 +314,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="mine entries from articles + item descriptions")
-    _add_common(p)
+    def command(name, fn, summary):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="flat key=value option file")
+        _add_options(p, "seed")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("extract", cmd_extract, "mine entries from articles + item descriptions")
     p.add_argument("--articles", required=True, help="TSV: title <TAB> first paragraph")
     p.add_argument("--items", required=True, help="TSV: title <TAB> description")
     p.add_argument("--out", required=True, help="output directory for split TSVs")
-    p.set_defaults(fn=cmd_extract)
 
-    p = sub.add_parser("train", help="train a model variant")
-    _add_common(p)
-    _add_model_flags(p)
+    p = command("train", cmd_train, "train a model variant")
+    _add_options(p, "variant enc_layers enc_width dec_layers dec_width attn_width emb_width "
+                    "vocab_size dropout")
     p.add_argument("--train", required=True, help="training TSV")
     p.add_argument("--valid", help="validation TSV (enables early stopping)")
     p.add_argument("--emb", help="pre-trained embedding text file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float,
-                   help="global gradient-norm bound; 0 disables clipping (default 5.0)")
-    p.add_argument("--patience", type=int,
-                   help="epochs without validation gain before stopping; 0 disables "
-                        "(default 5)")
+    _add_options(p, "epochs batch_size lr clip_norm patience")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="decode a test set and report BLEU")
-    _add_common(p)
+    p = command("evaluate", cmd_evaluate, "decode a test set and report BLEU")
     p.add_argument("--data", required=True, help="test TSV")
     p.add_argument("--ckpt", required=True, help="model checkpoint")
     p.add_argument("--vocab", help="vocab file (default: vocab.txt beside the checkpoint)")
     p.add_argument("--emb", help="pre-trained embedding text file")
-    p.add_argument("--beam", type=int, help="beam width; 1 = greedy (default)")
-    p.add_argument("--max-len", dest="max_len", type=int)
+    _add_options(p, "beam max_len")
     p.add_argument("--out", help="directory for TSV reports")
-    p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("describe", help="describe one phrase in one sentence")
-    _add_common(p)
+    p = command("describe", cmd_describe, "describe one phrase in one sentence")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab")
     p.add_argument("--emb")
     p.add_argument("--phrase", required=True)
     p.add_argument("--sentence", required=True,
                    help=f"sentence containing the phrase or an explicit {TRG_TOKEN}")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.set_defaults(fn=cmd_describe)
+    _add_options(p, "beam max_len")
 
     return parser
 

@@ -157,11 +157,14 @@ def write_dataset(path, entries: Iterable[Entry]) -> None:
 
 class EmbeddingTable:
     """token -> fixed-width pre-trained vector map with a deterministic
-    shared UNK fallback (one vector, drawn once from the given seed)."""
+    shared UNK fallback (one vector, drawn once from the given seed).
+    ``source`` names it in error messages: the file it was read from."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], width: int, seed: int = 0):
+    def __init__(self, vectors: dict[str, np.ndarray], width: int, seed: int = 0,
+                 source="embedding table"):
         self.vectors = vectors
         self.width = width
+        self.source = source
         self.unk = np.random.default_rng(seed).uniform(
             -UNK_INIT_SCALE, UNK_INIT_SCALE, size=width
         )
@@ -211,7 +214,7 @@ def load_embeddings(path, seed: int = 0) -> EmbeddingTable:
         vectors[token] = vec
     if width is None:
         raise ValueError(f"{path}: no vectors found")
-    return EmbeddingTable(vectors, width, seed)
+    return EmbeddingTable(vectors, width, seed, source=path)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +223,16 @@ def load_embeddings(path, seed: int = 0) -> EmbeddingTable:
 
 class Vocab:
     """Output-side vocabulary: special tokens plus the most frequent
-    description-side tokens. Context tokens share the same id space."""
+    description-side tokens. Context tokens share the same id space.
+    ``source`` names it in error messages: the file it was read from."""
 
     SPECIALS = (PAD_TOKEN, UNK_TOKEN, TRG_TOKEN, BOS_TOKEN, EOS_TOKEN)
     PAD, UNK, TRG, BOS, EOS = range(5)
 
-    def __init__(self, tokens: Sequence[str]):
+    def __init__(self, tokens: Sequence[str], source="vocabulary"):
         if tuple(tokens[:5]) != self.SPECIALS:
-            raise ValueError("Vocab: token list must start with the special tokens")
+            raise ValueError(f"{source}: Vocab: token list must start with the special tokens")
+        self.source = source
         self.tokens = list(tokens)
         self.index = {t: i for i, t in enumerate(self.tokens)}
 
@@ -247,11 +252,8 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls([line.rstrip("\n") for line in fh if line.strip()])
-        except ValueError as e:  # includes a file that is not UTF-8
-            raise ValueError(f"{path}: {e}") from None
+        return cls([line.rstrip("\n") for _, line in read_lines(path) if line.strip()],
+                   source=path)
 
 
 def build_vocab(entries: Sequence[Entry], size: int = 10000) -> Vocab:

@@ -117,13 +117,17 @@ def _top_k(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(top, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
-def _search(model, entries: Sequence, beam: int, max_len: int) -> list[Hypothesis]:
-    """Beam search over all ``entries`` at once; every live hypothesis is one
-    session row, and each step advances all of them with one ``step``."""
+def check_search(beam: int, max_len: int) -> None:
     if beam < 1:
         raise ValueError(f"beam width must be at least 1, got {beam}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
+
+
+def _search(model, entries: Sequence, beam: int, max_len: int) -> list[Hypothesis]:
+    """Beam search over all ``entries`` at once; every live hypothesis is one
+    session row, and each step advances all of them with one ``step``."""
+    check_search(beam, max_len)
     session = model.start_session(entries)
     beams = []
     for row in range(len(entries)):

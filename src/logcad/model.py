@@ -140,12 +140,22 @@ class ModelConfig:
         for f in fields(cls):
             if f.name not in meta:
                 raise ValueError(f"checkpoint meta has no {f.name!r}")
-            try:
-                values[f.name] = type(f.default)(meta[f.name])
-            except ValueError:
-                raise ValueError(
-                    f"checkpoint meta {f.name}={meta[f.name]!r} is not a number") from None
+            values[f.name] = parse_value(f.name, meta[f.name], f.default)
         return cls(**values)
+
+
+def parse_value(key: str, raw: str, default):
+    """``raw`` as the type of ``default``; the error names option or meta ``key``."""
+    kind = type(default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{key}={raw!r} is not "
+                         f"{'an integer' if kind is int else 'a number'}") from None
+
+
+class InputMismatch(ValueError):
+    """A vocabulary or embedding table that does not fit; the message names its file."""
 
 
 class ModelParams:
@@ -219,7 +229,7 @@ class _Session:
     x_trg: Optional[Tensor]        # (B, W) phrase embedding (None for local)
     c_trg: Optional[Tensor]        # (B, 160) char CNN features
     x_masked: Optional[Tensor]     # (B, W) masked embedding (i-attention)
-    enc_states: Optional[Tensor]   # (B, T, enc_width)
+    enc_states: Optional[Tensor]   # (B, T, enc_width), for attention
     enc_proj: Optional[Tensor]
     enc_bias: Optional[np.ndarray]
 
@@ -264,10 +274,8 @@ class DescriptionModel:
         if emb_table is None:
             emb_table = EmbeddingTable.empty(config.word_emb_width, seed)
         if config.uses_global_embedding and emb_table.width != config.word_emb_width:
-            raise ValueError(
-                f"embedding width {emb_table.width} != word_emb_width "
-                f"{config.word_emb_width}"
-            )
+            raise InputMismatch(f"{emb_table.source}: embedding width {emb_table.width} != "
+                                f"word_emb_width {config.word_emb_width}")
         self.emb_table = emb_table
         if params is None:
             params = ModelParams(config, len(vocab), np.random.default_rng([seed, 0]), dtype)
@@ -286,9 +294,9 @@ class DescriptionModel:
             embs = take_rows(self.params.word_emb, batch.context_ids)
             enc_states = bilstm_encode(self.params.encoder, embs, lengths,
                                        drop=cfg.dropout if train else 0.0, rng=self._drop_rng)
-            positions = np.arange(batch.context_ids.shape[1])[None, :]
-            enc_bias = np.where(positions < lengths[:, None], 0.0, MASK_BIAS).astype(self.dtype)
             if cfg.uses_attention:
+                positions = np.arange(batch.context_ids.shape[1])[None, :]
+                enc_bias = np.where(positions < lengths[:, None], 0.0, MASK_BIAS).astype(self.dtype)
                 enc_proj = project_context(self.params.attn, enc_states)
         if cfg.uses_global_embedding:
             x_trg = Tensor(np.asarray([phrase_embedding(words, self.emb_table)
@@ -298,6 +306,7 @@ class DescriptionModel:
         if cfg.variant == "i-attention":
             x_masked = iattention_mask(self.params.masknet, enc_states, x_trg,
                                        lengths=batch.context_lengths)
+            enc_states = None  # after this step only attention reads them
         zeros = lambda: Tensor(np.zeros((len(batch), cfg.dec_width), dtype=self.dtype))  # noqa: E731
         return _Session(step=0, layer_states=[(zeros(), zeros()) for _ in self.params.decoder],
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
@@ -568,8 +577,13 @@ def model_from_checkpoint(tensors: dict[str, np.ndarray], meta: dict[str, str], 
     tensor replaces, and a tensor it lacks or shapes differently raises
     ``ValueError``."""
     config = ModelConfig.from_meta(meta)
-    model = DescriptionModel(config, vocab, emb_table, seed=int(meta.get("seed", "0")),
-                             dtype=dtype, params=ModelParams(config, len(vocab), None, dtype))
+    seed = parse_value("seed", meta.get("seed", "0"), 0)
+    rows = tensors.get("word_emb")
+    if rows is not None and len(rows) != len(vocab):
+        raise InputMismatch(f"{vocab.source}: {len(vocab)} tokens, but the checkpoint was "
+                            f"trained with {len(rows)}")
+    model = DescriptionModel(config, vocab, emb_table, seed=seed, dtype=dtype,
+                             params=ModelParams(config, len(vocab), None, dtype))
     load_params_into(model.params, tensors)
     return model
 
@@ -580,5 +594,7 @@ def load_model(path, vocab: Vocab, emb_table: Optional[EmbeddingTable] = None,
     tensors, meta = load_checkpoint(path)
     try:
         return model_from_checkpoint(tensors, meta, vocab, emb_table, dtype), meta
+    except InputMismatch:
+        raise
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

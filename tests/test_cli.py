@@ -1,9 +1,21 @@
+import argparse
+import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
+from io import StringIO
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logcad.cli import RunConfig, main, resolve_config, build_parser
+from logcad.cli import main, resolve_config, build_parser
 from logcad.data import Vocab, load_dataset, write_dataset
-from logcad.model import load_model, save_checkpoint
+from logcad.decode import DEFAULT_MAX_LEN
+from logcad.model import ModelConfig, load_model, save_checkpoint
+from logcad.train import TrainSettings
 from corpora import overfit_corpus
 
 ARTICLES_TSV = (
@@ -43,6 +55,15 @@ def dump(tmp_path):
     return articles, items
 
 
+def owner_defaults() -> dict:
+    """Every tunable option's default as its owner holds it: ``ModelConfig``
+    (``word_emb_width`` is the option ``emb_width``), ``TrainSettings`` and
+    the decoder, which is greedy unless asked for a beam."""
+    model = {("emb_width" if k == "word_emb_width" else k): v
+             for k, v in asdict(ModelConfig()).items()}
+    return {**model, **asdict(TrainSettings()), "beam": 1, "max_len": DEFAULT_MAX_LEN}
+
+
 def _train_args(train_tsv, out, seed=0, epochs=6, extra=()):
     return ["train", "--train", str(train_tsv), "--out", str(out),
             "--seed", str(seed), "--epochs", str(epochs),
@@ -54,8 +75,7 @@ def _train_args(train_tsv, out, seed=0, epochs=6, extra=()):
 class TestConfigResolution:
     def test_defaults(self):
         args = build_parser().parse_args(["train", "--train", "x", "--out", "y"])
-        cfg = resolve_config(args)
-        assert cfg == RunConfig()
+        assert vars(resolve_config(args)) == owner_defaults()
 
     def test_flag_overrides_default(self):
         args = build_parser().parse_args(
@@ -500,3 +520,230 @@ def test_checkpoint_directory_named(trained_run, capsys, command):
     assert captured.err == (f"error: {out}: is a directory; --ckpt takes the checkpoint "
                             f"file, such as {out / 'model.ckpt'}\n")
     assert captured.out == ""
+
+
+# each command's option strings, in the order its usage line lists them
+CLI_SURFACE = {
+    "extract": "--config --seed --articles --items --out",
+    "train": "--config --seed --variant --enc-layers --enc-width --dec-layers --dec-width "
+             "--attn-width --emb-width --vocab-size --dropout --train --valid --emb --out "
+             "--epochs --batch-size --lr --clip-norm --patience --resume --quiet",
+    "evaluate": "--config --seed --data --ckpt --vocab --emb --beam --max-len --out",
+    "describe": "--config --seed --ckpt --vocab --emb --phrase --sentence --beam --max-len",
+}
+
+
+def _commands() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_surface_is_pinned():
+    commands = _commands()
+    assert sorted(commands) == sorted(CLI_SURFACE)
+    for name, p in commands.items():
+        options = [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        assert options == CLI_SURFACE[name].split(), name
+
+
+def test_help_shows_the_owners_defaults():
+    defaults = owner_defaults()
+    for name, p in _commands().items():
+        tunables = {a.option_strings[0]: a.dest for a in p._actions if a.dest in defaults}
+        assert "--seed" in tunables, name
+        # after the usage block, every option's entry starts a line with "  -"
+        text = p.format_help().split("\n\n", 1)[1]
+        entries = {chunk.split()[0]: " ".join(chunk.split())
+                   for chunk in re.split(r"\n(?=  -)", text) if chunk.strip().startswith("-")}
+        for flag, dest in tunables.items():
+            assert f"(default {defaults[dest]})" in entries[flag], (name, flag)
+
+
+def _with_meta(blob: bytes, key: str, value: str) -> bytes:
+    """``blob``, a checkpoint, with meta ``key`` set to ``value``."""
+    start = blob.index(f"\nmeta {key}=".encode()) + 1
+    end = blob.index(b"\n", start)
+    return blob[:start] + f"meta {key}={value}".encode() + blob[end:]
+
+
+@pytest.mark.parametrize("key,value,command", [("epoch", "x", "train"), ("seed", "z", "train"),
+                                               ("seed", "z", "evaluate"),
+                                               ("seed", "z", "describe")])
+def test_non_integer_counter_in_checkpoint_meta_named(trained_run, tmp_path, capsys,
+                                                      key, value, command):
+    data, out = trained_run
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(_with_meta((out / "model.ckpt").read_bytes(), key, value))
+    (tmp_path / "vocab.txt").write_bytes((out / "vocab.txt").read_bytes())
+    resumed = tmp_path / "resumed"
+    argv = {
+        # refused before any data is read: this training file does not exist
+        "train": _train_args(tmp_path / "missing.tsv", resumed, extra=["--resume", str(ckpt)]),
+        "evaluate": ["evaluate", "--data", str(data), "--ckpt", str(ckpt)],
+        "describe": ["describe", "--ckpt", str(ckpt), "--phrase", "blue falcon",
+                     "--sentence", "the [TRG] near the harbor was seen ."],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {ckpt}: {key}={value!r} is not an integer\n"
+    assert captured.out == ""
+    assert not resumed.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "describe", "train"])
+def test_vocab_of_another_size_names_the_vocab_file(trained_run, tmp_path, capsys, command):
+    data, out = trained_run
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes((out / "model.ckpt").read_bytes())
+    tokens = (out / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    vocab = tmp_path / "vocab.txt"  # beside the checkpoint, where --resume reads it
+    vocab.write_text("".join(t + "\n" for t in tokens[:-1]), encoding="utf-8")
+    resumed = tmp_path / "resumed"
+    argv = {
+        "train": _train_args(data, resumed, extra=["--resume", str(ckpt)]),
+        "evaluate": ["evaluate", "--data", str(data), "--ckpt", str(ckpt), "--vocab", str(vocab)],
+        "describe": ["describe", "--ckpt", str(ckpt), "--phrase", "blue falcon",
+                     "--sentence", "the [TRG] near the harbor was seen ."],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        f"error: {vocab}: {len(tokens) - 1} tokens, but the checkpoint was trained with "
+        f"{len(tokens)}")
+    assert captured.out == ""
+    assert not resumed.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_embedding_of_another_width_names_the_embedding_file(trained_run, tmp_path, capsys,
+                                                             command):
+    data, out = trained_run
+    emb = tmp_path / "vectors.txt"
+    emb.write_text("sonic 0.1 0.2 0.3\n", encoding="utf-8")
+    argv = {"evaluate": ["evaluate", "--data", str(data), "--ckpt", str(out / "model.ckpt")],
+            "train": _train_args(data, tmp_path / "o")}[command]
+    assert main([*argv, "--emb", str(emb)]) == 1
+    assert capsys.readouterr().err == f"error: {emb}: embedding width 3 != word_emb_width 16\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("enc_width=33", "enc_width must be even (two encoder directions)"),
+    ("variant=huge", "unknown variant 'huge'; expected one of "
+                     "('global', 'local', 'i-attention', 'log-cad')"),
+    ("epochs=-1", "epochs must be at least 0, got -1"),
+    ("beam=0", "beam width must be at least 1, got 0"),
+    ("max-len=0", "max_len must be at least 1, got 0")])
+def test_config_value_its_owner_refuses_names_file_and_line(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=3\n{line}\n", encoding="utf-8")
+    rc = main(["train", "--train", str(tmp_path / "unread.tsv"), "--out", str(tmp_path / "o"),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing every file the CLI reads
+
+FUZZ_TARGETS = ("config", "train-config", "vocab", "embeddings", "dataset", "checkpoint")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(trained_run, tmp_path_factory):
+    """Valid files of each kind the CLI reads, and the argv reading each one
+    as ``{bad}``: the mutated copy."""
+    data, out = trained_run
+    root = tmp_path_factory.mktemp("fuzz")
+    small = root / "small.tsv"
+    small.write_text("".join(data.read_text(encoding="utf-8").splitlines(keepends=True)[:4]),
+                     encoding="utf-8")
+    emb = root / "vectors.txt"
+    emb.write_text("3 16\n" + "".join(f"{w} " + " ".join(f"0.{i + k}" for k in range(16)) + "\n"
+                                      for i, w in enumerate(("blue", "gold", "falcon"))),
+                   encoding="utf-8")
+    evaluate = ["evaluate", "--data", small, "--ckpt", out / "model.ckpt", "--max-len", "4"]
+    files = {
+        "config": ("seed=3\nbeam=2\nmax_len=5\n".encode(), [*evaluate, "--config", "{bad}"]),
+        "train-config": (b"variant=global\nenc_width=8\ndec_width=8\nemb_width=8\n"
+                         b"batch-size=4\nepochs=1\ndropout=0\n",
+                         # the flag bounds the run if the config's epochs line is lost
+                         ["train", "--train", small, "--out", "{out}", "--quiet",
+                          "--epochs", "1", "--config", "{bad}"]),
+        "vocab": ((out / "vocab.txt").read_bytes(), [*evaluate, "--vocab", "{bad}"]),
+        "embeddings": (emb.read_bytes(), [*evaluate, "--emb", "{bad}"]),
+        "dataset": (small.read_bytes(),
+                    ["evaluate", "--data", "{bad}", "--ckpt", out / "model.ckpt",
+                     "--max-len", "4"]),
+        "checkpoint": ((out / "model.ckpt").read_bytes(),
+                       ["evaluate", "--data", small, "--ckpt", "{bad}", "--vocab",
+                        out / "vocab.txt", "--max-len", "4"]),
+    }
+    return {kind: (blob, [str(a) for a in argv]) for kind, (blob, argv) in files.items()}
+
+
+@st.composite
+def mutations(draw, blob: bytes):
+    """``blob`` with one byte flipped, one tab, newline or non-UTF-8 byte
+    inserted, or its tail cut off. Half the positions fall in the first 400
+    bytes: a checkpoint's manifest, the rest of it being weights."""
+    pos = draw(st.one_of(st.integers(0, min(len(blob), 400)), st.integers(0, len(blob))))
+    kind = draw(st.sampled_from(("flip", "tab", "newline", "non-utf8", "truncate")))
+    if kind == "truncate":
+        return blob[:pos]
+    if kind == "flip":
+        pos = min(pos, len(blob) - 1)
+        return blob[:pos] + bytes([blob[pos] ^ draw(st.integers(1, 255))]) + blob[pos + 1:]
+    insert = {"tab": b"\t", "newline": b"\n",
+              "non-utf8": bytes([draw(st.integers(0x80, 0xff))])}[kind]
+    return blob[:pos] + insert + blob[pos:]
+
+
+def _first_non_utf8_line(blob: bytes):
+    for lineno, raw in enumerate(blob.split(b"\n"), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return None
+
+
+@pytest.mark.parametrize("target", FUZZ_TARGETS)
+def test_mutated_input_exits_cleanly_naming_the_file(fuzz_inputs, target):
+    """Any one mutation of a file the CLI reads exits 0 or 1, never with a
+    traceback; exit 1 names the file, and its line where a line is at fault.
+    A flipped weight that still loads may exit 0, and its non-finite values
+    may warn, as the CLI does outside the test suite."""
+    blob, template = fuzz_inputs[target]
+
+    @settings(max_examples=15 if target == "train-config" else 40, deadline=None,
+              derandomize=True, database=None)
+    @given(mutated=mutations(blob))
+    def run(mutated):
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / ("model.ckpt" if target == "checkpoint" else "bad")
+            bad.write_bytes(mutated)
+            argv = [a.replace("{bad}", str(bad)).replace("{out}", str(Path(tmp) / "o"))
+                    for a in template]
+            err = StringIO()
+            with redirect_stdout(StringIO()), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("default")
+                rc = main(argv)
+        err = err.getvalue()
+        assert rc in (0, 1), err
+        assert "Traceback" not in err
+        if rc == 1:
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert len(errors) == 1 and str(bad) in errors[0], err
+            line = None if target == "checkpoint" else _first_non_utf8_line(mutated)
+            if line is not None:
+                assert errors[0].startswith(f"error: {bad}:{line}: not UTF-8 ("), err
+            if target.endswith("config"):  # every config error is about one line
+                assert errors[0].startswith(f"error: {bad}:"), err
+                assert errors[0][len(f"error: {bad}:"):].split(":")[0].isdigit(), err
+
+    run()
