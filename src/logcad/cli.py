@@ -102,8 +102,11 @@ def given_options(args: argparse.Namespace) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Every option's value: given, else its owner's default."""
-    return argparse.Namespace(**{**OPTIONS, **given_options(args)})
+    """Every option's value: given, else its owner's default. A value its
+    owner refuses is refused here, before the command reads any file."""
+    opts = {**OPTIONS, **given_options(args)}
+    _owners(opts)
+    return argparse.Namespace(**opts)
 
 
 # ---------------------------------------------------------------------------

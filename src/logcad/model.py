@@ -52,9 +52,8 @@ from logcad.tensor import (
     add,
     concat,
     dropout_mask,
+    linear_nll,
     lstm_sequence,
-    masked_nll,
-    matmul,
     mul,
     reshape,
     select,
@@ -87,6 +86,9 @@ class ModelConfig:
             value = getattr(self, f.name)
             if isinstance(value, int) and value < 1:
                 raise ValueError(f"{f.name} must be at least 1, got {value}")
+        if self.vocab_size < len(Vocab.SPECIALS):
+            raise ValueError(f"vocab_size must be at least {len(Vocab.SPECIALS)} (the special "
+                             f"tokens), got {self.vocab_size}")
         if self.enc_width % 2:
             raise ValueError("enc_width must be even (two encoder directions)")
         if not 0.0 <= self.dropout < 1.0:
@@ -380,7 +382,7 @@ class DescriptionModel:
         them is one ``lstm_sequence``; so is the top layer of i-attention,
         which has no gate. The gated top layer steps through ``_top`` on the
         live rows only, and its stacked outputs are the real target rows,
-        time-major."""
+        time-major. One ``linear_nll`` op projects and scores them."""
         if len(batch) == 0:
             raise ValueError("forward_loss: empty batch")
         cfg = self.config
@@ -422,11 +424,10 @@ class DescriptionModel:
             steps_of, rows_of = real.nonzero()
             out = select(x, (rows_of, steps_of))
 
-        logits = add(matmul(out, self.params.out_w), self.params.out_b)
         targets = batch.target_ids[order].T[real]
         n_tokens = float(len(targets))
-        loss = masked_nll(logits, targets, np.full(len(targets), 1.0 / n_tokens))
-        correct = int((np.argmax(logits.data, axis=1) == targets).sum())
+        loss, correct = linear_nll(out, self.params.out_w, self.params.out_b, targets,
+                                   np.full(len(targets), 1.0 / n_tokens))
         return loss, {"tokens": n_tokens, "correct": correct}
 
     # ------------------------------------------------------------------

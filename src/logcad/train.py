@@ -26,7 +26,7 @@ class TrainSettings:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "patience"):
+        for name in ("epochs", "patience", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         if self.batch_size < 1:

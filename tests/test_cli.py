@@ -458,6 +458,24 @@ def test_missing_input_file_fails_cleanly(trained_run, tmp_path, capsys, command
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("train", ["--seed", "-1"], "seed must be at least 0, got -1"),
+    ("extract", ["--seed", "-2"], "seed must be at least 0, got -2"),
+    ("train", ["--vocab-size", "3"], "vocab_size must be at least 5 (the special tokens), got 3"),
+])
+def test_option_refused_before_any_file_is_read(tmp_path, capsys, command, flags, message):
+    # the input files do not exist: the option's owner refuses it first
+    missing = tmp_path / "missing"
+    argv = {"train": _train_args(missing, tmp_path / "o"),
+            "extract": ["extract", "--articles", missing, "--items", missing,
+                        "--out", tmp_path / "o"]}[command]
+    assert main([str(a) for a in argv] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def _non_utf8_copy(src, dst, line):
     """``dst`` holds ``src`` with a 0xff byte at the start of line ``line``."""
     lines = src.read_bytes().splitlines(keepends=True)

@@ -26,12 +26,10 @@ from logcad.model import (
 from logcad.tensor import (
     GradGraph,
     Tensor,
-    add,
     concat,
     dropout,
     gradient_check,
-    masked_nll,
-    matmul,
+    linear_nll,
     reshape,
     take_rows,
 )
@@ -432,19 +430,21 @@ class TestSequenceLoss:
 
     def test_one_output_head_per_batch(self):
         # the real target tokens of all S steps of a B-entry batch go through
-        # one projection and one masked_nll op; padded rows are not scored
+        # one linear_nll op, projection and loss together; padded rows are
+        # not scored
         vocab = toy_vocab()
-        model = DescriptionModel(tiny_config("log-cad"), vocab, toy_table(),
-                                 seed=16, dtype=np.float64)
+        cfg = tiny_config("log-cad")
+        model = DescriptionModel(cfg, vocab, toy_table(), seed=16, dtype=np.float64)
         batch = make_batch(padded_entries(), vocab)
         real = int(batch.target_mask.sum())
         assert real < batch.target_mask.size  # the batch has target padding
         with GradGraph() as g:
             model.forward_loss(batch, train=True)
-        assert [name for name, *_ in g.ops].count("masked_nll") == 1
-        heads = [out for name, inputs, out, _ in g.ops
-                 if name == "matmul" and inputs[1] is model.params.out_w]
-        assert [h.shape for h in heads] == [(real, len(vocab))]
+        heads = [inputs for name, inputs, *_ in g.ops if name == "linear_nll"]
+        assert len(heads) == 1
+        x, w = heads[0][:2]
+        assert x.shape == (real, cfg.dec_width)
+        assert w is model.params.out_w
 
     def test_decoder_runs_one_kernel_op_per_layer_step(self):
         # every encoder layer and direction is one lstm_sequence op, and so is
@@ -569,9 +569,9 @@ def padded_forward_loss(self, batch, train=False):
             layer_states[k] = (h, c)
             x = h
         states.append(x)
-    logits = add(matmul(concat(states, axis=0), p.out_w), p.out_b)
     mask = batch.target_mask.T.reshape(-1)
-    loss = masked_nll(logits, batch.target_ids.T.reshape(-1), mask / mask.sum())
+    loss, _correct = linear_nll(concat(states, axis=0), p.out_w, p.out_b,
+                                batch.target_ids.T.reshape(-1), mask / mask.sum())
     return loss, {"tokens": float(mask.sum())}
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,8 +16,8 @@ from logcad.tensor import (
     concat,
     dropout,
     gradient_check,
+    linear_nll,
     lstm_sequence,
-    masked_nll,
     matmul,
     mul,
     reduce_max,
@@ -268,6 +271,30 @@ class TestBackward:
         npt.assert_array_equal(seen[0][1], [5.0, 7.0])
         npt.assert_allclose(x.grad, [15.0, 21.0])
 
+    def test_second_backward_is_refused(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with GradGraph() as g:
+            loss = reduce_sum(mul(x, x))
+        g.backward(loss)
+        with pytest.raises(ValueError, match="already replayed"):
+            g.backward(loss)
+        npt.assert_allclose(x.grad, [2.0, 4.0])
+
+    def test_backward_frees_op_outputs_as_it_replays(self):
+        # the tape is what keeps h alive once the caller drops it; backward
+        # consumes the tape, so h's array is gone when backward returns
+        x = Tensor(np.random.default_rng(7).normal(size=(3, 4)), requires_grad=True)
+        with GradGraph() as g:
+            h = tanh(x)
+            loss = reduce_sum(mul(h, h))
+        freed = weakref.ref(h.data)
+        del h
+        assert freed() is not None
+        g.backward(loss)
+        assert freed() is None
+        assert g.ops == []
+        npt.assert_allclose(x.grad, 2.0 * np.tanh(x.data) * (1.0 - np.tanh(x.data) ** 2))
+
     def test_no_graph_means_no_recording(self):
         x = Tensor([1.0], requires_grad=True)
         y = mul(x, x)
@@ -423,14 +450,36 @@ class TestGradientCheckAllPrimitives:
             return lambda t: reduce_sum(mul(take_rows(t, ids), w))
         self._run(build, (3, 4), 26)
 
-    def test_masked_nll(self):
-        # zero-weight rows, a repeated target, and one row shifted far past
-        # exp's float64 range, which only the max shift keeps finite
-        targets = np.array([1, 3, 1, 0, 1])
-        weights = np.array([0.5, 0.0, 1.5, 0.0, 0.25])
+    # zero-weight rows, a repeated target, and one row whose logits are all
+    # shifted by +1000, far past exp's float64 range, which only the max
+    # shift keeps finite: a constant input column times a row of ones in w
+    NLL_TARGETS = np.array([1, 3, 1, 0, 1])
+    NLL_WEIGHTS = np.array([0.5, 0.0, 1.5, 0.0, 0.25])
+    NLL_SHAPES = {"x": (5, 3), "w": (3, 4), "b": (4,)}
+
+    def _linear_nll(self, arg, seed):
         shift = Tensor(np.array([[0.0], [0.0], [0.0], [0.0], [1000.0]]))
-        self._run(lambda rng: (lambda t: masked_nll(add(t, shift), targets, weights)),
-                  (5, 4), 27)
+        ones = Tensor(np.ones((1, 4)))
+
+        def build(rng):
+            consts = {k: Tensor(rng.normal(size=shape)) for k, shape in self.NLL_SHAPES.items()}
+
+            def f(t):
+                args = dict(consts, **{arg: t})
+                x = concat([args["x"], shift], axis=1)
+                w = concat([args["w"], ones], axis=0)
+                return linear_nll(x, w, args["b"], self.NLL_TARGETS, self.NLL_WEIGHTS)[0]
+            return f
+        self._run(build, self.NLL_SHAPES[arg], seed)
+
+    def test_linear_nll_inputs(self):
+        self._linear_nll("x", 27)
+
+    def test_linear_nll_weights(self):
+        self._linear_nll("w", 32)
+
+    def test_linear_nll_bias(self):
+        self._linear_nll("b", 33)
 
     def test_dropout_mask_apply(self):
         # fixed mask -> linear map; checked like any other primitive
@@ -535,18 +584,60 @@ class TestUtilities:
         x = Tensor([1.0, 2.0])
         assert dropout(x, 0.0, np.random.default_rng(0)) is x
 
-    def test_masked_nll_forward(self):
-        x = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
-        logp = x - np.log(np.exp(x).sum(axis=1, keepdims=True))
-        out = masked_nll(Tensor(x), [2, 0], [0.25, 2.0])
-        npt.assert_allclose(out.item(), -(0.25 * logp[0, 2] + 2.0 * logp[1, 0]), rtol=1e-12)
+    def test_linear_nll_forward_and_correct(self):
+        # 150 rows span three row blocks; row 0's logits are the bias alone,
+        # whose maximum 2.0 is tied at columns 1 and 3, and the first counts
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(150, 3))
+        x[0] = 0.0
+        w = rng.normal(size=(3, 5))
+        b = np.array([0.0, 2.0, -1.0, 2.0, 0.5])
+        targets = rng.integers(5, size=150)
+        targets[0] = 1
+        weights = rng.random(150)
+        logits = x @ w + b
+        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        loss, correct = linear_nll(Tensor(x), Tensor(w), Tensor(b), targets, weights)
+        npt.assert_allclose(loss.item(), -(weights * logp[np.arange(150), targets]).sum(),
+                            rtol=1e-12)
+        hits = np.argmax(logits, axis=1) == targets
+        assert hits[0] and 0 < hits.sum() < 150
+        assert correct == hits.sum()
 
-    @pytest.mark.parametrize("targets,weights", [([0, 1], [1.0, 1.0, 1.0]),
-                                                 ([0, 1, 2], [1.0, 1.0]),
-                                                 ([0, 1, 2], [[1.0, 1.0, 1.0]])])
-    def test_masked_nll_rejects_mismatched_rows(self, targets, weights):
-        with pytest.raises(ShapeError, match="masked_nll"):
-            masked_nll(Tensor(np.zeros((3, 4))), targets, weights)
+    @pytest.mark.parametrize("x,w,b,targets,weights", [
+        pytest.param((3, 3), (3, 4), (4,), (2,), (3,), id="targets-short"),
+        pytest.param((3, 3), (3, 4), (4,), (3,), (2,), id="weights-short"),
+        pytest.param((3, 3), (3, 4), (4,), (3,), (1, 3), id="weights-2d"),
+        pytest.param((3,), (3, 4), (4,), (3,), (3,), id="x-1d"),
+        pytest.param((3, 2), (3, 4), (4,), (3,), (3,), id="x-width-not-w-rows"),
+        pytest.param((3, 3), (3, 4), (3,), (3,), (3,), id="b-width-not-v"),
+    ])
+    def test_linear_nll_rejects_mismatched_shapes(self, x, w, b, targets, weights):
+        with pytest.raises(ShapeError, match="linear_nll"):
+            linear_nll(Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b)),
+                       np.zeros(targets, dtype=np.intp), np.ones(weights))
+
+    def test_linear_nll_holds_one_logits_array(self):
+        # the op's logits buffer is the only (N, V) array of its forward and
+        # backward passes, beside block-sized scratch and the (D, V) gradient
+        # of w; an add(matmul) head with a separate loss op holds three
+        rng = np.random.default_rng(41)
+        n, d, v = 300, 32, 4000
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        w = Tensor(rng.normal(size=(d, v)) * 0.1, requires_grad=True)
+        b = Tensor(np.zeros(v), requires_grad=True)
+        targets = rng.integers(v, size=n)
+        weights = np.full(n, 1.0 / n)
+        tracemalloc.start()
+        try:
+            with GradGraph() as g:
+                loss, _ = linear_nll(x, w, b, targets, weights)
+            g.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad.shape == (d, v)
+        assert peak < 1.5 * n * v * x.data.itemsize, peak / (n * v * x.data.itemsize)
 
     def test_finite_after_mask_bias(self):
         # -1e9 additive masking keeps softmax finite
