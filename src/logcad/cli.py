@@ -144,7 +144,7 @@ def cmd_train(args) -> int:
     settings, model_cfg = _owners({**OPTIONS, **given})
     if args.resume:
         # the checkpoint fixes the model: an option set to another value is refused
-        tensors, meta = load_checkpoint(args.resume)
+        tensors, meta = load_checkpoint(_checkpoint_file(args.resume, "--resume"))
         try:
             model_cfg = ModelConfig.from_meta(meta)
             # model_from_checkpoint reads the seed after the data: refuse it now
@@ -163,6 +163,9 @@ def cmd_train(args) -> int:
     valid_entries = load_dataset(args.valid) if args.valid else None
     if not train_entries:
         print(f"error: {args.train}: no valid training entries", file=sys.stderr)
+        return 1
+    if args.valid and not valid_entries:
+        print(f"error: {args.valid}: no valid validation entries", file=sys.stderr)
         return 1
 
     table = None if args.emb is None else load_embeddings(args.emb, seed=settings.seed)
@@ -203,15 +206,21 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checkpoint_file(path: str, flag: str) -> str:
+    """``path``, given by ``flag``, unless it is a directory."""
+    if Path(path).is_dir():
+        raise ValueError(f"{path}: is a directory; {flag} takes the checkpoint "
+                         f"file, such as {Path(path) / 'model.ckpt'}")
+    return path
+
+
 def _load_trained(args, seed: int):
     """The vocab, embedding table and model that ``evaluate`` and
     ``describe`` decode with."""
-    if Path(args.ckpt).is_dir():
-        raise ValueError(f"{args.ckpt}: is a directory; --ckpt takes the checkpoint "
-                         f"file, such as {Path(args.ckpt) / 'model.ckpt'}")
-    vocab = Vocab.load(args.vocab or Path(args.ckpt).with_name("vocab.txt"))
+    ckpt = _checkpoint_file(args.ckpt, "--ckpt")
+    vocab = Vocab.load(args.vocab or Path(ckpt).with_name("vocab.txt"))
     table = None if args.emb is None else load_embeddings(args.emb, seed=seed)
-    model, _meta = load_model(args.ckpt, vocab, table)
+    model, _meta = load_model(ckpt, vocab, table)
     return vocab, table, model
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -286,7 +286,6 @@ class Batch:
     target_ids: np.ndarray        # (B, S+1) int
     target_mask: np.ndarray       # (B, S+1) float 0/1
     prev_ids: np.ndarray          # (B, S+1) int
-    entries: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return self.context_ids.shape[0]
@@ -320,7 +319,6 @@ def make_batch(entries: Sequence[Entry], vocab: Vocab) -> Batch:
         target_ids=target_ids,
         target_mask=target_mask,
         prev_ids=prev_ids,
-        entries=list(entries),
     )
 
 

@@ -56,7 +56,6 @@ from logcad.tensor import (
     lstm_sequence,
     mul,
     reshape,
-    select,
     take_rows,
 )
 
@@ -237,14 +236,14 @@ class _Session:
 
     def take(self, rows) -> "_Session":
         """The session made of rows ``rows`` of this one, in that order: a
-        slice or an index array. Each tensor is a ``select`` op, so on a
-        gradient tape the gradients flow back to this session, and the rows
-        must then be distinct; decoding records no tape and may repeat rows."""
+        slice or an index array, whose rows may repeat. Each tensor is a
+        ``take_rows`` op, so on a gradient tape the gradients flow back to this
+        session."""
         if not isinstance(rows, slice):
             rows = np.asarray(rows, dtype=np.intp)
 
         def pick(t):
-            return None if t is None else select(t, rows)
+            return None if t is None else take_rows(t, rows)
 
         return replace(self, layer_states=[(pick(h), pick(c)) for h, c in self.layer_states],
                        x_trg=pick(self.x_trg), c_trg=pick(self.c_trg),
@@ -415,14 +414,14 @@ class DescriptionModel:
             for t, n in enumerate(live):
                 if t and n < live[t - 1]:
                     session = session.take(slice(0, n))
-                s_out, c = self._top(session, select(x, np.s_[:n, t]))
+                s_out, c = self._top(session, take_rows(x, np.s_[:n, t]))
                 # only the top layer steps; the lower layers' states go unused
                 session = replace(session, layer_states=[*session.layer_states[:-1], (s_out, c)])
                 states.append(s_out)
             out = concat(states, axis=0)
         else:
             steps_of, rows_of = real.nonzero()
-            out = select(x, (rows_of, steps_of))
+            out = take_rows(x, (rows_of, steps_of))
 
         targets = batch.target_ids[order].T[real]
         n_tokens = float(len(targets))

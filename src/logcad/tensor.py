@@ -17,7 +17,8 @@ Conventions:
   * a tensor used several times in a graph sums the gradients from each
     use, which is what weight sharing across time steps requires. The second
     use's gradient and the first are summed into a buffer the graph
-    allocates, and later uses add into that buffer in place;
+    allocates (a ``_Part`` gets it at its first use), and later uses add
+    into that buffer in place;
   * after ``backward``, every leaf gradient is writable and shares no memory
     with another leaf's, so an optimizer may scale or update it in place.
 """
@@ -45,7 +46,6 @@ __all__ = [
     "reduce_max",
     "reduce_sum",
     "take_rows",
-    "select",
     "linear_nll",
     "lstm_sequence",
     "dropout",
@@ -108,9 +108,9 @@ _OpRecord = tuple[str, tuple, object, Callable[..., Sequence[Optional[np.ndarray
 
 
 class _Part(NamedTuple):
-    """An input gradient that is ``g`` at ``key`` and 0 elsewhere. The graph
-    adds it into the input's accumulator, so no op fills a zero array of its
-    input's size."""
+    """An input gradient that is ``g`` at ``key`` and 0 elsewhere, for a key
+    that picks each element once. The graph adds it into the input's
+    accumulator, so no op fills a zero array of its input's size."""
 
     key: object
     g: np.ndarray
@@ -182,11 +182,9 @@ class GradGraph:
                 if isinstance(gin, _Part):
                     if prev is None:
                         acc[id(tin)] = prev = [tin, np.zeros(tin.shape, tin.dtype), True]
-                        prev[1][gin.key] = gin.g
-                    else:
-                        if not prev[2]:
-                            prev[1], prev[2] = prev[1].copy(), True
-                        prev[1][gin.key] += gin.g
+                    elif not prev[2]:
+                        prev[1], prev[2] = prev[1].copy(), True
+                    prev[1][gin.key] += gin.g
                 elif prev is None:
                     acc[id(tin)] = [tin, gin, False]
                 elif prev[2]:
@@ -382,15 +380,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def reduce_max(x: Tensor, axis: int) -> Tensor:
+    axis %= x.ndim
     idx = np.argmax(x.data, axis=axis)  # ties: first index wins
-    out = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
+    grid = np.indices(idx.shape, sparse=True)
+    key = (*grid[:axis], idx, *grid[axis:])
 
     def bw(g):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        return (gx,)
+        return (_Part(key, g),)
 
-    return _record("max", out, (x,), bw)
+    return _record("max", x.data[key], (x,), bw)
 
 
 def reduce_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -404,42 +402,31 @@ def reduce_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
     return _record("sum", out, (x,), bw)
 
 
-def take_rows(table: Tensor, ids) -> Tensor:
-    """Embedding lookup: ``out[..., :] = table[ids[...], :]``.
-
-    ``ids`` is an integer array (not differentiated); duplicates sum their
-    gradients into the same table row. The backward pass sorts the ids
-    (stably), sums each run of equal ids with one ``np.add.reduceat`` and
-    writes the sums into a zero table with one scatter.
-    """
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ShapeError("take_rows: ids must be integers")
-
-    def bw(g):
-        gt = np.zeros_like(table.data)
-        flat = ids.reshape(-1) % len(gt)  # -1 and len(gt)-1 are one row
-        if flat.size:
-            order = flat.argsort(kind="stable")
-            sorted_ids = flat[order]
-            starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-            rows = g.reshape((flat.size,) + table.shape[1:])[order]
-            gt[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
-        return gt, None
-
-    return _record("take_rows", table.data[ids], (table, ids), bw)
-
-
-def select(x: Tensor, key) -> Tensor:
-    """``x.data[key]`` for a ``key`` that picks each element at most once:
-    slices, or distinct indices such as a permutation. The backward pass
-    returns the gradient of ``x[key]`` alone, which the graph adds into
-    ``x``'s gradient in place; ``take_rows`` must sum repeated rows instead."""
+def take_rows(x: Tensor, key) -> Tensor:
+    """``x.data[key]``, the one gather. ``key`` is an integer id array, whose
+    ids pick rows of ``x`` and may repeat (-1 is the last row), a slice, or an
+    index tuple that picks each element once. The backward pass returns the
+    gradient at ``key`` as a ``_Part``, summing repeated ids first: the ids
+    are sorted stably and each run of equal ids is one ``np.add.reduceat``."""
+    if not isinstance(key, (slice, tuple)):
+        key = np.asarray(key)
+        if not np.issubdtype(key.dtype, np.integer):
+            raise ShapeError("take_rows: ids must be integers")
 
     def bw(g):
-        return _Part(key, g), None
+        if not isinstance(key, np.ndarray):
+            return _Part(key, g), None
+        flat = key.reshape(-1) % len(x.data)  # -1 and len(x)-1 are one row
+        g = g.reshape(flat.shape + x.shape[1:])
+        order = flat.argsort(kind="stable")
+        ids = flat[order]
+        repeats = ids[1:] == ids[:-1]
+        if not repeats.any():
+            return _Part(flat, g), None
+        starts = np.flatnonzero(np.r_[True, ~repeats])
+        return _Part(ids[starts], np.add.reduceat(g[order], starts, axis=0)), None
 
-    return _record("select", x.data[key], (x, key), bw)
+    return _record("take_rows", x.data[key], (x, key), bw)
 
 
 # linear_nll reduces and differentiates its (N, V) logits in blocks of this
@@ -591,10 +578,9 @@ def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths, h0: Ten
         # the previous state of state row k in block s > 0 is row k - n[s-1]
         h_prev = hs[np.arange(bsz, len(hs)) - np.repeat(n[:-1], n[1:])]
         dz = dz[bsz:]
-        dx = np.zeros_like(x.data)
-        dx[rows, pos] = dz @ wx.data.T
         back = order.argsort()  # the sorted place of each row
-        return dx, x.data[rows, pos].T @ dz, dz.sum(axis=0), h_prev.T @ dz, None, dh[back], dc[back]
+        return (_Part((rows, pos), dz @ wx.data.T), x.data[rows, pos].T @ dz, dz.sum(axis=0),
+                h_prev.T @ dz, None, dh[back], dc[back])
 
     out = np.zeros(x.shape[:2] + (hid,), dtype=dtype)
     out[rows, pos] = hs[bsz:]

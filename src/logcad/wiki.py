@@ -73,6 +73,9 @@ def extract_article(title: str, text: str, items: dict[str, str],
     """Apply the extraction rules to one article, in sentence/link order."""
     stats.articles += 1
     para = first_paragraph(text)
+    if "\x00" in para:  # the link placeholders' delimiter: text must not read as a link
+        stats.malformed += 1
+        return
 
     links: list[tuple[str, str]] = []  # (target, anchor)
 

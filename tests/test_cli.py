@@ -225,6 +225,20 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (out2 / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("flag,kind", [("--train", "training"), ("--valid", "validation")])
+    def test_dataset_without_entries_refused_before_training(self, tmp_path, capsys, flag,
+                                                             kind):
+        data = tmp_path / "train.tsv"
+        write_dataset(data, overfit_corpus())
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*_train_args(data, out), flag, str(empty)]) == 1  # the last flag wins
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"error: {empty}: no valid {kind} entries\n")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         assert main(_train_args(tmp_path / "missing.tsv", tmp_path / "out")) == 1
         assert "error" in capsys.readouterr().err
@@ -526,18 +540,21 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys, line, value,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "describe"])
-def test_checkpoint_directory_named(trained_run, capsys, command):
+@pytest.mark.parametrize("command", ["evaluate", "describe", "train"])
+def test_checkpoint_directory_named(trained_run, tmp_path, capsys, command):
     data, out = trained_run
+    flag = "--resume" if command == "train" else "--ckpt"
     inputs = {"evaluate": ["--data", str(data)],
               "describe": ["--phrase", "blue falcon",
-                           "--sentence", "the [TRG] near the harbor was seen ."]}
+                           "--sentence", "the [TRG] near the harbor was seen ."],
+              "train": ["--train", str(data), "--out", str(tmp_path / "o")]}
     capsys.readouterr()
-    assert main([command, "--ckpt", str(out), *inputs[command]]) == 1
+    assert main([command, flag, str(out), *inputs[command]]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: {out}: is a directory; --ckpt takes the checkpoint "
+    assert captured.err == (f"error: {out}: is a directory; {flag} takes the checkpoint "
                             f"file, such as {out / 'model.ckpt'}\n")
     assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 # each command's option strings, in the order its usage line lists them
@@ -668,7 +685,8 @@ def test_config_value_its_owner_refuses_names_file_and_line(tmp_path, capsys, li
 # ---------------------------------------------------------------------------
 # fuzzing every file the CLI reads
 
-FUZZ_TARGETS = ("config", "train-config", "vocab", "embeddings", "dataset", "checkpoint")
+FUZZ_TARGETS = ("config", "train-config", "vocab", "embeddings", "dataset", "checkpoint",
+                "articles", "items")
 
 
 @pytest.fixture(scope="module")
@@ -685,6 +703,9 @@ def fuzz_inputs(trained_run, tmp_path_factory):
                                       for i, w in enumerate(("blue", "gold", "falcon"))),
                    encoding="utf-8")
     evaluate = ["evaluate", "--data", small, "--ckpt", out / "model.ckpt", "--max-len", "4"]
+    articles, items = root / "articles.tsv", root / "items.tsv"
+    articles.write_text(ARTICLES_TSV, encoding="utf-8")
+    items.write_text(ITEMS_TSV, encoding="utf-8")
     files = {
         "config": ("seed=3\nbeam=2\nmax_len=5\n".encode(), [*evaluate, "--config", "{bad}"]),
         "train-config": (b"variant=global\nenc_width=8\ndec_width=8\nemb_width=8\n"
@@ -700,6 +721,10 @@ def fuzz_inputs(trained_run, tmp_path_factory):
         "checkpoint": ((out / "model.ckpt").read_bytes(),
                        ["evaluate", "--data", small, "--ckpt", "{bad}", "--vocab",
                         out / "vocab.txt", "--max-len", "4"]),
+        "articles": (articles.read_bytes(),
+                     ["extract", "--articles", "{bad}", "--items", items, "--out", "{out}"]),
+        "items": (items.read_bytes(),
+                  ["extract", "--articles", articles, "--items", "{bad}", "--out", "{out}"]),
     }
     return {kind: (blob, [str(a) for a in argv]) for kind, (blob, argv) in files.items()}
 

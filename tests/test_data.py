@@ -10,7 +10,6 @@ from logcad.data import (
     Vocab,
     build_vocab,
     corpus_stats,
-    entry_to_line,
     format_stats,
     load_dataset,
     load_embeddings,
@@ -259,16 +258,24 @@ class TestBatches:
 
     def test_union_is_input_multiset(self):
         entries = _random_entries(23, 4)
-        vocab = build_vocab(entries, 100)
+        words = {w for e in entries for w in e.context + e.description} - set(Vocab.SPECIALS)
+        vocab = Vocab([*Vocab.SPECIALS, *sorted(words)])  # every word has an id
         batches = make_batches(entries, vocab, 4, seed=0)
-        got = sorted(entry_to_line(e) for b in batches for e in b.entries)
-        assert got == sorted(entry_to_line(e) for e in entries)
+        # each batch row read back from the id matrices
+        got = sorted((tuple(b.phrase_words[i]),
+                      tuple(vocab.decode(b.context_ids[i, :b.context_lengths[i]])),
+                      tuple(vocab.decode(b.target_ids[i, :int(b.target_mask[i].sum()) - 1])))
+                     for b in batches for i in range(len(b)))
+        assert got == sorted((tuple(e.phrase), tuple(e.context), tuple(e.description))
+                             for e in entries)
 
     def test_masks_consistent_with_lengths(self):
         entries = _random_entries(40, 5)
         vocab = build_vocab(entries, 100)
-        for batch in make_batches(entries, vocab, 8, seed=1):
-            for i, e in enumerate(batch.entries):
+        for start in range(0, len(entries), 8):
+            chunk = entries[start:start + 8]
+            batch = make_batch(chunk, vocab)
+            for i, e in enumerate(chunk):
                 # per-entry recheck of every mask and padded row
                 assert batch.context_lengths[i] == len(e.context)
                 assert np.all(batch.context_ids[i, len(e.context):] == Vocab.PAD)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from logcad.tensor import (
     GradGraph,
+    _Part,
     _record,
     ShapeError,
     Tensor,
@@ -234,22 +235,34 @@ class TestBackward:
             npt.assert_allclose(t.grad, r / norm, rtol=1e-6)
 
     def test_fresh_leaf_gradients_are_not_copied(self):
-        # a weight's GEMM gradient and a table's take_rows gradient are fresh
-        # arrays, which the leaves keep as the backward functions returned them
+        # a weight's GEMM gradient is a fresh array, which the leaf keeps as
+        # the backward function returned it; a table's take_rows gradient is
+        # a _Part, and the leaf keeps the one buffer the graph scattered it into
         rng = np.random.default_rng(9)
-        w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(64, 3)), requires_grad=True)
+        table = Tensor(rng.normal(size=(4096, 64)), requires_grad=True)
+        ids = np.array([[1, 2], [2, 5]])
         with GradGraph() as g:
-            loss = reduce_sum(matmul(take_rows(table, np.array([[1, 2], [2, 5]])), w))
+            loss = reduce_sum(matmul(take_rows(table, ids), w))
         returned = {}
         for i, (name, inputs, out, bw) in enumerate(g.ops):
             def spy(grads, bw=bw, name=name):
                 returned[name] = bw(grads)
                 return returned[name]
             g.ops[i] = (name, inputs, out, spy)
-        g.backward(loss)
+        tracemalloc.start()
+        try:
+            g.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert w.grad is returned["matmul"][1]
-        assert table.grad is returned["take_rows"][0]
+        assert isinstance(returned["take_rows"][0], _Part)
+        ref = np.zeros_like(table.data)
+        np.add.at(ref, ids, np.broadcast_to(w.data.sum(axis=1), ids.shape + (64,)))
+        npt.assert_allclose(table.grad, ref)
+        # a copy of the graph's buffer would be a second 2 MB table
+        assert peak < 1.5 * table.data.nbytes, peak / table.data.nbytes
 
     def test_op_with_an_unused_output_runs_once_on_zeros(self):
         # a two-output op runs once when any output is reached, and the
@@ -443,11 +456,20 @@ class TestGradientCheckAllPrimitives:
         self._run(build, (3, 4), 24)
 
     def test_take_rows(self):
-        ids = np.array([0, 2, 2, 1])
+        # one table read through repeating 2-D ids (-1 wraps to the last
+        # row), a slice, a tuple key and directly, so its gradient sums
+        # _Parts and a dense gradient in one buffer
+        ids = np.array([[0, 2, 2], [-1, 2, 0]])
 
         def build(rng):
-            w = Tensor(rng.normal(size=(4, 4)))
-            return lambda t: reduce_sum(mul(take_rows(t, ids), w))
+            w1 = Tensor(rng.normal(size=(2, 3, 4)))
+            w2 = Tensor(rng.normal(size=(2, 4)))
+            w3 = Tensor(rng.normal(size=(2,)))
+            w4 = Tensor(rng.normal(size=(3, 4)))
+            return lambda t: add(add(reduce_sum(mul(take_rows(t, ids), w1)),
+                                     reduce_sum(mul(take_rows(t, np.s_[1:]), w2))),
+                                 add(reduce_sum(mul(take_rows(t, ([0, 2], [3, 3])), w3)),
+                                     reduce_sum(mul(t, w4))))
         self._run(build, (3, 4), 26)
 
     # zero-weight rows, a repeated target, and one row whose logits are all
@@ -540,6 +562,55 @@ class TestLstmSequencePacked:
         assert np.all(out.data[~valid] == 0.0)
         assert np.all(xt.grad[~valid] == 0.0)
         assert np.all(np.isfinite(xt.grad))
+
+
+class TestSparseGradients:
+    """Gathers return their input gradient as a ``_Part``: only the graph
+    turns a sparse gradient into a buffer of the input's size."""
+
+    @pytest.mark.parametrize("key,rows", [
+        (np.array([[3, 1], [3, -1]]), [1, 3, 4]),  # ids summed per row
+        (np.array([4, 0, 2]), [4, 0, 2]),          # no repeat: in key order
+        (np.s_[1:3], np.s_[1:3]),
+        ((np.array([0, 2]), np.array([1, 1])), (np.array([0, 2]), np.array([1, 1]))),
+    ])
+    def test_take_rows(self, key, rows):
+        table = Tensor(np.arange(15.0).reshape(5, 3), requires_grad=True)
+        with GradGraph() as g:
+            out = take_rows(table, key)
+        up = np.random.default_rng(3).normal(size=out.shape)
+        part, _ = g.ops[-1][3](up)
+        assert isinstance(part, _Part)
+        npt.assert_array_equal(part.key, rows)
+        dense = np.zeros_like(table.data)
+        np.add.at(dense, key, up)
+        got = np.zeros_like(table.data)
+        got[part.key] = part.g
+        npt.assert_allclose(got, dense)
+
+    def test_lstm_sequence_input(self):
+        rng = np.random.default_rng(4)
+        x, wx, b, wh, h0, c0 = (Tensor(rng.normal(size=s), requires_grad=True) for s in
+                                ((3, 4, 2), (2, 8), (8,), (2, 8), (3, 2), (3, 2)))
+        with GradGraph() as g:
+            out, c = lstm_sequence(x, wx, b, wh, np.array([2, 4, 1]), h0, c0)
+        part = g.ops[-1][3]((np.ones(out.shape), np.ones(c.shape)))[0]
+        assert isinstance(part, _Part)
+        rows, pos = part.key
+        assert sorted(zip(rows.tolist(), pos.tolist())) == \
+            [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
+        assert part.g.shape == (7, 2)
+
+    def test_reduce_max(self):
+        x = Tensor(np.random.default_rng(5).normal(size=(2, 5, 3)), requires_grad=True)
+        with GradGraph() as g:
+            out = reduce_max(x, axis=-2)
+        up = np.ones(out.shape)
+        (part,) = g.ops[-1][3](up)
+        assert isinstance(part, _Part)
+        got = np.zeros_like(x.data)
+        got[part.key] = part.g
+        npt.assert_array_equal(got, x.data == x.data.max(axis=1, keepdims=True))
 
 
 class TestTakeRowsBackward:

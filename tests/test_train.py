@@ -7,7 +7,7 @@ import pytest
 
 from corpora import overfit_corpus
 from logcad.data import Entry, build_vocab
-from logcad.model import DescriptionModel, ModelConfig
+from logcad.model import VARIANTS, DescriptionModel, ModelConfig
 from logcad.tensor import GradGraph, Tensor, reduce_sum, mul
 from logcad.train import BLOCK, Adam, TrainSettings, clip_gradients, token_accuracy, train
 
@@ -192,3 +192,29 @@ class TestNonFiniteGuard:
                 train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0))
         for t, b in zip(model.params.tensors(), before):
             npt.assert_array_equal(t.data, b)
+
+
+class TestFloat32TracksFloat64:
+    """Float32 training follows the float64 maths over many updates: from
+    the same initial weights, with dropout, every Adam step's loss agrees."""
+
+    STEPS = 20
+    # the float32 losses of these runs differ from float64's by at most
+    # 2e-7 relative; a float32 step that loses precision shows far above this
+    RTOL = 1e-5
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_per_step_losses_agree(self, variant):
+        entries = overfit_corpus()
+        vocab = build_vocab(entries, 10000)
+        cfg = ModelConfig(variant=variant, **dict(SMALL, dropout=0.5))
+        m32 = DescriptionModel(cfg, vocab, None, seed=5)
+        m64 = DescriptionModel(cfg, vocab, None, seed=5, dtype=np.float64)
+        for t32, t64 in zip(m32.params.tensors(), m64.params.tensors()):
+            t64.data[...] = t32.data  # exact
+        # one batch per epoch: each row's loss is one step's, before its update
+        settings = TrainSettings(epochs=self.STEPS, batch_size=len(entries), lr=1e-2, seed=3)
+        losses = [np.array([row.train_loss for row in train(m, entries, None, settings).rows])
+                  for m in (m32, m64)]
+        assert losses[1][-1] < 0.8 * losses[1][0]  # the steps trained the model
+        npt.assert_allclose(losses[0], losses[1], rtol=self.RTOL)

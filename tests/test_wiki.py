@@ -115,6 +115,15 @@ class TestExtraction:
         assert entries[0].context == ["both", "[TRG]", "and", "beta", "matter", "."]
         assert entries[1].context == ["both", "alpha", "and", "[TRG]", "matter", "."]
 
+    def test_placeholder_pattern_in_text_is_malformed(self):
+        # links become "\x00<index>\x00" while a paragraph is split; text
+        # that already holds that pattern must not be read as a link
+        articles = [("Foo", "The \x007\x00 [[bar]] is here."),
+                    ("Baz", "A \x000\x00 and [[bar]] too."), ("Qux", "See [[bar]] now.")]
+        entries, stats = extract_wikipedia(articles, {"bar": "a thing"})
+        assert [e.context for e in entries] == [["see", "[TRG]", "now", "."]]
+        assert stats.articles == 3 and stats.malformed == 2 and stats.emitted == 1
+
     def test_malformed_markup_counted(self):
         entries, stats = extract_wikipedia(
             [("X", "Broken [[link goes nowhere. And [[Japan]] is fine.")],
