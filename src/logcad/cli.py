@@ -47,6 +47,7 @@ from logcad.model import (
     ModelConfig,
     load_checkpoint,
     load_model,
+    meta_count,
     model_from_checkpoint,
     parse_value,
     save_checkpoint,
@@ -148,8 +149,8 @@ def cmd_train(args) -> int:
         try:
             model_cfg = ModelConfig.from_meta(meta)
             # model_from_checkpoint reads the seed after the data: refuse it now
-            parse_value("seed", meta.get("seed", "0"), 0)
-            start_epoch = parse_value("epoch", meta.get("epoch", "0"), 0)
+            meta_count(meta, "seed")
+            start_epoch = meta_count(meta, "epoch")
         except ValueError as e:
             raise ValueError(f"{args.resume}: {e}") from None
         clashes = [f"--{opt.replace('_', '-')} {given[opt]} disagrees with the checkpoint's "

@@ -273,19 +273,18 @@ def build_vocab(entries: Sequence[Entry], size: int = 10000) -> Vocab:
 
 @dataclass
 class Batch:
-    """Padded id matrices plus masks for one training/eval step.
+    """Padded id matrices plus lengths for one training/eval step.
 
     ``target_ids[:, t]`` is the gold token at step t (description tokens then
-    <eos>, then padding); ``prev_ids[:, t]`` is the teacher-forced previous
-    token (step 0 consumes the phrase embedding instead and ignores it).
+    <eos>, then padding), and the first ``target_lengths`` of each row are
+    real; under teacher forcing step t > 0 reads ``target_ids[:, t - 1]``.
     """
 
     context_ids: np.ndarray       # (B, T) int
     context_lengths: np.ndarray   # (B,)
     phrase_words: list            # list of list[str]
     target_ids: np.ndarray        # (B, S+1) int
-    target_mask: np.ndarray       # (B, S+1) float 0/1
-    prev_ids: np.ndarray          # (B, S+1) int
+    target_lengths: np.ndarray    # (B,) description length + 1 (<eos>)
 
     def __len__(self) -> int:
         return self.context_ids.shape[0]
@@ -304,21 +303,17 @@ def make_batch(entries: Sequence[Entry], vocab: Vocab) -> Batch:
     desc_lens = np.array([len(e.description) for e in entries], dtype=np.intp)
     s_max = int(desc_lens.max()) + 1  # room for <eos>
     target_ids = np.full((b, s_max), Vocab.PAD, dtype=np.intp)
-    prev_ids = np.full((b, s_max), Vocab.BOS, dtype=np.intp)
     for i, e in enumerate(entries):
         ids = vocab.encode(e.description)
         target_ids[i, : len(ids)] = ids
         target_ids[i, len(ids)] = Vocab.EOS
-        prev_ids[i, 1 : len(ids) + 1] = ids
-    target_mask = (np.arange(s_max)[None, :] < (desc_lens + 1)[:, None]).astype(np.float64)
 
     return Batch(
         context_ids=context_ids,
         context_lengths=ctx_lens,
         phrase_words=[list(e.phrase) for e in entries],
         target_ids=target_ids,
-        target_mask=target_mask,
-        prev_ids=prev_ids,
+        target_lengths=desc_lens + 1,
     )
 
 

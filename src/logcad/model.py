@@ -155,6 +155,14 @@ def parse_value(key: str, raw: str, default):
                          f"{'an integer' if kind is int else 'a number'}") from None
 
 
+def meta_count(meta: dict[str, str], key: str) -> int:
+    """Checkpoint meta ``key`` (0 when absent) as an integer of at least 0."""
+    value = parse_value(key, meta.get(key, "0"), 0)
+    if value < 0:
+        raise ValueError(f"{key}={value} must be at least 0")
+    return value
+
+
 class InputMismatch(ValueError):
     """A vocabulary or embedding table that does not fit; the message names its file."""
 
@@ -284,7 +292,7 @@ class DescriptionModel:
         self._drop_rng = np.random.default_rng([seed, 1])
 
     # ------------------------------------------------------------------
-    # conditioning and the decoder step (shared by teacher forcing and decoding)
+    # conditioning and the decoder pass (shared by teacher forcing and decoding)
 
     def _start(self, batch: Batch, train: bool) -> _Session:
         """Build the batch's conditioning and the zero decoder state."""
@@ -313,23 +321,12 @@ class DescriptionModel:
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
                         enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
 
-    def _first_input(self, session: _Session) -> Tensor:
-        """The decoder's input at step 0: the phrase embedding, or zeros for
-        local, which has none."""
-        if self.config.uses_global_embedding:
-            return session.x_trg
-        rows = session.layer_states[0][0].shape[0]
-        return Tensor(np.zeros((rows, self.config.word_emb_width), dtype=self.dtype))
-
     def _top(self, session: _Session, x: Tensor) -> tuple[Tensor, Tensor]:
-        """The top decoder layer's step on input ``x`` from its state in
-        ``session``, then, for gated variants, attention and the fusion gate.
-        Returns the output state, on which the layer recurs, and the cell
-        state. Teacher forcing and decoding both step through here."""
+        """A gated variant's top decoder layer's step on input ``x`` from its
+        state in ``session``, then attention and the fusion gate. Returns the
+        output state, on which the layer recurs, and the cell state."""
         cfg = self.config
         h, c = lstm_cell(self.params.decoder[-1], x, *session.layer_states[-1])
-        if not cfg.uses_gate:
-            return h, c
         feats = []
         if cfg.uses_global_embedding:
             feats.append(session.x_trg)
@@ -340,24 +337,58 @@ class DescriptionModel:
         feats.append(session.c_trg)
         return gate(self.params.gate, h, concat(feats, axis=1)), c
 
-    def _advance(self, session: _Session,
-                 prev_ids: Optional[np.ndarray]) -> tuple[Tensor, _Session]:
-        """One decoding step for every row of the session, without dropout;
-        returns the output state and the next session. At step 0 ``prev_ids``
-        is ignored."""
+    def _inputs(self, session: _Session, ids: np.ndarray) -> Tensor:
+        """The decoder's inputs (rows, T, width) for the session's next T
+        steps, whose previous words are ``ids`` (rows, T - 1 at step 0, else
+        T): the phrase embedding at step 0 (zeros for local, which has none),
+        then the embeddings of ``ids``; i-attention appends its masked phrase
+        embedding at every step."""
+        cfg = self.config
+        rows = len(ids)
+        x = take_rows(self.params.word_emb, ids)
         if session.step == 0:
-            x = self._first_input(session)
-        else:
-            x = take_rows(self.params.word_emb, prev_ids)
-        if self.config.variant == "i-attention":
-            x = concat([x, session.x_masked], axis=1)
-        states = []
-        for lstm_p, (h, c) in zip(self.params.decoder[:-1], session.layer_states):
-            h, c = lstm_cell(lstm_p, x, h, c)
-            states.append((h, c))
-            x = h
-        states.append(self._top(session, x))
-        return states[-1][0], replace(session, step=session.step + 1, layer_states=states)
+            first = session.x_trg if cfg.uses_global_embedding else \
+                Tensor(np.zeros((rows, cfg.word_emb_width), dtype=self.dtype))
+            x = concat([reshape(first, (rows, 1, first.shape[1])), x], axis=1)
+        if cfg.variant == "i-attention":
+            masked = session.x_masked
+            x = concat([x, add(Tensor(np.zeros(x.shape, dtype=self.dtype)),
+                               reshape(masked, (rows, 1, masked.shape[1])))], axis=2)
+        return x
+
+    def _decode(self, session: _Session, x: Tensor, lengths: np.ndarray,
+                masks: Optional[list] = None) -> tuple[Tensor, _Session]:
+        """Run the decoder stack from the session's state over inputs ``x``
+        (rows, T, width), row r for its first ``lengths[r]`` steps, rows sorted
+        longest first, with each layer's input dropout ``masks``. Each layer
+        below the top, and i-attention's top layer, is one ``lstm_sequence``;
+        the gated top layer steps through ``_top`` on the rows still live.
+        Returns the top outputs at the real positions, time-major, and the
+        session after the last step, holding the rows live there."""
+        cfg = self.config
+        real = lengths > np.arange(x.shape[1])[:, None]  # (T, rows)
+        live = real.sum(axis=1)
+        last = (np.arange(len(lengths)), lengths - 1)
+        states = list(session.layer_states)
+        for k, lstm_p in enumerate(self.params.decoder):
+            if masks is not None:
+                x = mul(x, Tensor(masks[k]))
+            if k < cfg.dec_layers - 1 or not cfg.uses_gate:
+                x, c = lstm_sequence(x, lstm_p.wx, lstm_p.b, lstm_p.wh, lengths, *states[k])
+                states[k] = (take_rows(x, last), c)
+        session = replace(session, step=session.step + x.shape[1], layer_states=states)
+        if not cfg.uses_gate:
+            steps_of, rows_of = real.nonzero()
+            return take_rows(x, (rows_of, steps_of)), session
+        outs = []
+        for t, n in enumerate(live):
+            if t and n < live[t - 1]:
+                session = session.take(slice(0, n))
+            s_out, c = self._top(session, take_rows(x, np.s_[:n, t]))
+            # this pass made the list, so the caller's session keeps its states
+            session.layer_states[-1] = (s_out, c)
+            outs.append(s_out)
+        return concat(outs, axis=0), session
 
     # ------------------------------------------------------------------
     # training loss
@@ -372,58 +403,20 @@ class DescriptionModel:
 
     def forward_loss(self, batch: Batch, train: bool = False) -> tuple[Tensor, dict]:
         """Teacher-forced mean negative log-likelihood per non-pad target
-        token, plus token counts in the aux dict.
-
-        Only real target positions are computed. The rows are sorted by
-        description length, longest first, so the rows still describing at
-        step t are a prefix of ``live[t]`` rows. Under teacher forcing every
-        input of the layers below the top is known in advance, so each of
-        them is one ``lstm_sequence``; so is the top layer of i-attention,
-        which has no gate. The gated top layer steps through ``_top`` on the
-        live rows only, and its stacked outputs are the real target rows,
-        time-major. One ``linear_nll`` op projects and scores them."""
+        token, plus token counts in the aux dict: one ``_decode`` pass over the
+        previous gold words, rows sorted longest description first, and one
+        ``linear_nll`` op over its outputs, the real target rows."""
         if len(batch) == 0:
             raise ValueError("forward_loss: empty batch")
-        cfg = self.config
-        session = self._start(batch, train)
         rows, steps = batch.target_ids.shape
-        masks = self._dropout_masks(rows, steps) if train and cfg.dropout > 0.0 else None
-        lengths = batch.target_mask.sum(axis=1).astype(np.intp)  # description + <eos>
-        order = (-lengths).argsort(kind="stable")
-        lengths = lengths[order]
-        real = lengths > np.arange(steps)[:, None]  # (steps, rows), time-major
-        live = real.sum(axis=1)
-        session = session.take(order)
-
-        # every step's input: the first input, then the previous gold words
-        first = self._first_input(session)
-        x = concat([reshape(first, (rows, 1, first.shape[1])),
-                    take_rows(self.params.word_emb, batch.prev_ids[order, 1:])], axis=1)
-        if cfg.variant == "i-attention":
-            masked = session.x_masked
-            x = concat([x, add(Tensor(np.zeros(x.shape, dtype=self.dtype)),
-                               reshape(masked, (rows, 1, masked.shape[1])))], axis=2)
-        zero = Tensor(np.zeros((rows, cfg.dec_width), dtype=self.dtype))
-        for k, lstm_p in enumerate(self.params.decoder):
-            if masks is not None:
-                x = mul(x, Tensor(masks[k][order]))
-            if k < cfg.dec_layers - 1 or not cfg.uses_gate:
-                x, _c = lstm_sequence(x, lstm_p.wx, lstm_p.b, lstm_p.wh, lengths, zero, zero)
-        if cfg.uses_gate:
-            states = []
-            for t, n in enumerate(live):
-                if t and n < live[t - 1]:
-                    session = session.take(slice(0, n))
-                s_out, c = self._top(session, take_rows(x, np.s_[:n, t]))
-                # only the top layer steps; the lower layers' states go unused
-                session = replace(session, layer_states=[*session.layer_states[:-1], (s_out, c)])
-                states.append(s_out)
-            out = concat(states, axis=0)
-        else:
-            steps_of, rows_of = real.nonzero()
-            out = take_rows(x, (rows_of, steps_of))
-
-        targets = batch.target_ids[order].T[real]
+        order = (-batch.target_lengths).argsort(kind="stable")
+        lengths = batch.target_lengths[order]
+        session = self._start(batch, train).take(order)
+        masks = [m[order] for m in self._dropout_masks(rows, steps)] \
+            if train and self.config.dropout > 0.0 else None
+        out, _ = self._decode(session, self._inputs(session, batch.target_ids[order, :-1]),
+                              lengths, masks)
+        targets = batch.target_ids[order].T[lengths > np.arange(steps)[:, None]]
         n_tokens = float(len(targets))
         loss, correct = linear_nll(out, self.params.out_w, self.params.out_b, targets,
                                    np.full(len(targets), 1.0 / n_tokens))
@@ -443,11 +436,16 @@ class DescriptionModel:
         previous token and is None exactly at the first step."""
         if (prev_ids is None) != (session.step == 0):
             raise ValueError("step: prev_ids must be None exactly at the first step")
-        prev = None if prev_ids is None else np.asarray(prev_ids, dtype=np.intp)
         rows = session.layer_states[0][0].shape[0]
-        if prev is not None and prev.shape != (rows,):
-            raise ValueError(f"step: {prev.shape} prev_ids for {rows} session rows")
-        s_out, session = self._advance(session, prev)
+        if prev_ids is None:
+            prev = np.empty((rows, 0), dtype=np.intp)
+        else:
+            prev = np.asarray(prev_ids, dtype=np.intp)
+            if prev.shape != (rows,):
+                raise ValueError(f"step: {prev.shape} prev_ids for {rows} session rows")
+            prev = prev[:, None]
+        s_out, session = self._decode(session, self._inputs(session, prev),
+                                      np.ones(rows, dtype=np.intp))
         logits = s_out.data @ self.params.out_w.data + self.params.out_b.data
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)), session
@@ -577,7 +575,7 @@ def model_from_checkpoint(tensors: dict[str, np.ndarray], meta: dict[str, str], 
     tensor replaces, and a tensor it lacks or shapes differently raises
     ``ValueError``."""
     config = ModelConfig.from_meta(meta)
-    seed = parse_value("seed", meta.get("seed", "0"), 0)
+    seed = meta_count(meta, "seed")
     rows = tensors.get("word_emb")
     if rows is not None and len(rows) != len(vocab):
         raise InputMismatch(f"{vocab.source}: {len(vocab)} tokens, but the checkpoint was "

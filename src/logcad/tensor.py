@@ -309,9 +309,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """The tensors joined along ``axis``; one tensor is returned as it is."""
     ts = list(tensors)
     if not ts:
         raise ShapeError("concat: need at least one tensor")
+    if len(ts) == 1:
+        return ts[0]
     base = list(ts[0].shape)
     for t in ts[1:]:
         other = list(t.shape)

@@ -134,7 +134,6 @@ class TrainResult:
     best_valid: Optional[float] = None
     final_train: Optional[float] = None  # None when no epoch ran
     epochs_run: int = 0
-    stopped_early: bool = False
 
     def log_text(self) -> str:
         lines = ["epoch\ttrain_loss\tvalid_loss"]
@@ -226,7 +225,6 @@ def train(model: DescriptionModel, train_entries: Sequence[Entry],
             print(row.tsv(), flush=True)
 
         if (valid_entries and settings.patience > 0 and since_best >= settings.patience):
-            result.stopped_early = True
             break
 
     if best_snapshot is not None:

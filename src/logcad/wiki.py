@@ -148,24 +148,25 @@ def extract_wikipedia(articles: Iterable[tuple[str, str]],
 # input files and splitting
 
 
+def _read_pairs(path, second: str) -> Iterator[tuple[str, str]]:
+    """The ``title <TAB> second`` pairs of a TSV file, skipping blank lines;
+    a line without a tab raises ``ValueError`` naming ``path:line``."""
+    for lineno, line in read_lines(path):
+        if line.strip():
+            fields = line.rstrip("\n").split("\t", 1)
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected title<TAB>{second}, found no tab")
+            yield fields[0], fields[1]
+
+
 def read_articles(path) -> list[tuple[str, str]]:
     """TSV of ``title <TAB> first-paragraph text``, one article per line."""
-    articles = []
-    for _lineno, line in read_lines(path):
-        fields = line.rstrip("\n").split("\t", 1)
-        if line.strip() and len(fields) == 2:
-            articles.append((fields[0], fields[1]))
-    return articles
+    return list(_read_pairs(path, "text"))
 
 
 def read_items(path) -> dict[str, str]:
     """TSV of ``title <TAB> description``; later duplicates win."""
-    items: dict[str, str] = {}
-    for _lineno, line in read_lines(path):
-        fields = line.rstrip("\n").split("\t", 1)
-        if line.strip() and len(fields) == 2:
-            items[fields[0]] = fields[1]
-    return items
+    return dict(_read_pairs(path, "description"))
 
 
 def split_by_phrase(entries: Sequence[Entry], ratios: tuple[float, float, float] = (0.9, 0.05, 0.05),

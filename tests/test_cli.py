@@ -604,9 +604,13 @@ def _with_meta(blob: bytes, key: str, value: str) -> bytes:
 
 @pytest.mark.parametrize("key,value,command", [("epoch", "x", "train"), ("seed", "z", "train"),
                                                ("seed", "z", "evaluate"),
-                                               ("seed", "z", "describe")])
+                                               ("seed", "z", "describe"),
+                                               ("epoch", "-7", "train"),
+                                               ("seed", "-1", "train"),
+                                               ("seed", "-1", "describe")])
 def test_non_integer_counter_in_checkpoint_meta_named(trained_run, tmp_path, capsys,
                                                       key, value, command):
+    # a negative counter is refused the same way, before any data is read
     data, out = trained_run
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_bytes(_with_meta((out / "model.ckpt").read_bytes(), key, value))
@@ -622,7 +626,9 @@ def test_non_integer_counter_in_checkpoint_meta_named(trained_run, tmp_path, cap
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {ckpt}: {key}={value!r} is not an integer\n"
+    problem = f"{key}={value} must be at least 0" if value.startswith("-") \
+        else f"{key}={value!r} is not an integer"
+    assert captured.err == f"error: {ckpt}: {problem}\n"
     assert captured.out == ""
     assert not resumed.exists()
 

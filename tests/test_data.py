@@ -264,7 +264,7 @@ class TestBatches:
         # each batch row read back from the id matrices
         got = sorted((tuple(b.phrase_words[i]),
                       tuple(vocab.decode(b.context_ids[i, :b.context_lengths[i]])),
-                      tuple(vocab.decode(b.target_ids[i, :int(b.target_mask[i].sum()) - 1])))
+                      tuple(vocab.decode(b.target_ids[i, :b.target_lengths[i] - 1])))
                      for b in batches for i in range(len(b)))
         assert got == sorted((tuple(e.phrase), tuple(e.context), tuple(e.description))
                              for e in entries)
@@ -282,11 +282,11 @@ class TestBatches:
                 npt.assert_array_equal(
                     batch.context_ids[i, : len(e.context)], vocab.encode(e.context))
                 n_steps = len(e.description) + 1
-                assert batch.target_mask[i].sum() == n_steps
+                assert batch.target_lengths[i] == n_steps
+                npt.assert_array_equal(
+                    batch.target_ids[i, : n_steps - 1], vocab.encode(e.description))
                 assert batch.target_ids[i, n_steps - 1] == Vocab.EOS
                 assert np.all(batch.target_ids[i, n_steps:] == Vocab.PAD)
-                npt.assert_array_equal(
-                    batch.prev_ids[i, 1:n_steps], batch.target_ids[i, : n_steps - 1])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is read in that module, and
-every name ``logcad.tensor`` exports is imported by another module."""
+"""Every name a module of the package imports is read in that module, every
+name ``logcad.tensor`` exports is imported by another module, and every
+private function, method and class the package defines is referenced in it."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,42 @@ def test_every_tensor_export_is_used_by_the_package():
                          for alias in node.names}
     unused = set(logcad.tensor.__all__) - TENSOR_TEST_SUPPORT - imported
     assert sorted(unused) == []
+
+
+def unreferenced_private_defs(sources: list[str]) -> list[str]:
+    """The private (``_name``, not dunder) functions, methods and classes
+    defined in ``sources`` whose name no module of them reads: as a name, an
+    attribute or an imported name."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted(defined - read)
+
+
+def test_private_checker_flags_dead_helpers():
+    sources = ["def _used(): pass\n"
+               "def _dead(): pass\n"
+               "class _Dead:\n"
+               "    def __init__(self): pass\n"
+               "    def _method(self): return _used()\n"
+               "class C:\n"
+               "    def _called(self): return self._method()\n",
+               "from m import _imported\n"
+               "def _imported(): pass\n"
+               "C()._called()\n"]
+    assert unreferenced_private_defs(sources) == ["_Dead", "_dead"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_defs(sources) == []

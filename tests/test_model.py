@@ -400,33 +400,39 @@ class TestSequenceLoss:
         session = model.start_session(entries)
         singles = [model.start_session([e]) for e in entries]
         for t in range(4):
-            prev_ids = batch.prev_ids[:, t]
+            prev_ids = batch.target_ids[:, t - 1]
             got, session = model.step(session, prev_ids if t else None)
             for i, single in enumerate(singles):
                 want_row, singles[i] = model.step(single, [int(prev_ids[i])] if t else None)
                 npt.assert_allclose(got[i], want_row[0], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("variant", ["global", "local", "log-cad"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_loss_matches_reference(self, variant):
         # the output head scores the stacked steps of a padded batch: the
-        # loss is the negative mean of the reference's gold-token
-        # log-probabilities, which pins the row order and the mask
+        # loss is the negative mean of the gold-token log-probabilities that
+        # ``step`` gives when fed the gold previous words, which pins the row
+        # order and the real positions, for 1 to 3 decoder layers
         vocab = toy_vocab()
-        model = DescriptionModel(tiny_config(variant), vocab, toy_table(),
-                                 seed=20, dtype=np.float64)
         entries = padded_entries()
-        gold, hits = [], 0
-        for e in entries:
-            targets = vocab.encode(e.description) + [Vocab.EOS]
-            for logp, target in zip(np_gated_steps(model, e, e.description), targets,
-                                    strict=True):
-                gold.append(logp[target])
-                hits += int(np.argmax(logp) == target)
-        loss, aux = model.forward_loss(make_batch(entries, vocab))
-        assert loss.item() == pytest.approx(-np.mean(gold), rel=0, abs=1e-9)
-        assert aux["tokens"] == len(gold)
-        assert 0 < hits < len(gold)  # this seed's argmax hits some gold tokens
-        assert aux["correct"] == hits
+        batch = make_batch(entries, vocab)
+        all_hits = 0
+        for dec_layers in (1, 2, 3):
+            cfg = ModelConfig(variant=variant, **{**TINY, "dec_layers": dec_layers})
+            model = DescriptionModel(cfg, vocab, toy_table(), seed=20, dtype=np.float64)
+            session = model.start_session(entries)
+            gold, hits = [], 0
+            for t in range(batch.target_ids.shape[1]):
+                logp, session = model.step(session, batch.target_ids[:, t - 1] if t else None)
+                real = t < batch.target_lengths
+                targets = batch.target_ids[real, t]
+                gold += logp[real, targets].tolist()
+                hits += int((logp[real].argmax(axis=1) == targets).sum())
+            loss, aux = model.forward_loss(batch)
+            assert loss.item() == pytest.approx(-np.mean(gold), rel=0, abs=1e-12), dec_layers
+            assert aux["tokens"] == len(gold)
+            assert aux["correct"] == hits, dec_layers
+            all_hits += hits
+        assert all_hits > 0  # this seed's argmax hits some gold tokens
 
     def test_one_output_head_per_batch(self):
         # the real target tokens of all S steps of a B-entry batch go through
@@ -436,8 +442,8 @@ class TestSequenceLoss:
         cfg = tiny_config("log-cad")
         model = DescriptionModel(cfg, vocab, toy_table(), seed=16, dtype=np.float64)
         batch = make_batch(padded_entries(), vocab)
-        real = int(batch.target_mask.sum())
-        assert real < batch.target_mask.size  # the batch has target padding
+        real = int(batch.target_lengths.sum())
+        assert real < batch.target_ids.size  # the batch has target padding
         with GradGraph() as g:
             model.forward_loss(batch, train=True)
         heads = [inputs for name, inputs, *_ in g.ops if name == "linear_nll"]
@@ -453,7 +459,7 @@ class TestSequenceLoss:
         vocab = toy_vocab()
         batch = make_batch(padded_entries(), vocab)
         steps = batch.target_ids.shape[1]
-        live = [int((batch.target_mask[:, t] > 0).sum()) for t in range(steps)]
+        live = [int((batch.target_lengths > t).sum()) for t in range(steps)]
         assert live[-1] < live[0]  # some rows finish before others
         for variant in VARIANTS:
             cfg = tiny_config(variant)
@@ -547,9 +553,10 @@ def padded_forward_loss(self, batch, train=False):
     rows = len(batch)
     layer_states = [(Tensor(np.zeros((rows, cfg.dec_width))),) * 2 for _ in p.decoder]
     states = []
-    for t in range(batch.target_ids.shape[1]):
+    steps = batch.target_ids.shape[1]
+    for t in range(steps):
         if t:
-            x = take_rows(p.word_emb, batch.prev_ids[:, t])
+            x = take_rows(p.word_emb, batch.target_ids[:, t - 1])
         elif cfg.uses_global_embedding:
             x = session.x_trg
         else:
@@ -569,7 +576,7 @@ def padded_forward_loss(self, batch, train=False):
             layer_states[k] = (h, c)
             x = h
         states.append(x)
-    mask = batch.target_mask.T.reshape(-1)
+    mask = (np.arange(steps)[:, None] < batch.target_lengths).reshape(-1).astype(np.float64)
     loss, _correct = linear_nll(concat(states, axis=0), p.out_w, p.out_b,
                                 batch.target_ids.T.reshape(-1), mask / mask.sum())
     return loss, {"tokens": float(mask.sum())}

@@ -120,7 +120,6 @@ class TestTrainLoop:
         model = small_model(entries)
         settings = TrainSettings(epochs=60, batch_size=8, seed=0, patience=3)
         result = train(model, entries, valid, settings)
-        assert result.stopped_early
         assert result.epochs_run < 60
         from logcad.train import _teacher_forced
         assert _teacher_forced(model, valid, 8)[0] == pytest.approx(result.best_valid,

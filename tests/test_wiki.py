@@ -1,3 +1,8 @@
+import re
+
+import pytest
+
+from logcad.cli import main
 from logcad.data import entry_to_line
 from logcad.wiki import (
     extract_wikipedia,
@@ -142,6 +147,24 @@ class TestInputsAndSplit:
         items = read_items(i)
         assert items["Japan"] == "a country"
         assert items["aircraft"] == ""
+
+    @pytest.mark.parametrize("which", ["articles", "items"])
+    def test_line_without_tab_refused(self, tmp_path, capsys, which):
+        # a lost tab used to drop the line silently, and extract exited 0
+        articles = tmp_path / "articles.tsv"
+        articles.write_text("Tokyo\tTokyo is in [[Japan]].\n", encoding="utf-8")
+        items = tmp_path / "items.tsv"
+        items.write_text("Japan\ta country\n", encoding="utf-8")
+        bad = {"articles": articles, "items": items}[which]
+        with bad.open("a", encoding="utf-8") as fh:
+            fh.write("\nKyoto Kyoto is a city in [[Japan]].\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:3: "):
+            (read_articles if which == "articles" else read_items)(bad)
+        out = tmp_path / "out"
+        assert main(["extract", "--articles", str(articles), "--items", str(items),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:3: ")
+        assert not out.exists()
 
     def test_split_is_phrase_disjoint(self):
         entries, _ = extract_wikipedia(ARTICLES, ITEMS)
