@@ -19,7 +19,8 @@ from logcad.tensor import (
     Tensor,
     add,
     concat,
-    dropout,
+    dropout_keep,
+    fusion_gate,
     lstm_sequence,
     matmul,
     mul,
@@ -28,7 +29,6 @@ from logcad.tensor import (
     reshape,
     sigmoid,
     softmax,
-    sub,
     take_rows,
     tanh,
 )
@@ -101,9 +101,9 @@ def lstm_cell(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, T
     ``x`` (B, input_dim) from the state ``(h, c)`` (B, hidden); returns the
     new ``(h, c)``."""
     rows = x.shape[0]
-    out, c_new = lstm_sequence(reshape(x, (rows, 1, x.shape[-1])), p.wx, p.b, p.wh,
-                               np.ones(rows, dtype=np.intp), h, c)
-    return reshape(out, (rows, p.hidden)), c_new
+    _, h_new, c_new = lstm_sequence(reshape(x, (rows, 1, x.shape[-1])), p.wx, p.b, p.wh,
+                                    np.ones(rows, dtype=np.intp), h, c)
+    return h_new, c_new
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +140,34 @@ class BiLstmParams:
 
 
 def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
-                  drop: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+                  drop: float = 0.0, rng: Optional[np.random.Generator] = None,
+                  order: Optional[np.ndarray] = None) -> Tensor:
     """Encode (B, T, E) token embeddings into (B, T, out_width) states.
 
     Each position's state is [forward half; backward half] for that position.
-    ``lengths`` gives true sequence lengths; each layer and direction is one
-    ``lstm_sequence`` op from a zero state over the real tokens only, so
-    states past them read 0 and cost nothing. They are still not context:
-    consumers such as attention must mask them. Dropout, when requested, is
-    applied between stacked layers.
+    ``lengths`` gives true sequence lengths; each layer is one
+    ``lstm_sequence`` op that runs both directions from a zero state over the
+    real tokens only and writes them side by side, so states past the tokens
+    read 0 and cost nothing. They are still not context: consumers such as
+    attention must mask them. Dropout, when requested, is applied to each
+    later layer's input inside its op, from a boolean keep mask. When the
+    rows are batch rows ``order`` (row r is batch row ``order[r]``), the masks
+    are drawn over the batch in batch order and permuted with the rows, so a
+    row's masks do not depend on the row order.
     """
     if embs.ndim != 3 or embs.shape[1] == 0:
         raise ShapeError(f"bilstm_encode: need a nonempty (B, T, E) sequence, got {embs.shape}")
-    zero = Tensor(np.zeros((embs.shape[0], p.out_width // 2), dtype=embs.dtype))
+    zero = Tensor(np.zeros((embs.shape[0], p.out_width), dtype=embs.dtype))
     seq = embs
     for k, (fwd, bwd) in enumerate(p.layers):
-        if k > 0:
-            seq = dropout(seq, drop, rng)
-        seq = concat([lstm_sequence(seq, d.wx, d.b, d.wh, lengths, zero, zero, reverse=rev)[0]
-                      for d, rev in ((fwd, False), (bwd, True))], axis=2)
+        keep = None
+        if k > 0 and drop > 0.0:
+            keep = dropout_keep(seq.shape, drop, rng)
+            if order is not None:
+                keep = keep[order]
+        seq, _, _ = lstm_sequence(seq, (fwd.wx, bwd.wx), (fwd.b, bwd.b), (fwd.wh, bwd.wh),
+                                  lengths, zero, zero, reverse=(False, True),
+                                  drop=None if keep is None else (keep, drop))
     return seq
 
 
@@ -284,9 +293,14 @@ class AttentionParams:
         yield f"{prefix}.u_s", self.u_s
 
 
-def project_context(p: AttentionParams, states: Tensor) -> Tensor:
-    """Precompute U_h @ h_i for all positions; reused across decode steps."""
-    return matmul(states, p.u_h)
+def project_context(p: AttentionParams, states: Tensor,
+                    lengths: Optional[np.ndarray] = None) -> Tensor:
+    """Precompute U_h @ h_i for every position, reused across decode steps;
+    with ``lengths``, for each row's first ``lengths[r]`` positions only, and
+    0 past them, where the states are padding."""
+    if lengths is None:
+        return matmul(states, p.u_h)
+    return matmul(states, p.u_h, at=np.arange(states.shape[1]) < lengths[:, None])
 
 
 def attention(p: AttentionParams, states: Tensor, s_t: Tensor,
@@ -350,12 +364,9 @@ class GateParams:
 
 def gate(p: GateParams, s_t: Tensor, f_t: Tensor) -> Tensor:
     """z = sig(W_z[f;s]+b_z);  r = sig(W_r[f;s]+b_r);
-    s~ = tanh(W_s[(r*f);s]+b_s);  s' = (1-z)*s + z*s~."""
-    fs = concat([f_t, s_t], axis=1)
-    z = sigmoid(add(matmul(fs, p.w_z), p.b_z))
-    r = sigmoid(add(matmul(fs, p.w_r), p.b_r))
-    candidate = tanh(add(matmul(concat([mul(r, f_t), s_t], axis=1), p.w_s), p.b_s))
-    return add(mul(sub(1.0, z), s_t), mul(z, candidate))
+    s~ = tanh(W_s[(r*f);s]+b_s);  s' = (1-z)*s + z*s~, as one
+    ``tensor.fusion_gate`` op."""
+    return fusion_gate(s_t, f_t, p.w_z, p.b_z, p.w_r, p.b_r, p.w_s, p.b_s)
 
 
 # ---------------------------------------------------------------------------

@@ -294,29 +294,38 @@ class DescriptionModel:
     # ------------------------------------------------------------------
     # conditioning and the decoder pass (shared by teacher forcing and decoding)
 
-    def _start(self, batch: Batch, train: bool) -> _Session:
-        """Build the batch's conditioning and the zero decoder state."""
+    def _start(self, batch: Batch, train: bool,
+               order: Optional[np.ndarray] = None) -> _Session:
+        """Build the conditioning and the zero decoder state of batch rows
+        ``order`` (all rows in batch order by default), in that order.
+        Encoder dropout is drawn over the batch in batch order, so each row
+        keeps its masks whatever ``order`` is."""
         cfg = self.config
+        rows = np.arange(len(batch)) if order is None else order
         enc_states = enc_proj = enc_bias = x_trg = c_trg = x_masked = None
         if cfg.uses_encoder:
-            lengths = batch.context_lengths
-            embs = take_rows(self.params.word_emb, batch.context_ids)
+            lengths = batch.context_lengths[rows]
+            embs = take_rows(self.params.word_emb, batch.context_ids[rows])
             enc_states = bilstm_encode(self.params.encoder, embs, lengths,
-                                       drop=cfg.dropout if train else 0.0, rng=self._drop_rng)
+                                       drop=cfg.dropout if train else 0.0, rng=self._drop_rng,
+                                       order=order)
             if cfg.uses_attention:
                 positions = np.arange(batch.context_ids.shape[1])[None, :]
                 enc_bias = np.where(positions < lengths[:, None], 0.0, MASK_BIAS).astype(self.dtype)
-                enc_proj = project_context(self.params.attn, enc_states)
+                enc_proj = project_context(self.params.attn, enc_states, lengths)
         if cfg.uses_global_embedding:
-            x_trg = Tensor(np.asarray([phrase_embedding(words, self.emb_table)
-                                       for words in batch.phrase_words], dtype=self.dtype))
+            x_trg = Tensor(np.asarray([phrase_embedding(batch.phrase_words[r], self.emb_table)
+                                       for r in rows], dtype=self.dtype))
         if cfg.uses_char:
+            # in batch order, then gathered: (B, 160) is small, and the char
+            # CNN's weight gradients then sum their rows as in batch order
             c_trg = char_cnn(self.params.char, batch.phrase_words)
+            if order is not None:
+                c_trg = take_rows(c_trg, order)
         if cfg.variant == "i-attention":
-            x_masked = iattention_mask(self.params.masknet, enc_states, x_trg,
-                                       lengths=batch.context_lengths)
+            x_masked = iattention_mask(self.params.masknet, enc_states, x_trg, lengths=lengths)
             enc_states = None  # after this step only attention reads them
-        zeros = lambda: Tensor(np.zeros((len(batch), cfg.dec_width), dtype=self.dtype))  # noqa: E731
+        zeros = lambda: Tensor(np.zeros((len(rows), cfg.dec_width), dtype=self.dtype))  # noqa: E731
         return _Session(step=0, layer_states=[(zeros(), zeros()) for _ in self.params.decoder],
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
                         enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
@@ -368,14 +377,13 @@ class DescriptionModel:
         cfg = self.config
         real = lengths > np.arange(x.shape[1])[:, None]  # (T, rows)
         live = real.sum(axis=1)
-        last = (np.arange(len(lengths)), lengths - 1)
         states = list(session.layer_states)
         for k, lstm_p in enumerate(self.params.decoder):
             if masks is not None:
                 x = mul(x, Tensor(masks[k]))
             if k < cfg.dec_layers - 1 or not cfg.uses_gate:
-                x, c = lstm_sequence(x, lstm_p.wx, lstm_p.b, lstm_p.wh, lengths, *states[k])
-                states[k] = (take_rows(x, last), c)
+                x, h, c = lstm_sequence(x, lstm_p.wx, lstm_p.b, lstm_p.wh, lengths, *states[k])
+                states[k] = (h, c)
         session = replace(session, step=session.step + x.shape[1], layer_states=states)
         if not cfg.uses_gate:
             steps_of, rows_of = real.nonzero()
@@ -404,14 +412,15 @@ class DescriptionModel:
     def forward_loss(self, batch: Batch, train: bool = False) -> tuple[Tensor, dict]:
         """Teacher-forced mean negative log-likelihood per non-pad target
         token, plus token counts in the aux dict: one ``_decode`` pass over the
-        previous gold words, rows sorted longest description first, and one
-        ``linear_nll`` op over its outputs, the real target rows."""
+        previous gold words, with the rows and their conditioning built in
+        description order, longest first, and one ``linear_nll`` op over its
+        outputs, the real target rows."""
         if len(batch) == 0:
             raise ValueError("forward_loss: empty batch")
         rows, steps = batch.target_ids.shape
         order = (-batch.target_lengths).argsort(kind="stable")
         lengths = batch.target_lengths[order]
-        session = self._start(batch, train).take(order)
+        session = self._start(batch, train, order)
         masks = [m[order] for m in self._dropout_masks(rows, steps)] \
             if train and self.config.dropout > 0.0 else None
         out, _ = self._decode(session, self._inputs(session, batch.target_ids[order, :-1]),

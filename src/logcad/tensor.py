@@ -35,7 +35,6 @@ __all__ = [
     "GradGraph",
     "ShapeError",
     "add",
-    "sub",
     "mul",
     "matmul",
     "concat",
@@ -48,7 +47,8 @@ __all__ = [
     "take_rows",
     "linear_nll",
     "lstm_sequence",
-    "dropout",
+    "fusion_gate",
+    "dropout_keep",
     "dropout_mask",
     "gradient_check",
 ]
@@ -259,17 +259,6 @@ def add(a, b) -> Tensor:
     return _record("add", a.data + b.data, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce(a, b)
-    b = _coerce(b, a)
-    _broadcast_shape("sub", a, b)
-
-    def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record("sub", a.data - b.data, (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     a = a if isinstance(a, Tensor) else _coerce(a, b)
     b = _coerce(b, a)
@@ -281,16 +270,27 @@ def mul(a, b) -> Tensor:
     return _record("mul", a.data * b.data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, at=None) -> Tensor:
     """Matrix product with numpy's broadcasting rules. A 2-D right operand
     (a weight) is applied to all leading dims of ``a`` as one folded GEMM,
-    forward and backward, instead of a batched product and a sum."""
+    forward and backward, instead of a batched product and a sum; with
+    ``at``, a key into ``a``'s leading dims that picks each row once, only
+    the rows ``a[at]`` are multiplied and the rest of the result is 0."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
 
     if b.ndim == 2:
+        if at is not None:
+            def bw_rows(g):
+                g_at = g[at]
+                return _Part(at, g_at @ b.data.T), a.data[at].T @ g_at
+
+            out = np.zeros(a.shape[:-1] + (b.shape[1],), dtype=np.result_type(a.data, b.data))
+            out[at] = a.data[at] @ b.data
+            return _record("matmul", out, (a, b), bw_rows)
+
         a2 = a.data.reshape(-1, a.shape[-1])
 
         def bw_folded(g):
@@ -301,9 +301,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _record("matmul", out, (a, b), bw_folded)
 
     def bw(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        # a product over a dimension of 1 is an outer product: a broadcast multiply
+        b_t, a_t = np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2)
+        ga = g * b_t if g.shape[-1] == 1 else np.matmul(g, b_t)
+        gb = a_t * g if g.shape[-2] == 1 else np.matmul(a_t, g)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _record("matmul", np.matmul(a.data, b.data), (a, b), bw)
 
@@ -350,9 +352,13 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _record("reshape", out, (x,), bw)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sig(x: np.ndarray) -> np.ndarray:
     # the tanh form is one transcendental per element and cannot overflow
-    out = 0.5 * (1.0 + np.tanh(0.5 * x.data))
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _sig(x.data)
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -491,8 +497,9 @@ def _gate_affine(hid: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, 1.0 - scale
 
 
-def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths, h0: Tensor,
-                  c0: Tensor, reverse: bool = False) -> tuple[Tensor, Tensor]:
+def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse=False,
+                  drop: Optional[tuple[np.ndarray, float]] = None
+                  ) -> tuple[Tensor, Tensor, Tensor]:
     """Run an LSTM from the state ``(h0, c0)`` (B, H) over each row's first
     ``lengths[r]`` steps of ``x`` (B, T, D), as one tape op; with ``reverse``
     each row is read from position ``lengths[r]-1`` back to 0.
@@ -502,21 +509,39 @@ def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths, h0: Ten
     ``c = sig(z_f)*c + sig(z_i)*tanh(z_g)`` and ``h = sig(z_o)*tanh(c)``.
     Returns the hidden states (B, T, H), each at the position it read (padded
     positions are exactly 0, and no gradient reaches them), and each row's
-    last cell state (B, H).
+    last hidden and cell states (B, H).
+
+    Several directions over one input, such as the two of a bidirectional
+    layer, run as one op: ``wx``, ``b``, ``wh`` and ``reverse`` are then
+    tuples with one entry per direction, and direction k owns columns
+    ``k*H:(k+1)*H`` of the hidden states, of ``h0``/``c0`` and of the last
+    states; each runs all its steps before the next starts, so at a few rows
+    its recurrent weights stay in cache. ``drop = (keep, p)`` is inverted dropout
+    on ``x``: each packed input is multiplied by 1/(1-p) where the boolean
+    (B, T, D) mask ``keep`` holds and by 0 elsewhere, and only the mask is
+    kept.
 
     Only real tokens are computed: rows are sorted longest first, so the rows
     active at step t are a prefix, and the real positions are packed
     time-major. The input projection is one GEMM over the packed positions,
     and the backward pass forms ``d x``, ``d wx``, ``d b`` and ``d wh`` over
-    the packed rows with one GEMM each.
+    the packed rows with one GEMM each. It keeps the gate activations and
+    the cell states; it recomputes ``tanh(c)`` and reads ``h`` back from the
+    op's own output.
     """
+    wxs, bs, whs, revs = (v if isinstance(v, tuple) else (v,) for v in (wx, b, wh, reverse))
+    dirs = len(whs)
+    hid = whs[0].shape[0]
     lengths = np.asarray(lengths)
-    if x.ndim != 3 or wh.ndim != 2 or wh.shape[1] != 4 * wh.shape[0] \
-            or wx.shape != (x.shape[2], wh.shape[1]) or b.shape != (wh.shape[1],) \
-            or h0.shape != (x.shape[0], wh.shape[0]) or c0.shape != h0.shape:
-        raise ShapeError(f"lstm_sequence: need x (B,T,D), wx (D,4H), b (4H,), wh (H,4H) and "
-                         f"h0, c0 (B,H), got {x.shape}, {wx.shape}, {b.shape}, {wh.shape}, "
-                         f"{h0.shape} and {c0.shape}")
+    if x.ndim != 3 or not len(wxs) == len(bs) == len(revs) == dirs \
+            or any(w_h.shape != (hid, 4 * hid) or w_x.shape != (x.shape[2], 4 * hid)
+                   or b_.shape != (4 * hid,) for w_x, b_, w_h in zip(wxs, bs, whs)) \
+            or h0.shape != (x.shape[0], dirs * hid) or c0.shape != h0.shape \
+            or (drop is not None and drop[0].shape != x.shape):
+        raise ShapeError(f"lstm_sequence: need x (B,T,D), per direction wx (D,4H), b (4H,) "
+                         f"and wh (H,4H), h0, c0 (B, directions*H) and a keep mask like x, "
+                         f"got {x.shape}, {[t.shape for t in wxs]}, {[t.shape for t in bs]}, "
+                         f"{[t.shape for t in whs]}, {h0.shape} and {c0.shape}")
     if lengths.shape != x.shape[:1] or lengths.dtype.kind != "i":
         raise ShapeError(f"lstm_sequence: need signed integer lengths (B,) for x {x.shape}, "
                          f"got {lengths!r}")
@@ -525,88 +550,169 @@ def lstm_sequence(x: Tensor, wx: Tensor, b: Tensor, wh: Tensor, lengths, h0: Ten
     if longest_first[-1] < 1 or longest_first[0] > x.shape[1]:
         raise ShapeError(f"lstm_sequence: lengths must lie in [1, {x.shape[1]}], "
                          f"got {lengths!r}")
-    bsz, hid = h0.shape
+    bsz, steps = x.shape[:2]
     dtype = x.dtype
     # state row k is sorted row j_of[k] after step s_of[k] - 1: block s has n[s]
     # rows from offs[s] on, block 0 holds the B initial states, and the
     # previous states of block s are the first n[s] rows of block s-1
-    s_of, j_of = (longest_first >= np.arange(x.shape[1] + 1)[:, None]).nonzero()
+    s_of, j_of = (longest_first >= np.arange(steps + 1)[:, None]).nonzero()
     n = np.bincount(s_of)
     offs = n.cumsum() - n
     rows = order[j_of[bsz:]]
-    pos = lengths[rows] - s_of[bsz:] if reverse else s_of[bsz:] - 1
+    poss = [lengths[rows] - s_of[bsz:] if rev else s_of[bsz:] - 1 for rev in revs]
+    cols = [slice(k * hid, (k + 1) * hid) for k in range(dirs)]
     scale, shift = _gate_affine(hid, dtype)
-    # z, then the gate activations, of each state row (rows [0, B) unused)
-    acts = np.empty((len(s_of), 4 * hid), dtype=dtype)
-    np.matmul(x.data[rows, pos], wx.data, out=acts[bsz:])
-    acts[bsz:] += b.data
-    hs = np.empty((len(s_of), hid), dtype=dtype)
-    cs = np.empty_like(hs)
-    tcs = np.empty_like(hs)
-    hs[:bsz], cs[:bsz] = h0.data[order], c0.data[order]
-    for s, m in enumerate(n[1:], start=1):
-        prev, now = slice(offs[s - 1], offs[s - 1] + m), slice(offs[s], offs[s] + m)
-        a = acts[now]
-        a += hs[prev] @ wh.data
-        a *= scale
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        i, f, g, o = a.reshape(m, 4, hid).swapaxes(0, 1)
-        np.add(f * cs[prev], i * g, out=cs[now])
-        np.tanh(cs[now], out=tcs[now])
-        np.multiply(o, tcs[now], out=hs[now])
 
-    def bw(grads):  # of the hidden states and of the last cell states
-        gs = grads[0][rows, pos]
-        dz = np.empty_like(acts)
-        dh = np.zeros((bsz, hid), dtype=dtype)
-        dc = grads[1][order]  # a row's last-cell gradient enters at its last step
-        wh_t = np.ascontiguousarray(wh.data.T)
+    def kept(k):  # the dropout multiplier of direction k's inputs
+        keep, p = drop
+        return keep[rows, poss[k]].astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
+
+    def packed(k):  # direction k's inputs at its state rows, after dropout
+        xp = x.data[rows, poss[k]]
+        if drop is not None:
+            xp *= kept(k)
+        return xp
+
+    # per direction: z, then the gate activations, of each state row past the
+    # B initial ones, and the cell states of all state rows
+    acts = np.empty((dirs, len(rows), 4 * hid), dtype=dtype)
+    cs = np.empty((dirs, len(s_of), hid), dtype=dtype)
+    out = np.zeros((bsz, steps, dirs * hid), dtype=dtype)
+    h_last, c_last = np.empty_like(h0.data), np.empty_like(c0.data)
+    last = offs[longest_first] + np.arange(bsz)  # state row of each sorted row's last step
+    for k, (act, c, w_x, b_, w_h) in enumerate(zip(acts, cs, wxs, bs, whs)):
+        h = np.empty_like(c)
+        h[:bsz], c[:bsz] = h0.data[order, cols[k]], c0.data[order, cols[k]]
+        np.matmul(packed(k), w_x.data, out=act)
+        act += b_.data
+        for s, m in enumerate(n[1:], start=1):
+            prev, now = slice(offs[s - 1], offs[s - 1] + m), slice(offs[s], offs[s] + m)
+            a = act[offs[s] - bsz:offs[s] - bsz + m]
+            a += h[prev] @ w_h.data
+            a *= scale
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            i, f, g, o = a.reshape(m, 4, hid).swapaxes(0, 1)
+            np.add(f * c[prev], i * g, out=c[now])
+            np.multiply(o, np.tanh(c[now]), out=h[now])
+        out[rows, poss[k], cols[k]] = h[bsz:]
+        h_last[order, cols[k]], c_last[order, cols[k]] = h[last], c[last]
+
+    # the previous state of state row k in block s > 0 is row k - n[s-1]
+    prev_rows = np.arange(bsz, len(s_of)) - np.repeat(n[:-1], n[1:])
+
+    def bptt(k, grads):
+        """Direction k's backward: its gate pre-activation gradients dz, one
+        row per packed position, and the gradients of its initial state."""
+        act, c, w_h = acts[k], cs[k], whs[k]
+        g_h = grads[0][rows, poss[k], cols[k]]
+        dz = np.empty_like(act)
+        # a row's last-state gradients enter at its last step
+        dh, dc = grads[1][order, cols[k]], grads[2][order, cols[k]]
+        # a copy of wh.T pays for itself over many steps, not over one
+        wh_t = w_h.data.T if len(n) == 2 else np.ascontiguousarray(w_h.data.T)
         for s in reversed(range(1, len(n))):
             m = n[s]
             prev, now = slice(offs[s - 1], offs[s - 1] + m), slice(offs[s], offs[s] + m)
-            i, f, g, o = acts[now].reshape(m, 4, hid).swapaxes(0, 1)
-            dz_i, dz_f, dz_g, dz_o = dz[now].reshape(m, 4, hid).swapaxes(0, 1)
+            packed_now = slice(offs[s] - bsz, offs[s] - bsz + m)
+            i, f, g, o = act[packed_now].reshape(m, 4, hid).swapaxes(0, 1)
+            dz_i, dz_f, dz_g, dz_o = dz[packed_now].reshape(m, 4, hid).swapaxes(0, 1)
             dh_t, dc_t = dh[:m], dc[:m]
-            dh_t += gs[offs[s] - bsz:offs[s] - bsz + m]
-            tc = tcs[now]
+            dh_t += g_h[packed_now]
+            tc = np.tanh(c[now])
             dc_t += dh_t * o * (1.0 - tc * tc)
             np.multiply(dh_t * tc, o * (1.0 - o), out=dz_o)
             np.multiply(dc_t * g, i * (1.0 - i), out=dz_i)
-            np.multiply(dc_t * cs[prev], f * (1.0 - f), out=dz_f)
+            np.multiply(dc_t * c[prev], f * (1.0 - f), out=dz_f)
             np.multiply(dc_t * i, 1.0 - g * g, out=dz_g)
             dc_t *= f
-            dh_t[:] = dz[now] @ wh_t
-        # the previous state of state row k in block s > 0 is row k - n[s-1]
-        h_prev = hs[np.arange(bsz, len(hs)) - np.repeat(n[:-1], n[1:])]
-        dz = dz[bsz:]
-        back = order.argsort()  # the sorted place of each row
-        return (_Part((rows, pos), dz @ wx.data.T), x.data[rows, pos].T @ dz, dz.sum(axis=0),
-                h_prev.T @ dz, None, dh[back], dc[back])
+            np.matmul(dz[packed_now], wh_t, out=dh_t)
+        return dz, dh, dc
 
-    out = np.zeros(x.shape[:2] + (hid,), dtype=dtype)
-    out[rows, pos] = hs[bsz:]
-    c_last = np.empty_like(cs[:bsz])
-    c_last[order] = cs[offs[longest_first] + np.arange(bsz)]
-    return _record("lstm_sequence", (out, c_last), (x, wx, b, wh, lengths, h0, c0), bw)
+    def bw(grads):  # of the hidden states and of the last hidden and cell states
+        back = order.argsort()  # the sorted place of each row
+        weights, dx = [], None
+        dh0, dc0 = np.empty_like(h0.data), np.empty_like(c0.data)
+        # one direction at a time, so only one direction's dz is alive
+        for k, w_x in enumerate(wxs):
+            dz, dh, dc = bptt(k, grads)
+            h_prev = np.concatenate([h0.data[order, cols[k]],
+                                     out[rows, poss[k], cols[k]]])[prev_rows]
+            weights += [packed(k).T @ dz, dz.sum(axis=0), h_prev.T @ dz]
+            dx_k = dz @ w_x.data.T
+            if dx is None:
+                dx = dx_k
+            else:  # direction k's rows in direction 0's order
+                at = np.empty(bsz * steps, dtype=np.intp)
+                at[rows * steps + poss[k]] = np.arange(len(rows))
+                dx += dx_k[at[rows * steps + poss[0]]]
+            dh0[:, cols[k]], dc0[:, cols[k]] = dh[back], dc[back]
+            del dz, dh, dc, h_prev, dx_k
+        if drop is not None:
+            dx *= kept(0)
+        return (_Part((rows, poss[0]), dx), *weights, dh0, dc0)
+
+    inputs = (x, *(t for cell in zip(wxs, bs, whs) for t in cell), h0, c0)
+    return _record("lstm_sequence", (out, h_last, c_last), inputs, bw)
+
+
+def fusion_gate(s: Tensor, f: Tensor, w_z: Tensor, b_z: Tensor, w_r: Tensor, b_r: Tensor,
+                w_s: Tensor, b_s: Tensor) -> Tensor:
+    """The context-fusion gate as one op, for a state ``s`` (N, S) and
+    features ``f`` (N, F): with ``fs = [f; s]``, ``z = sig(fs @ w_z + b_z)``,
+    ``r = sig(fs @ w_r + b_r)``, ``s~ = tanh([r*f; s] @ w_s + b_s)`` and
+    ``s' = (1-z)*s + z*s~``; ``w_z``, ``w_s`` are (F+S, S), ``w_r`` (F+S, F).
+
+    The backward pass keeps only ``z``, ``r`` and ``s~``: it rebuilds
+    ``[f; s]`` and ``[r*f; s]`` from its inputs, and forms every gradient
+    with the operations, in the order, of the gate composed of primitives."""
+    n, nf = f.shape if f.ndim == 2 else (-1, -1)
+    width = nf + s.shape[-1]
+    if s.ndim != 2 or s.shape[0] != n or w_z.shape != (width, s.shape[1]) \
+            or w_s.shape != w_z.shape or w_r.shape != (width, nf) \
+            or b_z.shape != w_z.shape[1:] or b_s.shape != w_s.shape[1:] \
+            or b_r.shape != w_r.shape[1:]:
+        raise ShapeError(f"fusion_gate: need s (N,S), f (N,F), w_z and w_s (F+S,S), w_r "
+                         f"(F+S,F) and their biases, got {s.shape}, {f.shape}, {w_z.shape}, "
+                         f"{w_s.shape} and {w_r.shape}")
+    fs = np.concatenate([f.data, s.data], axis=1)
+    z = _sig(fs @ w_z.data + b_z.data)
+    r = _sig(fs @ w_r.data + b_r.data)
+    cand = np.tanh(np.concatenate([r * f.data, s.data], axis=1) @ w_s.data + b_s.data)
+
+    def bw(g):
+        fs = np.concatenate([f.data, s.data], axis=1)
+        rfs = np.concatenate([r * f.data, s.data], axis=1)
+        d_s = g * (1.0 - z)
+        d_z = g * cand + -(g * s.data)
+        d_pre_s = g * z * (1.0 - cand * cand)
+        d_rfs = d_pre_s @ w_s.data.T
+        d_s = d_s + d_rfs[:, nf:]
+        d_rf = d_rfs[:, :nf]
+        d_pre_r = d_rf * f.data * r * (1.0 - r)
+        d_pre_z = d_z * z * (1.0 - z)
+        d_fs = d_pre_r @ w_r.data.T + d_pre_z @ w_z.data.T
+        d_s += d_fs[:, nf:]
+        return (d_s, d_rf * r + d_fs[:, :nf], fs.T @ d_pre_z, d_pre_z.sum(axis=0),
+                fs.T @ d_pre_r, d_pre_r.sum(axis=0), rfs.T @ d_pre_s, d_pre_s.sum(axis=0))
+
+    out = (1.0 - z) * s.data + z * cand
+    return _record("fusion_gate", out, (s, f, w_z, b_z, w_r, b_r, w_s, b_s), bw)
+
+
+def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The keep mask of dropout at rate ``p``: each unit is kept (True) with
+    probability 1-p, one ``rng.random`` draw per unit."""
+    if p >= 1.0:
+        raise ValueError("dropout: rate must be < 1")
+    return rng.random(shape) >= p
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
     """The multiplier of inverted dropout at rate ``p``: each unit is 0 with
-    probability ``p`` and 1/(1-p) otherwise, one ``rng.random`` draw per unit."""
-    if p >= 1.0:
-        raise ValueError("dropout: rate must be < 1")
-    return (rng.random(shape) >= p).astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-p), so inference applies
-    no rescaling. The sampled mask enters the graph as a constant. A rate of
-    0 returns ``x`` itself and draws nothing from ``rng``."""
-    if p <= 0.0:
-        return x
-    return mul(x, Tensor(dropout_mask(x.shape, p, rng, x.dtype)))
+    probability ``p`` and 1/(1-p) otherwise, drawn as ``dropout_keep``."""
+    return dropout_keep(shape, p, rng).astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

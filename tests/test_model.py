@@ -27,9 +27,10 @@ from logcad.tensor import (
     GradGraph,
     Tensor,
     concat,
-    dropout,
+    dropout_mask,
     gradient_check,
     linear_nll,
+    mul,
     reshape,
     take_rows,
 )
@@ -407,6 +408,31 @@ class TestSequenceLoss:
                 npt.assert_allclose(got[i], want_row[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_entry_gradients_do_not_depend_on_the_batch(self, variant):
+        # without dropout, an entry's parameter gradients are those it gets
+        # alone: the token-weighted sum of the per-entry gradients equals the
+        # batch gradient times the batch's token count
+        vocab = toy_vocab()
+        model = DescriptionModel(tiny_config(variant), vocab, toy_table(),
+                                 seed=15, dtype=np.float64)
+
+        def grads(entries):
+            with GradGraph() as g:
+                loss, aux = model.forward_loss(make_batch(entries, vocab))
+            g.backward(loss)
+            got = {name: t.grad * aux["tokens"] for name, t in model.params.named()}
+            for t in model.params.tensors():
+                t.grad = None
+            return got
+
+        entries = padded_entries()
+        want = grads(entries)
+        singles = [grads([e]) for e in entries]
+        for name in want:
+            npt.assert_allclose(sum(single[name] for single in singles), want[name],
+                                rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_loss_matches_reference(self, variant):
         # the output head scores the stacked steps of a padded batch: the
         # loss is the negative mean of the gold-token log-probabilities that
@@ -453,7 +479,7 @@ class TestSequenceLoss:
         assert w is model.params.out_w
 
     def test_decoder_runs_one_kernel_op_per_layer_step(self):
-        # every encoder layer and direction is one lstm_sequence op, and so is
+        # every bidirectional encoder layer is one lstm_sequence op, and so is
         # every decoder layer below the top (i-attention: the whole stack); a
         # gated top layer is one op per step over the rows still describing
         vocab = toy_vocab()
@@ -468,13 +494,70 @@ class TestSequenceLoss:
                 model.forward_loss(batch, train=True)
             names = [name for name, *_ in g.ops]
             kernels = [inputs for name, inputs, *_ in g.ops if name == "lstm_sequence"]
-            encoder = 2 * cfg.enc_layers if cfg.uses_encoder else 0
+            encoder = cfg.enc_layers if cfg.uses_encoder else 0
             if cfg.uses_gate:
                 assert len(kernels) == encoder + (cfg.dec_layers - 1) + steps, variant
                 assert [x.shape[0] for x, *_ in kernels[-steps:]] == live, variant
             else:
                 assert len(kernels) == encoder + cfg.dec_layers, variant
             assert "slice" not in names
+
+    def test_training_tape_keeps_no_copies(self):
+        # what a log-cad training pass leaves on the tape: each bidirectional
+        # encoder layer is one op with one output (no per-direction outputs
+        # and concat), its dropout lives inside the op as a boolean mask (no
+        # float mask or product), the op saves only its gate activations and
+        # cell states (tanh(c) is recomputed, h is read from the output), and
+        # the conditioning is built in description order (no sorted copy of
+        # the encoder states or their projection)
+        vocab = toy_vocab()
+        cfg = tiny_config("log-cad")
+        model = DescriptionModel(cfg, vocab, toy_table(), seed=17, dtype=np.float64)
+        batch = make_batch(padded_entries(), vocab)
+        rows, steps = batch.context_ids.shape
+        assert batch.context_lengths.min() < steps  # the contexts are padded
+        assert (np.diff(batch.target_lengths) > 0).any()  # the sort moves rows
+        with GradGraph() as g:
+            model.forward_loss(batch, train=True)
+        encoder = {id(t) for _, t in model.params.encoder.named("e")}
+        enc_ops = [op for op in g.ops if any(id(t) in encoder for t in op[1])]
+        assert [name for name, *_ in enc_ops] == ["lstm_sequence"] * cfg.enc_layers
+        for k, (_name, inputs, outs, _fn) in enumerate(enc_ops):
+            assert outs[0].shape == (rows, steps, cfg.enc_width)
+            if k:
+                assert inputs[0] is enc_ops[k - 1][2][0]  # the layer below's output itself
+        states = enc_ops[-1][2][0]
+        (proj,) = [op[2] for op in g.ops if op[0] == "matmul" and op[1][0] is states]
+
+        def saved_floats(fn, seen):
+            # the float arrays a backward function holds, through nested closures
+            for cell in fn.__closure__ or ():
+                values = [cell.cell_contents]
+                while values:
+                    v = values.pop()
+                    if isinstance(v, (tuple, list)):
+                        values += list(v)
+                    elif callable(v) and getattr(v, "__closure__", None) and v not in seen:
+                        seen.add(v)
+                        yield from saved_floats(v, seen)
+                    elif isinstance(v, np.ndarray) and v.dtype.kind == "f":
+                        yield v
+
+        real = int(batch.context_lengths.sum())
+        half = cfg.enc_width // 2
+        for _name, inputs, outs, fn in enc_ops:
+            own = [t.data for t in inputs + outs if isinstance(t, Tensor)]
+            kept = {id(a): a for a in saved_floats(fn, set())
+                    if not any(a is o or a.base is o for o in own)}
+            # per direction: the gate activations of the real positions, and
+            # the cell states of the initial rows and the real positions
+            assert sorted(a.shape for a in kept.values()) == \
+                [(2, real, 4 * half), (2, real + rows, half)]
+        for name, inputs, outs, _fn in g.ops:
+            if name == "mul":
+                assert outs.shape != (rows, steps, cfg.enc_width)
+            if name == "take_rows" and inputs[0] in (states, proj):
+                assert np.shares_memory(outs.data, inputs[0].data)  # a slice, not a copy
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_loss_and_gradients_match_padded_computation(self, variant, monkeypatch):
@@ -511,10 +594,18 @@ class TestSequenceLoss:
             assert got_rng == want_rng
 
 
-def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None):
+def dropout(x, p, rng):
+    """Inverted dropout as one ``mul`` by a float mask, drawn as the model
+    draws its masks; a rate of 0 returns ``x`` and draws nothing."""
+    return x if p <= 0.0 else mul(x, Tensor(dropout_mask(x.shape, p, rng, x.dtype)))
+
+
+def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None, order=None):
     """The encoder run over every padded position: one ``lstm_cell`` per step
     of the whole batch, the backward direction on each row reversed within its
-    length; states past the lengths are garbage."""
+    length; states past the lengths are garbage. It runs in batch order,
+    as ``padded_forward_loss`` builds its session."""
+    assert order is None
     b, t, _ = embs.shape
     pos = np.arange(t)[None, :]
     flat = (np.arange(b)[:, None] * t

@@ -15,7 +15,9 @@ from logcad.tensor import (
     Tensor,
     add,
     concat,
-    dropout,
+    dropout_keep,
+    dropout_mask,
+    fusion_gate,
     gradient_check,
     linear_nll,
     lstm_sequence,
@@ -26,7 +28,6 @@ from logcad.tensor import (
     reshape,
     sigmoid,
     softmax,
-    sub,
     take_rows,
     tanh,
 )
@@ -341,9 +342,6 @@ class TestGradientCheckAllPrimitives:
     def test_add(self):
         self._run(self._with_consts(add), (3, 4), 10)
 
-    def test_sub(self):
-        self._run(self._with_consts(sub), (3, 4), 11)
-
     def test_mul(self):
         self._run(self._with_consts(mul), (3, 4), 12)
 
@@ -372,6 +370,47 @@ class TestGradientCheckAllPrimitives:
             return lambda t: reduce_sum(tanh(matmul(a, t)))
         self._run(build, (4, 2), 25)
 
+    def test_matmul_contracting_a_dimension_of_one(self):
+        # attention's two batched products: (B, T, A) @ (B, A, 1) and
+        # (B, 1, T) @ (B, T, D); each has one operand whose gradient
+        # contracts a dimension of 1
+        for shape, other, seed in (((2, 3, 4), (2, 4, 1), 41), ((2, 1, 3), (2, 3, 4), 42)):
+            def build(rng, other=other):
+                b = Tensor(rng.normal(size=other))
+                return lambda t: reduce_sum(tanh(matmul(t, b)))
+            self._run(build, shape, seed)
+
+            def build_b(rng, shape=shape):
+                a = Tensor(rng.normal(size=shape))
+                return lambda t: reduce_sum(tanh(matmul(a, t)))
+            self._run(build_b, other, seed)
+
+    def test_matmul_at_rows(self):
+        # only the picked rows are multiplied; the others read 0 and pass no
+        # gradient
+        at = np.array([[True, False, True], [False, False, True]])
+
+        def build(rng):
+            w = Tensor(rng.normal(size=(4, 2)))
+            return lambda t: reduce_sum(tanh(matmul(t, w, at=at)))
+        self._run(build, (2, 3, 4), 43)
+
+        def build_w(rng):
+            a = Tensor(rng.normal(size=(2, 3, 4)))
+            return lambda t: reduce_sum(tanh(matmul(a, t, at=at)))
+        self._run(build_w, (4, 2), 44)
+
+    def test_fusion_gate(self):
+        # every input of the one-op gate, at F = 4 features and S = 3
+        shapes = {"s": (2, 3), "f": (2, 4), "w_z": (7, 3), "b_z": (3,), "w_r": (7, 4),
+                  "b_r": (4,), "w_s": (7, 3), "b_s": (3,)}
+        for seed, arg in enumerate(shapes, start=45):
+            def build(rng, arg=arg):
+                consts = {k: Tensor(rng.normal(size=v)) for k, v in shapes.items()}
+                w = Tensor(rng.normal(size=(2, 3)))
+                return lambda t: reduce_sum(mul(fusion_gate(**dict(consts, **{arg: t})), w))
+            self._run(build, shapes[arg], seed)
+
     # rows of unequal lengths, including 1 and T (= 4), in no sorted order
     LSTM_LENGTHS = np.array([3, 1, 4])
     LSTM_SHAPES = {"x": (3, 4, 2), "wx": (2, 8), "b": (8,), "wh": (2, 8),
@@ -391,7 +430,7 @@ class TestGradientCheckAllPrimitives:
 
                 def f(t):
                     args = dict(consts, **{arg: t})
-                    out, c_last = lstm_sequence(
+                    out, _, c_last = lstm_sequence(
                         args["x"], args["wx"], args["b"], args["wh"], self.LSTM_LENGTHS,
                         args["h0"], args["c0"], reverse=reverse)
                     last = reduce_sum(mul(c_last, v))
@@ -548,8 +587,8 @@ class TestLstmSequencePacked:
         h0, c0 = rng.normal(size=(2, len(lengths), hid))
         xt = Tensor(x, requires_grad=True)
         with GradGraph() as g:
-            out, c_last = lstm_sequence(xt, Tensor(wx), Tensor(b), Tensor(wh), lengths,
-                                        Tensor(h0), Tensor(c0), reverse=reverse)
+            out, _, c_last = lstm_sequence(xt, Tensor(wx), Tensor(b), Tensor(wh), lengths,
+                                           Tensor(h0), Tensor(c0), reverse=reverse)
             loss = add(reduce_sum(mul(out, Tensor(rng.normal(size=out.shape)))),
                        reduce_sum(mul(c_last, Tensor(rng.normal(size=c_last.shape)))))
         g.backward(loss)
@@ -562,6 +601,77 @@ class TestLstmSequencePacked:
         assert np.all(out.data[~valid] == 0.0)
         assert np.all(xt.grad[~valid] == 0.0)
         assert np.all(np.isfinite(xt.grad))
+
+
+class TestLstmSequenceDirections:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_directions_equal_two_ops_on_the_dropped_input(self, seed):
+        # one op over both directions, with dropout from a keep mask, gives the
+        # outputs and every gradient of one op per direction on x * mask
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 6, size=4)
+        dim, hid, p = 3, 2, 0.4
+        x = rng.normal(size=(4, int(lengths.max()) + 1, dim))
+        keep = rng.random(x.shape) >= p
+        cells = [[Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in ((dim, 4 * hid), (4 * hid,), (hid, 4 * hid))] for _ in range(2)]
+        h0, c0 = (Tensor(rng.normal(size=(4, 2 * hid)), requires_grad=True) for _ in range(2))
+        weights = [Tensor(rng.normal(size=s)) for s in (x.shape[:2] + (2 * hid,), (4, 2 * hid),
+                                                         (4, 2 * hid))]
+
+        def grads(run):
+            xt = Tensor(x, requires_grad=True)
+            with GradGraph() as g:
+                (out, h, c), (w_out, w_h, w_c) = run(xt), weights
+                loss = add(add(reduce_sum(mul(out, w_out)), reduce_sum(mul(h, w_h))),
+                           reduce_sum(mul(c, w_c)))
+            g.backward(loss)
+            tensors = [xt, h0, c0] + [t for cell in cells for t in cell]
+            got = [out.data, h.data, c.data] + [t.grad for t in tensors]
+            for t in tensors:
+                t.grad = None
+            return got
+
+        def one_op(xt):
+            (wx0, b0, wh0), (wx1, b1, wh1) = cells
+            return lstm_sequence(xt, (wx0, wx1), (b0, b1), (wh0, wh1), lengths, h0, c0,
+                                 reverse=(False, True), drop=(keep, p))
+
+        def two_ops(xt):
+            dropped = mul(xt, Tensor(keep / (1.0 - p)))
+            halves = [lstm_sequence(dropped, *cell, lengths,
+                                    take_rows(h0, np.s_[:, k * hid:(k + 1) * hid]),
+                                    take_rows(c0, np.s_[:, k * hid:(k + 1) * hid]),
+                                    reverse=bool(k)) for k, cell in enumerate(cells)]
+            return [concat(parts, axis=-1) for parts in zip(*halves)]
+
+        for got, want in zip(grads(one_op), grads(two_ops)):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_two_direction_gradient_check(self):
+        # the input through both directions and the dropout, and the second
+        # direction's recurrent weights
+        rng = np.random.default_rng(50)
+        lengths = np.array([3, 1, 4])
+        keep = rng.random((3, 4, 2)) >= 0.3
+        for arg in ("x", "wh1"):
+            worst = 0.0
+            for _ in range(10):
+                args = {k: Tensor(rng.normal(size=shape)) for k, shape in
+                        (("x", (3, 4, 2)), ("wx0", (2, 8)), ("b0", (8,)), ("wh0", (2, 8)),
+                         ("wx1", (2, 8)), ("b1", (8,)), ("wh1", (2, 8)), ("h0", (3, 4)),
+                         ("c0", (3, 4)))}
+                w = Tensor(rng.normal(size=(3, 4, 4)))
+                target = Tensor(args[arg].data, requires_grad=True)
+
+                def f(t):
+                    a = dict(args, **{arg: t})
+                    out, h, c = lstm_sequence(a["x"], (a["wx0"], a["wx1"]), (a["b0"], a["b1"]),
+                                              (a["wh0"], a["wh1"]), lengths, a["h0"], a["c0"],
+                                              reverse=(False, True), drop=(keep, 0.3))
+                    return add(reduce_sum(mul(out, w)), reduce_sum(mul(c, h)))
+                worst = max(worst, gradient_check(f, target))
+            assert worst < 1e-3, (arg, worst)
 
 
 class TestSparseGradients:
@@ -593,8 +703,8 @@ class TestSparseGradients:
         x, wx, b, wh, h0, c0 = (Tensor(rng.normal(size=s), requires_grad=True) for s in
                                 ((3, 4, 2), (2, 8), (8,), (2, 8), (3, 2), (3, 2)))
         with GradGraph() as g:
-            out, c = lstm_sequence(x, wx, b, wh, np.array([2, 4, 1]), h0, c0)
-        part = g.ops[-1][3]((np.ones(out.shape), np.ones(c.shape)))[0]
+            out, h, c = lstm_sequence(x, wx, b, wh, np.array([2, 4, 1]), h0, c0)
+        part = g.ops[-1][3]((np.ones(out.shape), np.ones(h.shape), np.ones(c.shape)))[0]
         assert isinstance(part, _Part)
         rows, pos = part.key
         assert sorted(zip(rows.tolist(), pos.tolist())) == \
@@ -645,15 +755,16 @@ class TestTakeRowsBackward:
 class TestUtilities:
     def test_dropout_scales_kept_units(self):
         rng = np.random.default_rng(5)
-        x = Tensor(np.ones((1000,)))
-        out = dropout(x, 0.5, rng).data
+        out = dropout_mask((1000,), 0.5, rng, np.float64)
         kept = out[out != 0]
         npt.assert_allclose(kept, 2.0)  # 1/(1-p)
         assert 0.35 < kept.size / 1000 < 0.65
+        # the keep mask is the same draw
+        npt.assert_array_equal(dropout_keep((1000,), 0.5, np.random.default_rng(5)), out != 0)
 
     def test_dropout_zero_rate_is_identity(self):
-        x = Tensor([1.0, 2.0])
-        assert dropout(x, 0.0, np.random.default_rng(0)) is x
+        npt.assert_array_equal(dropout_mask((2, 3), 0.0, np.random.default_rng(0),
+                                            np.float32), 1.0)
 
     def test_linear_nll_forward_and_correct(self):
         # 150 rows span three row blocks; row 0's logits are the bias alone,
