@@ -228,10 +228,10 @@ def _load_trained(args, seed: int):
 def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     entries = load_dataset(args.data)
-    vocab, table, model = _load_trained(args, cfg.seed)
     if not entries:
         print(f"error: {args.data}: no entries to evaluate", file=sys.stderr)
         return 1
+    vocab, table, model = _load_trained(args, cfg.seed)
 
     candidates = []
     for start in range(0, len(entries), EVAL_CHUNK):

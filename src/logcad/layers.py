@@ -96,13 +96,16 @@ class LstmParams:
         yield f"{prefix}.b", self.b
 
 
-def lstm_cell(p: LstmParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+def lstm_cell(p: LstmParams, x: Tensor, h: Tensor, c: Tensor, drop=None) -> tuple[Tensor, Tensor]:
     """One step of the ``tensor.lstm_sequence`` recurrence for each row of
     ``x`` (B, input_dim) from the state ``(h, c)`` (B, hidden); returns the
-    new ``(h, c)``."""
+    new ``(h, c)``. ``drop = (keep, p)`` is inverted dropout on ``x`` inside
+    the op, as in ``lstm_sequence``, from a boolean (B, input_dim) ``keep``."""
     rows = x.shape[0]
+    if drop is not None:
+        drop = (drop[0][:, None], drop[1])
     _, h_new, c_new = lstm_sequence(reshape(x, (rows, 1, x.shape[-1])), p.wx, p.b, p.wh,
-                                    np.ones(rows, dtype=np.intp), h, c)
+                                    np.ones(rows, dtype=np.intp), h, c, drop=drop)
     return h_new, c_new
 
 
@@ -320,7 +323,7 @@ def attention(p: AttentionParams, states: Tensor, s_t: Tensor,
     q = matmul(s_t, p.u_s)  # (B, A)
     scores = reshape(matmul(hp, reshape(q, (b, q.shape[1], 1))), (b, t))
     if mask_bias is not None:
-        scores = add(scores, Tensor(mask_bias.astype(states.dtype)))
+        scores = add(scores, Tensor(mask_bias.astype(states.dtype, copy=False)))
     alpha = softmax(scores, axis=1)
     summary = reshape(matmul(reshape(alpha, (b, 1, t)), states), (b, states.shape[2]))
     return summary, alpha

@@ -51,10 +51,9 @@ from logcad.tensor import (
     Tensor,
     add,
     concat,
-    dropout_mask,
+    dropout_keep,
     linear_nll,
     lstm_sequence,
-    mul,
     reshape,
     take_rows,
 )
@@ -330,12 +329,13 @@ class DescriptionModel:
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
                         enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
 
-    def _top(self, session: _Session, x: Tensor) -> tuple[Tensor, Tensor]:
-        """A gated variant's top decoder layer's step on input ``x`` from its
-        state in ``session``, then attention and the fusion gate. Returns the
-        output state, on which the layer recurs, and the cell state."""
+    def _top(self, session: _Session, x: Tensor, drop=None) -> tuple[Tensor, Tensor]:
+        """A gated variant's top decoder layer's ``lstm_cell`` step on input
+        ``x``, with its dropout ``drop``, from its state in ``session``, then
+        attention and the fusion gate. Returns the output state, on which the
+        layer recurs, and the cell state."""
         cfg = self.config
-        h, c = lstm_cell(self.params.decoder[-1], x, *session.layer_states[-1])
+        h, c = lstm_cell(self.params.decoder[-1], x, *session.layer_states[-1], drop=drop)
         feats = []
         if cfg.uses_global_embedding:
             feats.append(session.x_trg)
@@ -366,12 +366,13 @@ class DescriptionModel:
         return x
 
     def _decode(self, session: _Session, x: Tensor, lengths: np.ndarray,
-                masks: Optional[list] = None) -> tuple[Tensor, _Session]:
+                keeps: Optional[list] = None) -> tuple[Tensor, _Session]:
         """Run the decoder stack from the session's state over inputs ``x``
         (rows, T, width), row r for its first ``lengths[r]`` steps, rows sorted
-        longest first, with each layer's input dropout ``masks``. Each layer
-        below the top, and i-attention's top layer, is one ``lstm_sequence``;
-        the gated top layer steps through ``_top`` on the rows still live.
+        longest first, with each layer's input dropout from its keep mask in
+        ``keeps``, inside its ops. Each layer below the top, and i-attention's
+        top layer, is one ``lstm_sequence``; the gated top layer steps through
+        ``_top`` on the rows still live, each step with its slice of the mask.
         Returns the top outputs at the real positions, time-major, and the
         session after the last step, holding the rows live there."""
         cfg = self.config
@@ -379,10 +380,10 @@ class DescriptionModel:
         live = real.sum(axis=1)
         states = list(session.layer_states)
         for k, lstm_p in enumerate(self.params.decoder):
-            if masks is not None:
-                x = mul(x, Tensor(masks[k]))
             if k < cfg.dec_layers - 1 or not cfg.uses_gate:
-                x, h, c = lstm_sequence(x, lstm_p.wx, lstm_p.b, lstm_p.wh, lengths, *states[k])
+                drop = None if keeps is None else (keeps[k], cfg.dropout)
+                x, h, c = lstm_sequence(x, lstm_p.wx, lstm_p.b, lstm_p.wh, lengths, *states[k],
+                                        drop=drop)
                 states[k] = (h, c)
         session = replace(session, step=session.step + x.shape[1], layer_states=states)
         if not cfg.uses_gate:
@@ -392,7 +393,8 @@ class DescriptionModel:
         for t, n in enumerate(live):
             if t and n < live[t - 1]:
                 session = session.take(slice(0, n))
-            s_out, c = self._top(session, take_rows(x, np.s_[:n, t]))
+            drop = None if keeps is None else (keeps[-1][:n, t], cfg.dropout)
+            s_out, c = self._top(session, take_rows(x, np.s_[:n, t]), drop)
             # this pass made the list, so the caller's session keeps its states
             session.layer_states[-1] = (s_out, c)
             outs.append(s_out)
@@ -402,11 +404,11 @@ class DescriptionModel:
     # training loss
 
     def _dropout_masks(self, rows: int, steps: int) -> list[np.ndarray]:
-        """Each decoder layer's input dropout masks for all steps, (rows,
+        """Each decoder layer's boolean input keep mask for all steps, (rows,
         steps, input width), drawn step by step and layer by layer over all
         rows, in the order that stepping every row would draw them."""
-        draws = [[dropout_mask((rows, p.input_dim), self.config.dropout, self._drop_rng,
-                               self.dtype) for p in self.params.decoder] for _ in range(steps)]
+        draws = [[dropout_keep((rows, p.input_dim), self.config.dropout, self._drop_rng)
+                  for p in self.params.decoder] for _ in range(steps)]
         return [np.stack(layer, axis=1) for layer in zip(*draws)]
 
     def forward_loss(self, batch: Batch, train: bool = False) -> tuple[Tensor, dict]:
@@ -421,10 +423,10 @@ class DescriptionModel:
         order = (-batch.target_lengths).argsort(kind="stable")
         lengths = batch.target_lengths[order]
         session = self._start(batch, train, order)
-        masks = [m[order] for m in self._dropout_masks(rows, steps)] \
+        keeps = [m[order] for m in self._dropout_masks(rows, steps)] \
             if train and self.config.dropout > 0.0 else None
         out, _ = self._decode(session, self._inputs(session, batch.target_ids[order, :-1]),
-                              lengths, masks)
+                              lengths, keeps)
         targets = batch.target_ids[order].T[lengths > np.arange(steps)[:, None]]
         n_tokens = float(len(targets))
         loss, correct = linear_nll(out, self.params.out_w, self.params.out_b, targets,

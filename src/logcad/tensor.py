@@ -49,7 +49,6 @@ __all__ = [
     "lstm_sequence",
     "fusion_gate",
     "dropout_keep",
-    "dropout_mask",
     "gradient_check",
 ]
 
@@ -541,7 +540,8 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
         raise ShapeError(f"lstm_sequence: need x (B,T,D), per direction wx (D,4H), b (4H,) "
                          f"and wh (H,4H), h0, c0 (B, directions*H) and a keep mask like x, "
                          f"got {x.shape}, {[t.shape for t in wxs]}, {[t.shape for t in bs]}, "
-                         f"{[t.shape for t in whs]}, {h0.shape} and {c0.shape}")
+                         f"{[t.shape for t in whs]}, {h0.shape}, {c0.shape} and keep "
+                         f"mask {None if drop is None else drop[0].shape}")
     if lengths.shape != x.shape[:1] or lengths.dtype.kind != "i":
         raise ShapeError(f"lstm_sequence: need signed integer lengths (B,) for x {x.shape}, "
                          f"got {lengths!r}")
@@ -707,12 +707,6 @@ def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     if p >= 1.0:
         raise ValueError("dropout: rate must be < 1")
     return rng.random(shape) >= p
-
-
-def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """The multiplier of inverted dropout at rate ``p``: each unit is 0 with
-    probability ``p`` and 1/(1-p) otherwise, drawn as ``dropout_keep``."""
-    return dropout_keep(shape, p, rng).astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

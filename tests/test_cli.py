@@ -450,6 +450,27 @@ class TestEvaluateCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("damaged", [False, True])
+    def test_data_without_entries_refused_before_loading(self, trained_run, tmp_path, capsys,
+                                                         damaged):
+        # the entries are checked before the checkpoint is read, so an
+        # entry-less TSV is refused even beside a checkpoint that cannot load
+        _data, out = trained_run
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        ckpt = out / "model.ckpt"
+        if damaged:
+            ckpt = tmp_path / "damaged.ckpt"
+            ckpt.write_bytes(b"not a checkpoint\n")
+        report = tmp_path / "report"
+        assert main(["evaluate", "--data", str(empty), "--ckpt", str(ckpt),
+                     "--vocab", str(out / "vocab.txt"), "--out", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"error: {empty}: no entries to evaluate\n")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not report.exists()
+
 
 @pytest.mark.parametrize("command", ["extract", "train", "evaluate", "describe"])
 def test_missing_input_file_fails_cleanly(trained_run, tmp_path, capsys, command):

@@ -162,6 +162,18 @@ class TestLstmSequence:
             with pytest.raises(ShapeError, match="lstm_sequence"):
                 lstm_sequence(x, wx, b, wh, np.array(bad), h0, c0)
 
+    def test_keep_mask_shape_named(self):
+        # a keep mask unlike the input is refused with its own shape, from
+        # lstm_sequence and through lstm_cell
+        p = LstmParams.create(np.random.default_rng(0), 4, 2)
+        zero = Tensor(np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match=r"lstm_sequence: .*keep mask \(2, 3, 5\)"):
+            lstm_sequence(Tensor(np.zeros((2, 3, 4))), p.wx, p.b, p.wh, np.array([3, 2]),
+                          zero, zero, drop=(np.ones((2, 3, 5), dtype=bool), 0.5))
+        with pytest.raises(ShapeError, match=r"keep mask \(2, 1, 5\)"):
+            lstm_cell(p, Tensor(np.zeros((2, 4))), zero, zero,
+                      drop=(np.ones((2, 5), dtype=bool), 0.5))
+
     @pytest.mark.parametrize("length", [0, -1, 3])
     def test_length_outside_range_rejected(self, length):
         p = LstmParams.create(np.random.default_rng(0), 4, 3)

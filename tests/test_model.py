@@ -27,7 +27,7 @@ from logcad.tensor import (
     GradGraph,
     Tensor,
     concat,
-    dropout_mask,
+    dropout_keep,
     gradient_check,
     linear_nll,
     mul,
@@ -339,7 +339,7 @@ class TestSequenceLoss:
         model.params.out_b.data[:] = 0.0
         states = iter(np.eye(steps, TINY["dec_width"]))
 
-        def rigged(session, x):
+        def rigged(session, x, drop=None):
             return Tensor(next(states)[None, :]), Tensor(np.zeros((1, TINY["dec_width"])))
 
         monkeypatch.setattr(model, "_top", rigged)
@@ -560,6 +560,28 @@ class TestSequenceLoss:
                 assert np.shares_memory(outs.data, inputs[0].data)  # a slice, not a copy
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_decoder_dropout_leaves_no_float_masks(self, variant):
+        # decoder dropout lives inside the decoder's ops as boolean keep masks:
+        # no recorded op takes a constant float array shaped like a decoder
+        # layer's inputs, and only i-attention's mask net records a mul
+        vocab = toy_vocab()
+        model = DescriptionModel(tiny_config(variant), vocab, toy_table(),
+                                 seed=18, dtype=np.float64)
+        batch = make_batch(padded_entries(), vocab)
+        rows, steps = batch.target_ids.shape
+        with GradGraph() as g:
+            model.forward_loss(batch, train=True)
+        names = [name for name, *_ in g.ops]
+        assert ("mul" in names) == (variant == "i-attention")
+        inputs_shapes = {(rows, steps, p.input_dim) for p in model.params.decoder}
+        taken = {t.shape for _, inputs, *_ in g.ops for t in inputs if isinstance(t, Tensor)}
+        assert inputs_shapes <= taken  # the decoder inputs themselves are on the tape
+        for name, inputs, *_ in g.ops:
+            for t in inputs:
+                if isinstance(t, Tensor) and not t.requires_grad:
+                    assert t.shape not in inputs_shapes, name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_loss_and_gradients_match_padded_computation(self, variant, monkeypatch):
         # the packed encoder, the live-rows decoder and the real-rows head give
         # the loss, every parameter gradient and the dropout stream of running
@@ -595,9 +617,13 @@ class TestSequenceLoss:
 
 
 def dropout(x, p, rng):
-    """Inverted dropout as one ``mul`` by a float mask, drawn as the model
-    draws its masks; a rate of 0 returns ``x`` and draws nothing."""
-    return x if p <= 0.0 else mul(x, Tensor(dropout_mask(x.shape, p, rng, x.dtype)))
+    """Inverted dropout as one ``mul`` by a float mask, built from a keep mask
+    drawn as the model draws its masks; a rate of 0 returns ``x`` and draws
+    nothing."""
+    if p <= 0.0:
+        return x
+    keep = dropout_keep(x.shape, p, rng)
+    return mul(x, Tensor(keep.astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype)))
 
 
 def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None, order=None):
