@@ -289,6 +289,15 @@ class Batch:
     def __len__(self) -> int:
         return self.context_ids.shape[0]
 
+    def take(self, rows: np.ndarray) -> "Batch":
+        """The batch made of rows ``rows`` (an index array) of this one, in
+        that order."""
+        return Batch(context_ids=self.context_ids[rows],
+                     context_lengths=self.context_lengths[rows],
+                     phrase_words=[self.phrase_words[r] for r in rows],
+                     target_ids=self.target_ids[rows],
+                     target_lengths=self.target_lengths[rows])
+
 
 def make_batch(entries: Sequence[Entry], vocab: Vocab) -> Batch:
     if not entries:

@@ -6,7 +6,7 @@ session with one row per entry, ``step(session, prev_ids)`` advances every
 row and returns ``(rows, V)`` log-probabilities (``prev_ids`` holds each
 row's previous token and is None at the first step), and
 ``session.take(rows)`` selects, reorders or repeats rows. Anything exposing
-that protocol plus a ``vocab`` decodes the same way.
+that protocol decodes the same way.
 
 :func:`decode_batch` advances every live hypothesis of every entry with one
 ``step`` call; greedy decoding is beam width 1. Scores are summed token

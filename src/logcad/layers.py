@@ -143,8 +143,7 @@ class BiLstmParams:
 
 
 def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
-                  drop: float = 0.0, rng: Optional[np.random.Generator] = None,
-                  order: Optional[np.ndarray] = None) -> Tensor:
+                  drop: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Encode (B, T, E) token embeddings into (B, T, out_width) states.
 
     Each position's state is [forward half; backward half] for that position.
@@ -153,21 +152,15 @@ def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
     real tokens only and writes them side by side, so states past the tokens
     read 0 and cost nothing. They are still not context: consumers such as
     attention must mask them. Dropout, when requested, is applied to each
-    later layer's input inside its op, from a boolean keep mask. When the
-    rows are batch rows ``order`` (row r is batch row ``order[r]``), the masks
-    are drawn over the batch in batch order and permuted with the rows, so a
-    row's masks do not depend on the row order.
+    later layer's input inside its op, from a boolean keep mask drawn from
+    ``rng`` over the rows as given.
     """
     if embs.ndim != 3 or embs.shape[1] == 0:
         raise ShapeError(f"bilstm_encode: need a nonempty (B, T, E) sequence, got {embs.shape}")
     zero = Tensor(np.zeros((embs.shape[0], p.out_width), dtype=embs.dtype))
     seq = embs
     for k, (fwd, bwd) in enumerate(p.layers):
-        keep = None
-        if k > 0 and drop > 0.0:
-            keep = dropout_keep(seq.shape, drop, rng)
-            if order is not None:
-                keep = keep[order]
+        keep = dropout_keep(seq.shape, drop, rng) if k > 0 and drop > 0.0 else None
         seq, _, _ = lstm_sequence(seq, (fwd.wx, bwd.wx), (fwd.b, bwd.b), (fwd.wh, bwd.wh),
                                   lengths, zero, zero, reverse=(False, True),
                                   drop=None if keep is None else (keep, drop))

@@ -20,6 +20,7 @@ gated state. Output logits are an affine map of the (gated) state.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -293,38 +294,29 @@ class DescriptionModel:
     # ------------------------------------------------------------------
     # conditioning and the decoder pass (shared by teacher forcing and decoding)
 
-    def _start(self, batch: Batch, train: bool,
-               order: Optional[np.ndarray] = None) -> _Session:
-        """Build the conditioning and the zero decoder state of batch rows
-        ``order`` (all rows in batch order by default), in that order.
-        Encoder dropout is drawn over the batch in batch order, so each row
-        keeps its masks whatever ``order`` is."""
+    def _start(self, batch: Batch, train: bool) -> _Session:
+        """Build the conditioning and the zero decoder state of the batch's
+        rows, in batch order, with encoder dropout when ``train``."""
         cfg = self.config
-        rows = np.arange(len(batch)) if order is None else order
         enc_states = enc_proj = enc_bias = x_trg = c_trg = x_masked = None
         if cfg.uses_encoder:
-            lengths = batch.context_lengths[rows]
-            embs = take_rows(self.params.word_emb, batch.context_ids[rows])
+            lengths = batch.context_lengths
+            embs = take_rows(self.params.word_emb, batch.context_ids)
             enc_states = bilstm_encode(self.params.encoder, embs, lengths,
-                                       drop=cfg.dropout if train else 0.0, rng=self._drop_rng,
-                                       order=order)
+                                       drop=cfg.dropout if train else 0.0, rng=self._drop_rng)
             if cfg.uses_attention:
                 positions = np.arange(batch.context_ids.shape[1])[None, :]
                 enc_bias = np.where(positions < lengths[:, None], 0.0, MASK_BIAS).astype(self.dtype)
                 enc_proj = project_context(self.params.attn, enc_states, lengths)
         if cfg.uses_global_embedding:
-            x_trg = Tensor(np.asarray([phrase_embedding(batch.phrase_words[r], self.emb_table)
-                                       for r in rows], dtype=self.dtype))
+            x_trg = Tensor(np.asarray([phrase_embedding(words, self.emb_table)
+                                       for words in batch.phrase_words], dtype=self.dtype))
         if cfg.uses_char:
-            # in batch order, then gathered: (B, 160) is small, and the char
-            # CNN's weight gradients then sum their rows as in batch order
             c_trg = char_cnn(self.params.char, batch.phrase_words)
-            if order is not None:
-                c_trg = take_rows(c_trg, order)
         if cfg.variant == "i-attention":
             x_masked = iattention_mask(self.params.masknet, enc_states, x_trg, lengths=lengths)
             enc_states = None  # after this step only attention reads them
-        zeros = lambda: Tensor(np.zeros((len(rows), cfg.dec_width), dtype=self.dtype))  # noqa: E731
+        zeros = lambda: Tensor(np.zeros((len(batch), cfg.dec_width), dtype=self.dtype))  # noqa: E731
         return _Session(step=0, layer_states=[(zeros(), zeros()) for _ in self.params.decoder],
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
                         enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
@@ -405,29 +397,27 @@ class DescriptionModel:
 
     def _dropout_masks(self, rows: int, steps: int) -> list[np.ndarray]:
         """Each decoder layer's boolean input keep mask for all steps, (rows,
-        steps, input width), drawn step by step and layer by layer over all
-        rows, in the order that stepping every row would draw them."""
-        draws = [[dropout_keep((rows, p.input_dim), self.config.dropout, self._drop_rng)
-                  for p in self.params.decoder] for _ in range(steps)]
-        return [np.stack(layer, axis=1) for layer in zip(*draws)]
+        steps, input width), one draw per layer, bottom layer first."""
+        return [dropout_keep((rows, steps, p.input_dim), self.config.dropout, self._drop_rng)
+                for p in self.params.decoder]
 
     def forward_loss(self, batch: Batch, train: bool = False) -> tuple[Tensor, dict]:
         """Teacher-forced mean negative log-likelihood per non-pad target
-        token, plus token counts in the aux dict: one ``_decode`` pass over the
-        previous gold words, with the rows and their conditioning built in
-        description order, longest first, and one ``linear_nll`` op over its
-        outputs, the real target rows."""
+        token, plus token counts in the aux dict: the batch's rows are sorted
+        once by description length, longest first (ties keep batch order), and
+        everything after is built in that order: the conditioning, the dropout
+        masks, one ``_decode`` pass over the previous gold words, and one
+        ``linear_nll`` op over its outputs, the real target rows."""
         if len(batch) == 0:
             raise ValueError("forward_loss: empty batch")
+        batch = batch.take((-batch.target_lengths).argsort(kind="stable"))
         rows, steps = batch.target_ids.shape
-        order = (-batch.target_lengths).argsort(kind="stable")
-        lengths = batch.target_lengths[order]
-        session = self._start(batch, train, order)
-        keeps = [m[order] for m in self._dropout_masks(rows, steps)] \
-            if train and self.config.dropout > 0.0 else None
-        out, _ = self._decode(session, self._inputs(session, batch.target_ids[order, :-1]),
+        lengths = batch.target_lengths
+        session = self._start(batch, train)
+        keeps = self._dropout_masks(rows, steps) if train and self.config.dropout > 0.0 else None
+        out, _ = self._decode(session, self._inputs(session, batch.target_ids[:, :-1]),
                               lengths, keeps)
-        targets = batch.target_ids[order].T[lengths > np.arange(steps)[:, None]]
+        targets = batch.target_ids.T[lengths > np.arange(steps)[:, None]]
         n_tokens = float(len(targets))
         loss, correct = linear_nll(out, self.params.out_w, self.params.out_b, targets,
                                    np.full(len(targets), 1.0 / n_tokens))
@@ -476,7 +466,10 @@ _DATA_MARKER = b"\nDATA\n"
 def save_checkpoint(path, params: ModelParams, meta: Optional[dict] = None) -> None:
     """Write a text manifest (metadata lines, then one line per tensor with
     name, shape, dtype, byte offset and length) followed by the raw
-    little-endian float32 data blocks in manifest order."""
+    little-endian float32 data blocks in manifest order.
+
+    The file is written beside ``path`` and then renamed onto it, so a write
+    that fails leaves any file already at ``path`` as it was."""
     head = io.StringIO()
     head.write(_MAGIC + "\n")
     for key, value in (meta or {}).items():
@@ -484,19 +477,23 @@ def save_checkpoint(path, params: ModelParams, meta: Optional[dict] = None) -> N
         if "\n" in value or "\t" in key or " " in key:
             raise ValueError(f"checkpoint meta {key!r} not representable")
         head.write(f"meta {key}={value}\n")
-    blocks = []
     offset = 0
     for name, t in params.named():
-        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
         shape = "x".join(str(d) for d in t.shape)
-        head.write(f"tensor {name} {shape} float32 {offset} {len(raw)}\n")
-        blocks.append(raw)
-        offset += len(raw)
-    with open(path, "wb") as fh:
-        fh.write(head.getvalue().encode("utf-8"))
-        fh.write(_DATA_MARKER)
-        for raw in blocks:
-            fh.write(raw)
+        head.write(f"tensor {name} {shape} float32 {offset} {4 * t.size}\n")
+        offset += 4 * t.size
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head.getvalue().encode("utf-8"))
+            fh.write(_DATA_MARKER)
+            for _, t in params.named():
+                fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
@@ -579,8 +576,7 @@ def load_params_into(params: ModelParams, tensors: dict[str, np.ndarray]) -> Non
 
 
 def model_from_checkpoint(tensors: dict[str, np.ndarray], meta: dict[str, str], vocab: Vocab,
-                          emb_table: Optional[EmbeddingTable] = None,
-                          dtype=np.float32) -> DescriptionModel:
+                          emb_table: Optional[EmbeddingTable] = None) -> DescriptionModel:
     """Rebuild a model from ``load_checkpoint``'s tensors and config metadata.
     No weight is drawn: each starts as a placeholder that the checkpoint's
     tensor replaces, and a tensor it lacks or shapes differently raises
@@ -591,18 +587,18 @@ def model_from_checkpoint(tensors: dict[str, np.ndarray], meta: dict[str, str], 
     if rows is not None and len(rows) != len(vocab):
         raise InputMismatch(f"{vocab.source}: {len(vocab)} tokens, but the checkpoint was "
                             f"trained with {len(rows)}")
-    model = DescriptionModel(config, vocab, emb_table, seed=seed, dtype=dtype,
-                             params=ModelParams(config, len(vocab), None, dtype))
+    model = DescriptionModel(config, vocab, emb_table, seed=seed,
+                             params=ModelParams(config, len(vocab), None))
     load_params_into(model.params, tensors)
     return model
 
 
-def load_model(path, vocab: Vocab, emb_table: Optional[EmbeddingTable] = None,
-               dtype=np.float32) -> tuple[DescriptionModel, dict[str, str]]:
+def load_model(path, vocab: Vocab, emb_table: Optional[EmbeddingTable] = None
+               ) -> tuple[DescriptionModel, dict[str, str]]:
     """Rebuild a model from a checkpoint file; returns it with the metadata."""
     tensors, meta = load_checkpoint(path)
     try:
-        return model_from_checkpoint(tensors, meta, vocab, emb_table, dtype), meta
+        return model_from_checkpoint(tensors, meta, vocab, emb_table), meta
     except InputMismatch:
         raise
     except ValueError as e:

@@ -49,13 +49,13 @@ class Adam:
     ``t.data`` stays the same array, so a weight adopted from a checkpoint
     buffer keeps being a view of that buffer."""
 
-    def __init__(self, tensors: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, tensors: Sequence[Tensor], lr: float = 1e-3):
         self.tensors = list(tensors)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         for t in self.tensors:
             if not t.data.flags.c_contiguous:
@@ -154,10 +154,10 @@ def _teacher_forced(model: DescriptionModel, entries: Sequence[Entry],
     return total / tokens, correct / tokens
 
 
-def token_accuracy(model: DescriptionModel, entries: Sequence[Entry],
-                   batch_size: int = 128) -> float:
-    """Teacher-forced next-token accuracy over non-pad target positions."""
-    return _teacher_forced(model, entries, batch_size)[1]
+def token_accuracy(model: DescriptionModel, entries: Sequence[Entry]) -> float:
+    """Teacher-forced next-token accuracy over non-pad target positions, in
+    batches of the default training batch size."""
+    return _teacher_forced(model, entries, TrainSettings.batch_size)[1]
 
 
 def _first_non_finite(model: DescriptionModel) -> str:

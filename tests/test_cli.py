@@ -1,4 +1,6 @@
 import argparse
+import errno
+import os
 import re
 import tempfile
 import warnings
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logcad.model
 from logcad.cli import main, resolve_config, build_parser
 from logcad.data import Vocab, load_dataset, write_dataset
 from logcad.decode import DEFAULT_MAX_LEN
@@ -297,6 +300,51 @@ class TestTrainCommand:
         assert "trained 0 epoch(s); checkpoint -> " in stdout
         assert "nan" not in stdout  # no final training loss when no epoch ran
         assert (out / "model.ckpt").exists()
+
+    def test_failed_checkpoint_write_keeps_the_old_checkpoint(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the disk fills on the third write, the first tensor block: resuming
+        # into the run's own directory keeps the checkpoint it resumed from,
+        # a fresh directory gets no checkpoint, and no partial file is left
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return FullDisk(fh) if "w" in mode else fh
+
+        data = tmp_path / "train.tsv"
+        write_dataset(data, overfit_corpus())
+        out1 = tmp_path / "r1"
+        assert main(_train_args(data, out1, epochs=1)) == 0
+        ckpt = out1 / "model.ckpt"
+        before = ckpt.read_bytes()
+        files = sorted(out1.iterdir())
+        capsys.readouterr()
+        monkeypatch.setattr(logcad.model, "open", full_disk_open, raising=False)
+        for out in (out1, tmp_path / "r2"):
+            assert main(_train_args(data, out, epochs=2, extra=["--resume", str(ckpt)])) == 1
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: [Errno {errno.ENOSPC}] "
+                                f"{os.strerror(errno.ENOSPC)}\n"), err
+        monkeypatch.undo()
+        assert ckpt.read_bytes() == before
+        load_model(ckpt, Vocab.load(out1 / "vocab.txt"))
+        assert sorted(out1.iterdir()) == files
+        assert list((tmp_path / "r2").iterdir()) == []
 
 
 @pytest.fixture(scope="module")

@@ -242,21 +242,6 @@ class TestBiLstmEncode:
         batch = bilstm_encode(p, Tensor(padded), np.array([2, 5])).data
         npt.assert_allclose(batch[0, :2], single[0], atol=1e-10)
 
-    def test_dropout_masks_follow_the_rows(self):
-        # rows given in another order keep the dropout masks they get in
-        # batch order: the states are the batch-order states, permuted
-        rng = np.random.default_rng(6)
-        p = BiLstmParams.create(rng, 3, 4, n_layers=3)
-        lengths = np.array([2, 5, 4, 5])
-        x = rng.normal(size=(4, 5, 3))
-        order = np.array([1, 3, 2, 0])
-        want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
-        want = bilstm_encode(p, Tensor(x), lengths, drop=0.5, rng=want_rng).data[order]
-        got = bilstm_encode(p, Tensor(x[order]), lengths[order], drop=0.5, rng=got_rng,
-                            order=order).data
-        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
     def test_gradient_check(self):
         rng = np.random.default_rng(5)
         worst = 0.0

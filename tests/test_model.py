@@ -433,6 +433,29 @@ class TestSequenceLoss:
                                 rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_pass_does_not_depend_on_the_row_order(self, variant):
+        # with dropout, a batch whose description lengths all differ gives the
+        # loss and gradients of any permutation of its rows, bit for bit: the
+        # rows are sorted before any mask is drawn or any sum is taken
+        vocab = toy_vocab()
+        entries = padded_entries()
+        assert len(set(len(e.description) for e in entries)) == len(entries)
+
+        def run(entries):
+            model = DescriptionModel(tiny_config(variant), vocab, toy_table(), seed=22)
+            with GradGraph() as g:
+                loss, _ = model.forward_loss(make_batch(entries, vocab), train=True)
+            g.backward(loss)
+            return loss.item(), {name: t.grad for name, t in model.params.named()}
+
+        want_loss, want = run(entries)
+        for perm in ((2, 0, 1), (1, 2, 0)):
+            got_loss, got = run([entries[i] for i in perm])
+            assert got_loss == want_loss, perm
+            for name in want:
+                npt.assert_array_equal(got[name], want[name], err_msg=f"{name}, {perm}")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_loss_matches_reference(self, variant):
         # the output head scores the stacked steps of a padded batch: the
         # loss is the negative mean of the gold-token log-probabilities that
@@ -616,22 +639,17 @@ class TestSequenceLoss:
             assert got_rng == want_rng
 
 
-def dropout(x, p, rng):
-    """Inverted dropout as one ``mul`` by a float mask, built from a keep mask
-    drawn as the model draws its masks; a rate of 0 returns ``x`` and draws
-    nothing."""
-    if p <= 0.0:
-        return x
-    keep = dropout_keep(x.shape, p, rng)
+def dropout(x, keep, p):
+    """Inverted dropout at rate ``p`` as one ``mul`` by the float mask built
+    from boolean keep mask ``keep``."""
     return mul(x, Tensor(keep.astype(x.dtype) / np.asarray(1.0 - p, dtype=x.dtype)))
 
 
-def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None, order=None):
+def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None):
     """The encoder run over every padded position: one ``lstm_cell`` per step
     of the whole batch, the backward direction on each row reversed within its
-    length; states past the lengths are garbage. It runs in batch order,
-    as ``padded_forward_loss`` builds its session."""
-    assert order is None
+    length; states past the lengths are garbage. Each later layer's dropout
+    mask is drawn over the rows as given, as the model draws it."""
     b, t, _ = embs.shape
     pos = np.arange(t)[None, :]
     flat = (np.arange(b)[:, None] * t
@@ -651,26 +669,29 @@ def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None, order=None):
 
     seq = embs
     for k, (fwd, bwd) in enumerate(p.layers):
-        if k > 0 and drop > 0.0 and rng is not None:
-            seq = dropout(seq, drop, rng)
+        if k > 0 and drop > 0.0:
+            seq = dropout(seq, dropout_keep(seq.shape, drop, rng), drop)
         seq = concat([run(fwd, seq), reverse(run(bwd, reverse(seq)))], axis=2)
     return seq
 
 
 def padded_forward_loss(self, batch, train=False):
-    """``forward_loss`` computed step by step on every row: each step runs
-    every row through each decoder layer's ``lstm_cell``, the top layer of a
-    gated variant recurring on its gated output, and draws each layer's
-    dropout over all rows before that layer; every stacked row is scored,
-    padded ones at weight 0."""
+    """``forward_loss`` computed step by step on every row of the batch
+    sorted longest description first: each step runs every row through each
+    decoder layer's ``lstm_cell``, the top layer of a gated variant recurring
+    on its gated output, with that step's slice of the layer's dropout mask,
+    drawn over all rows and steps after the session; every stacked row is
+    scored, padded ones at weight 0."""
     cfg = self.config
     p = self.params
     drop = cfg.dropout if train else 0.0
+    batch = batch.take((-batch.target_lengths).argsort(kind="stable"))
     session = self._start(batch, train)
-    rows = len(batch)
+    rows, steps = batch.target_ids.shape
+    keeps = [dropout_keep((rows, steps, lp.input_dim), drop, self._drop_rng)
+             for lp in p.decoder] if drop > 0.0 else None
     layer_states = [(Tensor(np.zeros((rows, cfg.dec_width))),) * 2 for _ in p.decoder]
     states = []
-    steps = batch.target_ids.shape[1]
     for t in range(steps):
         if t:
             x = take_rows(p.word_emb, batch.target_ids[:, t - 1])
@@ -681,7 +702,8 @@ def padded_forward_loss(self, batch, train=False):
         if cfg.variant == "i-attention":
             x = concat([x, session.x_masked], axis=1)
         for k, lp in enumerate(p.decoder):
-            x = dropout(x, drop, self._drop_rng)
+            if keeps is not None:
+                x = dropout(x, keeps[k][:, t], drop)
             h, c = lstm_cell(lp, x, *layer_states[k])
             if k == cfg.dec_layers - 1 and cfg.uses_gate:
                 feats = [session.x_trg] if cfg.uses_global_embedding else []
