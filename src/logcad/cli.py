@@ -334,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    def trained(p):  # the inputs of _load_trained
+        p.add_argument("--ckpt", required=True, help="model checkpoint")
+        p.add_argument("--vocab", help="vocab file (default: vocab.txt beside the checkpoint)")
+        p.add_argument("--emb", help="pre-trained embedding text file")
+
     p = command("extract", cmd_extract, "mine entries from articles + item descriptions")
     p.add_argument("--articles", required=True, help="TSV: title <TAB> first paragraph")
     p.add_argument("--items", required=True, help="TSV: title <TAB> description")
@@ -352,16 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("evaluate", cmd_evaluate, "decode a test set and report BLEU")
     p.add_argument("--data", required=True, help="test TSV")
-    p.add_argument("--ckpt", required=True, help="model checkpoint")
-    p.add_argument("--vocab", help="vocab file (default: vocab.txt beside the checkpoint)")
-    p.add_argument("--emb", help="pre-trained embedding text file")
+    trained(p)
     _add_options(p, "beam max_len")
     p.add_argument("--out", help="directory for TSV reports")
 
     p = command("describe", cmd_describe, "describe one phrase in one sentence")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--emb")
+    trained(p)
     p.add_argument("--phrase", required=True)
     p.add_argument("--sentence", required=True,
                    help=f"sentence containing the phrase or an explicit {TRG_TOKEN}")

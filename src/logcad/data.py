@@ -235,6 +235,9 @@ class Vocab:
         self.source = source
         self.tokens = list(tokens)
         self.index = {t: i for i, t in enumerate(self.tokens)}
+        if len(self.index) < len(self.tokens):
+            twice = next(t for i, t in enumerate(self.tokens) if self.index[t] != i)
+            raise ValueError(f"{source}: Vocab: token {twice!r} is listed twice")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -256,7 +259,7 @@ class Vocab:
                    source=path)
 
 
-def build_vocab(entries: Sequence[Entry], size: int = 10000) -> Vocab:
+def build_vocab(entries: Sequence[Entry], size: int) -> Vocab:
     """Most frequent description-side tokens, capped at ``size`` including
     the special tokens; frequency ties broken lexicographically."""
     counts = Counter(t for e in entries for t in e.description)

@@ -157,12 +157,11 @@ def _search(model, entries: Sequence, beam: int, max_len: int) -> list[Hypothesi
     return [b.best() for b in beams]
 
 
-def decode_batch(model, entries: Sequence, beam: int = 1,
-                 max_len: int = DEFAULT_MAX_LEN) -> list[list]:
-    """Decode ``entries`` together; returns each entry's token ids without
-    <eos>. ``beam`` 1 emits the argmax token at each step (greedy); wider
-    beams return the best finished hypothesis by length-normalized score, or
-    the best unfinished one when nothing finished within ``max_len``."""
+def decode_batch(model, entries: Sequence, beam: int, max_len: int) -> list[list]:
+    """Decode ``entries`` together, for at most ``max_len`` steps; returns
+    each entry's token ids without <eos>. ``beam`` 1 emits the argmax token
+    at each step (greedy); wider beams return the best finished hypothesis by
+    length-normalized score, or the best unfinished one if none finished."""
     return [h.output_ids for h in _search(model, entries, beam, max_len)]
 
 
@@ -171,6 +170,6 @@ def greedy_decode(model, entry, max_len: int = DEFAULT_MAX_LEN) -> list:
     return decode_batch(model, [entry], 1, max_len)[0]
 
 
-def beam_search(model, entry, beam: int = 5, max_len: int = DEFAULT_MAX_LEN) -> list:
-    """Beam search for one entry (see :func:`decode_batch`)."""
+def beam_search(model, entry, beam: int, max_len: int = DEFAULT_MAX_LEN) -> list:
+    """Beam search of width ``beam`` for one entry (see :func:`decode_batch`)."""
     return decode_batch(model, [entry], beam, max_len)[0]

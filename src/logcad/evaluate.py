@@ -101,7 +101,7 @@ def avg_sentence_bleu(records: Sequence[EvalRecord]) -> float:
 
 
 def build_records(entries: Sequence[Entry], candidates: Sequence[Sequence[str]],
-                  table: Optional[EmbeddingTable] = None) -> list[EvalRecord]:
+                  table: Optional[EmbeddingTable]) -> list[EvalRecord]:
     """Pair entries with generated candidates and attach bin keys computed
     from the evaluation corpus itself. Without an embedding table every
     phrase word counts as unknown."""

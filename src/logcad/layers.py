@@ -143,7 +143,7 @@ class BiLstmParams:
 
 
 def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
-                  drop: float = 0.0, rng: Optional[np.random.Generator] = None) -> Tensor:
+                  drop: float, rng: np.random.Generator) -> Tensor:
     """Encode (B, T, E) token embeddings into (B, T, out_width) states.
 
     Each position's state is [forward half; backward half] for that position.
@@ -151,9 +151,9 @@ def bilstm_encode(p: BiLstmParams, embs: Tensor, lengths: np.ndarray,
     ``lstm_sequence`` op that runs both directions from a zero state over the
     real tokens only and writes them side by side, so states past the tokens
     read 0 and cost nothing. They are still not context: consumers such as
-    attention must mask them. Dropout, when requested, is applied to each
-    later layer's input inside its op, from a boolean keep mask drawn from
-    ``rng`` over the rows as given.
+    attention must mask them. With ``drop`` above 0, each later layer's
+    input is dropped at that rate inside its op, from a boolean keep mask
+    drawn from ``rng`` over the rows as given; at 0, ``rng`` is not read.
     """
     if embs.ndim != 3 or embs.shape[1] == 0:
         raise ShapeError(f"bilstm_encode: need a nonempty (B, T, E) sequence, got {embs.shape}")
@@ -289,34 +289,29 @@ class AttentionParams:
         yield f"{prefix}.u_s", self.u_s
 
 
-def project_context(p: AttentionParams, states: Tensor,
-                    lengths: Optional[np.ndarray] = None) -> Tensor:
-    """Precompute U_h @ h_i for every position, reused across decode steps;
-    with ``lengths``, for each row's first ``lengths[r]`` positions only, and
-    0 past them, where the states are padding."""
-    if lengths is None:
-        return matmul(states, p.u_h)
+def project_context(p: AttentionParams, states: Tensor, lengths: np.ndarray) -> Tensor:
+    """Precompute U_h @ h_i, reused across decode steps, for each row's
+    first ``lengths[r]`` positions only, and 0 past them, where the states
+    are padding."""
     return matmul(states, p.u_h, at=np.arange(states.shape[1]) < lengths[:, None])
 
 
-def attention(p: AttentionParams, states: Tensor, s_t: Tensor,
-              mask_bias: Optional[np.ndarray] = None,
-              projected: Optional[Tensor] = None) -> tuple[Tensor, Tensor]:
+def attention(p: AttentionParams, states: Tensor, s_t: Tensor, mask_bias: np.ndarray,
+              projected: Tensor) -> tuple[Tensor, Tensor]:
     """Weighted summary of encoder states for one decoder state.
 
     score_i = (U_h h_i) . (U_s s_t); weights are a softmax over positions;
     the summary is the weight-averaged encoder state. ``mask_bias`` (B, T)
-    holds 0 for valid positions and a large negative value for padding.
+    holds 0 for valid positions and a large negative value for padding, and
+    ``projected`` is ``project_context`` of ``states``.
     Returns (summary (B, enc_width), weights (B, T)).
     """
     if states.ndim != 3 or states.shape[1] == 0:
         raise ShapeError(f"attention: need nonempty (B, T, D) states, got {states.shape}")
     b, t, _ = states.shape
-    hp = projected if projected is not None else project_context(p, states)
     q = matmul(s_t, p.u_s)  # (B, A)
-    scores = reshape(matmul(hp, reshape(q, (b, q.shape[1], 1))), (b, t))
-    if mask_bias is not None:
-        scores = add(scores, Tensor(mask_bias.astype(states.dtype, copy=False)))
+    scores = reshape(matmul(projected, reshape(q, (b, q.shape[1], 1))), (b, t))
+    scores = add(scores, Tensor(mask_bias.astype(states.dtype, copy=False)))
     alpha = softmax(scores, axis=1)
     summary = reshape(matmul(reshape(alpha, (b, 1, t)), states), (b, states.shape[2]))
     return summary, alpha
@@ -395,16 +390,15 @@ class MaskNetParams:
 
 
 def iattention_mask(p: MaskNetParams, states: Tensor, x_trg: Tensor,
-                    lengths: Optional[np.ndarray] = None) -> Tensor:
+                    lengths: np.ndarray) -> Tensor:
     """Soft binary mask over the phrase embedding, derived from the averaged
-    feed-forward image of the encoded local context:
+    feed-forward image of each row's first ``lengths[r]`` encoded context
+    states (the padding past them is left out of the mean):
     m = sig(W_m * mean_i FFNN(h_i) + b_m);  x'_trg = x_trg * m."""
     if states.ndim != 3 or states.shape[1] == 0:
         raise ShapeError(f"iattention_mask: need nonempty (B, T, D) states, got {states.shape}")
-    b, t, _ = states.shape
+    t = states.shape[1]
     dtype = states.dtype
-    if lengths is None:
-        lengths = np.full(b, t, dtype=np.intp)
     mapped = tanh(add(matmul(states, p.w_ff), p.b_ff))  # (B, T, F)
     valid = (np.arange(t)[None, :] < lengths[:, None]).astype(dtype)
     mapped = mul(mapped, Tensor(valid[:, :, None]))

@@ -321,7 +321,7 @@ class DescriptionModel:
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
                         enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
 
-    def _top(self, session: _Session, x: Tensor, drop=None) -> tuple[Tensor, Tensor]:
+    def _top(self, session: _Session, x: Tensor, drop) -> tuple[Tensor, Tensor]:
         """A gated variant's top decoder layer's ``lstm_cell`` step on input
         ``x``, with its dropout ``drop``, from its state in ``session``, then
         attention and the fusion gate. Returns the output state, on which the
@@ -401,13 +401,14 @@ class DescriptionModel:
         return [dropout_keep((rows, steps, p.input_dim), self.config.dropout, self._drop_rng)
                 for p in self.params.decoder]
 
-    def forward_loss(self, batch: Batch, train: bool = False) -> tuple[Tensor, dict]:
+    def forward_loss(self, batch: Batch, train: bool) -> tuple[Tensor, dict]:
         """Teacher-forced mean negative log-likelihood per non-pad target
-        token, plus token counts in the aux dict: the batch's rows are sorted
-        once by description length, longest first (ties keep batch order), and
-        everything after is built in that order: the conditioning, the dropout
-        masks, one ``_decode`` pass over the previous gold words, and one
-        ``linear_nll`` op over its outputs, the real target rows."""
+        token, plus token counts in the aux dict, with dropout when ``train``:
+        the batch's rows are sorted once by description length, longest first
+        (ties keep batch order), and everything after is built in that order:
+        the conditioning, the dropout masks, one ``_decode`` pass over the
+        previous gold words, and one ``linear_nll`` op over its outputs, the
+        real target rows."""
         if len(batch) == 0:
             raise ValueError("forward_loss: empty batch")
         batch = batch.take((-batch.target_lengths).argsort(kind="stable"))
@@ -463,16 +464,16 @@ _V1_MAGIC = "logcad-checkpoint v1"
 _DATA_MARKER = b"\nDATA\n"
 
 
-def save_checkpoint(path, params: ModelParams, meta: Optional[dict] = None) -> None:
+def save_checkpoint(path, params: ModelParams, meta: dict) -> None:
     """Write a text manifest (metadata lines, then one line per tensor with
     name, shape, dtype, byte offset and length) followed by the raw
     little-endian float32 data blocks in manifest order.
 
-    The file is written beside ``path`` and then renamed onto it, so a write
-    that fails leaves any file already at ``path`` as it was."""
+    The file is written beside ``path`` and renamed onto it: a failed write
+    leaves any file at ``path`` as it was, and its error names ``path``."""
     head = io.StringIO()
     head.write(_MAGIC + "\n")
-    for key, value in (meta or {}).items():
+    for key, value in meta.items():
         value = str(value)
         if "\n" in value or "\t" in key or " " in key:
             raise ValueError(f"checkpoint meta {key!r} not representable")
@@ -490,9 +491,11 @@ def save_checkpoint(path, params: ModelParams, meta: Optional[dict] = None) -> N
             for _, t in params.named():
                 fh.write(np.ascontiguousarray(t.data, dtype="<f4"))
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(e, OSError) and e.errno is not None and e.filename is None:
+            e.filename = str(path)
         raise
 
 
@@ -576,7 +579,7 @@ def load_params_into(params: ModelParams, tensors: dict[str, np.ndarray]) -> Non
 
 
 def model_from_checkpoint(tensors: dict[str, np.ndarray], meta: dict[str, str], vocab: Vocab,
-                          emb_table: Optional[EmbeddingTable] = None) -> DescriptionModel:
+                          emb_table: Optional[EmbeddingTable]) -> DescriptionModel:
     """Rebuild a model from ``load_checkpoint``'s tensors and config metadata.
     No weight is drawn: each starts as a placeholder that the checkpoint's
     tensor replaces, and a tensor it lacks or shapes differently raises

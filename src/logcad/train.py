@@ -45,7 +45,7 @@ BLOCK = 1 << 15
 
 
 class Adam:
-    """Adaptive-moment update of every tensor from its ``grad``, in place:
+    """Adaptive-moment update at rate ``lr`` of every tensor from its ``grad``, in place:
     ``t.data`` stays the same array, so a weight adopted from a checkpoint
     buffer keeps being a view of that buffer."""
 
@@ -53,7 +53,7 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, tensors: Sequence[Tensor], lr: float = 1e-3):
+    def __init__(self, tensors: Sequence[Tensor], lr: float):
         self.tensors = list(tensors)
         self.lr = lr
         self.t = 0
@@ -168,12 +168,11 @@ def _first_non_finite(model: DescriptionModel) -> str:
 
 
 def train(model: DescriptionModel, train_entries: Sequence[Entry],
-          valid_entries: Optional[Sequence[Entry]] = None,
-          settings: TrainSettings = TrainSettings(),
-          start_epoch: int = 0,
-          verbose: bool = False) -> TrainResult:
-    """Optimize the model in place; returns per-epoch rows. With validation
-    entries and a nonzero patience, training stops after ``patience``
+          valid_entries: Optional[Sequence[Entry]], settings: TrainSettings,
+          start_epoch: int, verbose: bool) -> TrainResult:
+    """Optimize the model in place; returns per-epoch rows, numbered from
+    ``start_epoch + 1`` and printed when ``verbose``. With validation entries
+    (or None) and a nonzero patience, training stops after ``patience``
     non-improving epochs and the best-validation parameters are restored.
     A non-finite loss or gradient norm raises ``ValueError`` before the
     update that would carry it into the weights."""

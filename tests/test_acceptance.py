@@ -29,6 +29,7 @@ from logcad.layers import (
     gate,
     iattention_mask,
     lstm_cell,
+    project_context,
 )
 from logcad.model import DescriptionModel, ModelConfig
 from logcad.tensor import Tensor, gradient_check, reduce_sum
@@ -53,6 +54,17 @@ def report(num, name, ok, detail=""):
 TOY_DIMS = dict(enc_width=64, dec_width=64, attn_width=64, word_emb_width=64, dropout=0.0)
 
 
+def attend(p, h, s):
+    """``attention`` over states ``h`` (B, T, D) that hold no padding."""
+    full = np.full(h.shape[0], h.shape[1])
+    return attention(p, h, s, np.zeros(h.shape[:2]), project_context(p, h, full))
+
+
+def soft_mask(p, h, x):
+    """``iattention_mask`` over states ``h`` (B, T, D) that hold no padding."""
+    return iattention_mask(p, h, x, np.full(h.shape[0], h.shape[1]))
+
+
 def test_criterion_1_gradient_suite():
     """Every layer and every full model variant passes finite-difference
     gradient checks (64-bit, step 1e-4) below 1e-3 at 10 seeded points."""
@@ -72,7 +84,7 @@ def test_criterion_1_gradient_suite():
         p = BiLstmParams.create(rng, 2, 4, n_layers=2)
         x = Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
         worst = max(worst, gradient_check(
-            lambda t: reduce_sum(bilstm_encode(p, t, np.array([3]))), x, eps=1e-4))
+            lambda t: reduce_sum(bilstm_encode(p, t, np.array([3]), 0.0, None)), x, eps=1e-4))
 
     rng = np.random.default_rng(103)
     for _ in range(N_POINTS):
@@ -86,7 +98,7 @@ def test_criterion_1_gradient_suite():
         h = Tensor(rng.normal(size=(1, 3, 4)))
         s = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
         worst = max(worst, gradient_check(
-            lambda t: reduce_sum(attention(p, h, t)[0]), s, eps=1e-4))
+            lambda t: reduce_sum(attend(p, h, t)[0]), s, eps=1e-4))
 
     rng = np.random.default_rng(105)
     for _ in range(N_POINTS):
@@ -102,7 +114,7 @@ def test_criterion_1_gradient_suite():
         h = Tensor(rng.normal(size=(1, 3, 4)))
         x = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
         worst = max(worst, gradient_check(
-            lambda t: reduce_sum(iattention_mask(p, h, t)), x, eps=1e-4))
+            lambda t: reduce_sum(soft_mask(p, h, t)), x, eps=1e-4))
 
     # full variants: a fresh tiny model per point; finite differences over
     # the output bias plus one rotating group-specific tensor
@@ -151,7 +163,7 @@ def test_criterion_2_layer_oracles():
     ap = AttentionParams.create(rng, 5, 3, 4)
     hs = rng.normal(size=(1, 4, 5))
     s = rng.normal(size=(1, 3))
-    d, alpha = attention(ap, Tensor(hs), Tensor(s))
+    d, alpha = attend(ap, Tensor(hs), Tensor(s))
     want_d, want_alpha = attention_oracle(ap, hs[0], s[0])
     worst = max(worst, np.abs(d.data[0] - want_d).max(),
                 np.abs(alpha.data[0] - want_alpha).max())
@@ -164,7 +176,7 @@ def test_criterion_2_layer_oracles():
     mp = MaskNetParams.create(rng, 4, 3, 5)
     hs = rng.normal(size=(1, 3, 4))
     xv = rng.normal(size=5)
-    got = iattention_mask(mp, Tensor(hs), Tensor(xv[None]))
+    got = soft_mask(mp, Tensor(hs), Tensor(xv[None]))
     worst = max(worst, np.abs(got.data[0] - masknet_oracle(mp, hs[0], xv)).max())
 
     cp = CharCnnParams.create(rng)
@@ -184,7 +196,7 @@ def test_criterion_3_overfit():
     model = DescriptionModel(ModelConfig(variant="log-cad", **TOY_DIMS), vocab,
                              None, seed=0)
     result = train(model, entries, None,
-                   TrainSettings(epochs=500, batch_size=32, seed=0))
+                   TrainSettings(epochs=500, batch_size=32, seed=0), start_epoch=0, verbose=False)
     acc = token_accuracy(model, entries)
     hits = sum(vocab.decode(greedy_decode(model, e, max_len=30)) == e.description
                for e in entries)
@@ -208,7 +220,7 @@ def test_criterion_4_directional_replication():
         model = DescriptionModel(ModelConfig(variant=variant, **TOY_DIMS), vocab,
                                  None, seed=1)
         train(model, train_entries, None,
-              TrainSettings(epochs=120, batch_size=16, seed=1))
+              TrainSettings(epochs=120, batch_size=16, seed=1), start_epoch=0, verbose=False)
         cands = [vocab.decode(greedy_decode(model, e, max_len=20)) for e in test_entries]
         scores[variant] = corpus_bleu(build_records(test_entries, cands, None))
     gap = scores["log-cad"] - scores["global"]

@@ -339,7 +339,7 @@ class TestTrainCommand:
             assert main(_train_args(data, out, epochs=2, extra=["--resume", str(ckpt)])) == 1
             err = capsys.readouterr().err
             assert err.endswith(f"error: [Errno {errno.ENOSPC}] "
-                                f"{os.strerror(errno.ENOSPC)}\n"), err
+                                f"{os.strerror(errno.ENOSPC)}: {str(out / 'model.ckpt')!r}\n"), err
         monkeypatch.undo()
         assert ckpt.read_bytes() == before
         load_model(ckpt, Vocab.load(out1 / "vocab.txt"))

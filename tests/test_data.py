@@ -177,6 +177,17 @@ class TestVocab:
         v.save(tmp_path / "vocab.txt")
         assert Vocab.load(tmp_path / "vocab.txt").tokens == v.tokens
 
+    @pytest.mark.parametrize("tokens,twice", [("cat dog cat", "cat"),
+                                              ("cat dog cat [UNK]", "[UNK]")])
+    def test_token_listed_twice_refused(self, tmp_path, tokens, twice):
+        # a repeated token would give the tokens after it ids that are not
+        # the rows the model trained, and encode would map it to one of them
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join([*Vocab.SPECIALS, *tokens.split()]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as e:
+            Vocab.load(path)
+        assert str(e.value) == f"{path}: Vocab: token {twice!r} is listed twice"
+
 
 class TestStats:
     def test_distinct_phrases(self):

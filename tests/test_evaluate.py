@@ -111,7 +111,7 @@ class TestBuildRecords:
         ]
 
     def test_senses_count_distinct_references(self):
-        records = build_records(self._entries(), [["x"], ["y"], ["z"]])
+        records = build_records(self._entries(), [["x"], ["y"], ["z"]], None)
         assert [r.senses for r in records] == [2, 2, 1]
 
     def test_unk_ratio_from_table(self):
@@ -121,16 +121,16 @@ class TestBuildRecords:
         assert records[2].unk_ratio == pytest.approx(0.5)
 
     def test_no_table_means_all_unknown(self):
-        records = build_records(self._entries(), [["x"], ["y"], ["z"]])
+        records = build_records(self._entries(), [["x"], ["y"], ["z"]], None)
         assert all(r.unk_ratio == 1.0 for r in records)
 
     def test_context_len(self):
-        records = build_records(self._entries(), [["x"], ["y"], ["z"]])
+        records = build_records(self._entries(), [["x"], ["y"], ["z"]], None)
         assert [r.context_len for r in records] == [3, 2, 5]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            build_records(self._entries(), [["x"]])
+            build_records(self._entries(), [["x"]], None)
 
 
 class TestBinnedReport:

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is read in that module, every
 name ``logcad.tensor`` exports is imported by another module, every
 private function, method and class the package defines is referenced in it,
-and every defaulted parameter the package defines is passed by some call."""
+and every defaulted parameter the package defines is passed by some call and,
+if any call reaches it, left out by some call."""
 
 import ast
 from pathlib import Path
@@ -119,15 +120,16 @@ def _defaulted(fn: ast.FunctionDef, method: bool) -> tuple[list[str], set[str]]:
     return positional, defaulted
 
 
-def unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
-    """``"owner: parameter"`` for each defaulted parameter of a module-level
-    function or a method defined in ``defining`` that no call in ``calling``
-    passes, by position or by keyword. The owner is ``f`` for a function, ``C`` for
-    ``C.__init__`` and ``C.m`` for another method. A call ``C(...)``, or
-    ``cls(...)`` inside class ``C``, resolves to ``C.__init__`` and
-    ``C.m(...)`` to that method; any other ``x.m(...)`` matches every
-    function and method named ``m``."""
-    defs = {}  # (class or None, name) -> (positional parameters, defaulted)
+def _resolved_calls(defining: list[str], calling: list[str]) -> tuple[dict, list]:
+    """The functions and methods defined in ``defining``, as ``(class or
+    None, name) -> (positional parameters, defaulted)``, and for each call in
+    ``calling`` that resolves to one of them, ``(key, the parameters it may
+    pass)``, by position or by keyword. A call ``C(...)``, or ``cls(...)``
+    inside class ``C``, resolves to ``C.__init__`` and ``C.m(...)`` to that
+    method; any other ``x.m(...)`` matches every function and method named
+    ``m``. A ``*`` argument may pass every positional parameter and a ``**``
+    argument every defaulted one."""
+    defs = {}
     classes = set()
     for tree in map(ast.parse, defining):
         for node in ast.walk(tree):
@@ -139,7 +141,7 @@ def unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
             for fn in node.body:
                 if isinstance(fn, ast.FunctionDef):
                     defs[(owner, fn.name)] = _defaulted(fn, owner is not None)
-    passed = {key: set() for key in defs}
+    calls = []
 
     def visit(node, cls):
         if isinstance(node, ast.ClassDef):
@@ -159,20 +161,34 @@ def unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
             for key in filter(defs.__contains__, keys):
                 positional, defaulted = defs[key]
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
-                passed[key] |= set(positional if starred else positional[:len(node.args)])
-                passed[key] |= {k.arg for k in node.keywords}
-                if None in passed[key]:  # a ** argument may pass any of them
-                    passed[key] |= defaulted
+                passed = set(positional if starred else positional[:len(node.args)])
+                passed |= {k.arg for k in node.keywords}
+                if None in passed:
+                    passed |= defaulted
+                calls.append((key, passed))
         for child in ast.iter_child_nodes(node):
             visit(child, cls)
 
     for tree in map(ast.parse, calling):
         visit(tree, None)
-    found = []
-    for (owner, name), (_, defaulted) in defs.items():
-        label = owner if name == "__init__" else name if owner is None else f"{owner}.{name}"
-        found += [f"{label}: {param}" for param in defaulted - passed[(owner, name)]]
-    return sorted(found)
+    return defs, calls
+
+
+def _label(owner, name: str) -> str:
+    """``f`` for a function, ``C`` for ``C.__init__`` and ``C.m`` for another method."""
+    return owner if name == "__init__" else name if owner is None else f"{owner}.{name}"
+
+
+def unpassed_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """``"owner: parameter"`` (see ``_label``) for each defaulted parameter
+    of a module-level function or a method defined in ``defining`` that no
+    call in ``calling`` passes (calls resolve as in ``_resolved_calls``)."""
+    defs, calls = _resolved_calls(defining, calling)
+    passed = {key: set() for key in defs}
+    for key, params in calls:
+        passed[key] |= params
+    return sorted(f"{_label(*key)}: {param}" for key, (_, defaulted) in defs.items()
+                  for param in defaulted - passed[key])
 
 
 def test_default_checker_flags_unpassed_parameters():
@@ -214,3 +230,74 @@ def test_every_default_is_passed_by_some_call():
     calling = defining + [path.read_text(encoding="utf-8")
                           for path in sorted(PERFBENCH.glob("*.py"))]
     assert unpassed_defaults(defining, calling) == sorted(DEFAULTS_TEST_SUPPORT)
+
+
+def unrelied_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """``"owner: parameter"`` for each defaulted parameter of a function or
+    method defined in ``defining`` that some call in ``calling`` reaches and
+    that every such call passes (calls resolve as in ``_resolved_calls``):
+    a default no call relies on."""
+    defs, calls = _resolved_calls(defining, calling)
+    reached = {key for key, _ in calls}
+    left_out = {key: set() for key in defs}
+    for key, params in calls:
+        left_out[key] |= defs[key][1] - params
+    return sorted(f"{_label(*key)}: {param}" for key in reached
+                  for param in defs[key][1] - left_out[key])
+
+
+def test_reliance_checker_flags_defaults_every_call_passes():
+    defining = ["class C:\n"
+                "    def __init__(self, a, b=1, *, c=2): pass\n"
+                "    @classmethod\n"
+                "    def make(cls, x=0):\n"
+                "        return cls(0, 1, c=x)\n"
+                "    def m(self, y=0, z=0): pass\n"
+                "def f(p, q=0, r=0): pass\n"
+                "def g(w=0): pass\n"
+                "def h(*, k=0): pass\n"
+                "def unused(v=0): pass\n"]
+    calling = defining + ["C.make(1)\n"
+                          "obj.m(1)\n"
+                          "obj.m(1, z=2)\n"
+                          "mod.f(1, 2, 3)\n"
+                          "f(0, r=1)\n"
+                          "g(*args)\n"
+                          "h(**opts)\n"]
+    assert unrelied_defaults(defining, calling) == [
+        "C.m: y", "C.make: x", "C: b", "C: c", "f: r", "g: w", "h: k"]
+
+
+# defaults that only tests rely on, each with the reason it stays; an entry
+# that some package call relies on, or whose default is gone, fails the check
+_FLOAT64 = "tests build float64 layers for their gradient checks"
+_SEED = "tests build their inputs from the default seed"
+DEFAULTS_RELIED_ON_BY_TESTS = {
+    "uniform_init: dtype": _FLOAT64,
+    "matrix_init: dtype": _FLOAT64,
+    "LstmParams.create: dtype": _FLOAT64,
+    "BiLstmParams.create: dtype": _FLOAT64,
+    "CharCnnParams.create: dtype": _FLOAT64,
+    "AttentionParams.create: dtype": _FLOAT64,
+    "GateParams.create: dtype": _FLOAT64,
+    "MaskNetParams.create: dtype": _FLOAT64,
+    "reduce_sum: axis": "gradient checks sum a whole output to one number",
+    "softmax: axis": "tensor tests normalise over the last axis",
+    "lstm_sequence: drop": "LSTM tests step and unroll without dropout",
+    "lstm_cell: drop": "LSTM tests step and unroll without dropout",
+    "DescriptionModel: seed": _SEED,
+    "DescriptionModel: emb_table": "tests build models without an embedding file",
+    "EmbeddingTable: seed": _SEED,
+    "load_embeddings: seed": _SEED,
+    "make_batches: seed": _SEED,
+    "split_by_phrase: seed": _SEED,
+    "greedy_decode: max_len": "perfbench calls greedy_decode(model, entry) through a loop "
+                              "variable, which the checker cannot resolve",
+}
+
+
+def test_every_default_is_relied_on_by_some_call():
+    defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    calling = defining + [path.read_text(encoding="utf-8")
+                          for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unrelied_defaults(defining, calling) == sorted(DEFAULTS_RELIED_ON_BY_TESTS)

@@ -19,6 +19,7 @@ from logcad.layers import (
     join_words,
     lstm_cell,
     matrix_init,
+    project_context,
 )
 from logcad.tensor import (
     GradGraph,
@@ -31,6 +32,17 @@ from logcad.tensor import (
 )
 from oracles import attention_oracle, gate_oracle, lstm_cell_oracle
 from oracles import sigmoid as _sigmoid
+
+
+def attend(p, h, s):
+    """``attention`` over states ``h`` (B, T, D) that hold no padding."""
+    full = np.full(h.shape[0], h.shape[1])
+    return attention(p, h, s, np.zeros(h.shape[:2]), project_context(p, h, full))
+
+
+def soft_mask(p, h, x):
+    """``iattention_mask`` over states ``h`` (B, T, D) that hold no padding."""
+    return iattention_mask(p, h, x, np.full(h.shape[0], h.shape[1]))
 
 
 def _zero_lstm(input_dim, hidden, forget_bias=0.0):
@@ -141,7 +153,7 @@ class TestLstmSequence:
         for fwd, bwd in p.layers:
             back = reverse(_cell_loop(bwd, reverse(want)))
             want = np.concatenate([_cell_loop(fwd, want), back], axis=2)
-        got = bilstm_encode(p, Tensor(x), lengths).data
+        got = bilstm_encode(p, Tensor(x), lengths, 0.0, None).data
         npt.assert_allclose(got[valid], want[valid], rtol=0, atol=1e-12)
         assert np.all(got[~valid] == 0.0)
 
@@ -204,7 +216,7 @@ class TestBiLstmEncode:
     def test_length_preserved(self):
         p = BiLstmParams.create(np.random.default_rng(0), 3, 4, n_layers=2)
         out = bilstm_encode(p, Tensor(np.random.default_rng(1).normal(size=(1, 1, 3))),
-                            np.array([1]))
+                            np.array([1]), 0.0, None)
         assert out.shape == (1, 1, 4)
 
     def test_reverse_swaps_direction_halves(self):
@@ -212,8 +224,8 @@ class TestBiLstmEncode:
         shared = LstmParams.create(rng, 3, 2)
         p = BiLstmParams(layers=[(shared, shared)], out_width=4)
         x = rng.normal(size=(1, 5, 3))
-        fwd = bilstm_encode(p, Tensor(x), np.array([5])).data[0]
-        rev = bilstm_encode(p, Tensor(x[:, ::-1].copy()), np.array([5])).data[0]
+        fwd = bilstm_encode(p, Tensor(x), np.array([5]), 0.0, None).data[0]
+        rev = bilstm_encode(p, Tensor(x[:, ::-1].copy()), np.array([5]), 0.0, None).data[0]
         # state at position i of the original = swapped halves at mirrored position
         npt.assert_allclose(fwd[:, :2], rev[::-1][:, 2:], atol=1e-12)
         npt.assert_allclose(fwd[:, 2:], rev[::-1][:, :2], atol=1e-12)
@@ -221,13 +233,13 @@ class TestBiLstmEncode:
     def test_zero_params_give_zero_states(self):
         p = BiLstmParams(layers=[(_zero_lstm(3, 2), _zero_lstm(3, 2))], out_width=4)
         out = bilstm_encode(p, Tensor(np.random.default_rng(3).normal(size=(2, 4, 3))),
-                            np.array([4, 4]))
+                            np.array([4, 4]), 0.0, None)
         npt.assert_allclose(out.data, 0.0)
 
     def test_empty_sequence_rejected(self):
         p = BiLstmParams.create(np.random.default_rng(0), 3, 4, n_layers=1)
         with pytest.raises(ShapeError):
-            bilstm_encode(p, Tensor(np.zeros((1, 0, 3))), np.array([0]))
+            bilstm_encode(p, Tensor(np.zeros((1, 0, 3))), np.array([0]), 0.0, None)
 
     def test_padded_batch_matches_single_entry(self):
         # valid positions of a padded entry equal the unpadded run
@@ -235,11 +247,11 @@ class TestBiLstmEncode:
         p = BiLstmParams.create(rng, 3, 4, n_layers=2)
         a = rng.normal(size=(1, 2, 3))
         b = rng.normal(size=(1, 5, 3))
-        single = bilstm_encode(p, Tensor(a), np.array([2])).data
+        single = bilstm_encode(p, Tensor(a), np.array([2]), 0.0, None).data
         padded = np.zeros((2, 5, 3))
         padded[0, :2] = a[0]
         padded[1] = b[0]
-        batch = bilstm_encode(p, Tensor(padded), np.array([2, 5])).data
+        batch = bilstm_encode(p, Tensor(padded), np.array([2, 5]), 0.0, None).data
         npt.assert_allclose(batch[0, :2], single[0], atol=1e-10)
 
     def test_gradient_check(self):
@@ -250,7 +262,7 @@ class TestBiLstmEncode:
             x = Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
             lengths = np.array([3])
             worst = max(worst, gradient_check(
-                lambda t: reduce_sum(bilstm_encode(p, t, lengths)), x))
+                lambda t: reduce_sum(bilstm_encode(p, t, lengths, 0.0, None)), x))
         assert worst < 1e-3, worst
 
 
@@ -321,7 +333,7 @@ class TestAttention:
         rng = np.random.default_rng(0)
         p = AttentionParams.create(rng, 4, 3, 2)
         h = rng.normal(size=(1, 1, 4))
-        d, alpha = attention(p, Tensor(h), Tensor(rng.normal(size=(1, 3))))
+        d, alpha = attend(p, Tensor(h), Tensor(rng.normal(size=(1, 3))))
         npt.assert_allclose(alpha.data, [[1.0]])
         npt.assert_allclose(d.data[0], h[0, 0], atol=1e-12)
 
@@ -329,7 +341,7 @@ class TestAttention:
         rng = np.random.default_rng(1)
         p = AttentionParams.create(rng, 4, 3, 2)
         h = np.tile(rng.normal(size=(1, 1, 4)), (1, 5, 1))
-        d, alpha = attention(p, Tensor(h), Tensor(rng.normal(size=(1, 3))))
+        d, alpha = attend(p, Tensor(h), Tensor(rng.normal(size=(1, 3))))
         npt.assert_allclose(alpha.data, np.full((1, 5), 0.2), atol=1e-12)
         npt.assert_allclose(d.data[0], h[0, 0], atol=1e-12)
 
@@ -338,7 +350,7 @@ class TestAttention:
         p = AttentionParams.create(rng, 5, 3, 4)
         h = rng.normal(size=(1, 4, 5))
         s = rng.normal(size=(1, 3))
-        d, alpha = attention(p, Tensor(h), Tensor(s))
+        d, alpha = attend(p, Tensor(h), Tensor(s))
         want_d, want_alpha = attention_oracle(p, h[0], s[0])
         npt.assert_allclose(alpha.data[0], want_alpha, atol=1e-6)
         npt.assert_allclose(d.data[0], want_d, atol=1e-6)
@@ -347,15 +359,16 @@ class TestAttention:
         rng = np.random.default_rng(3)
         p = AttentionParams.create(rng, 4, 3, 2)
         mask = np.array([[0.0, 0.0, -1e9, -1e9]])
-        d, alpha = attention(p, Tensor(rng.normal(size=(1, 4, 4))),
-                             Tensor(rng.normal(size=(1, 3))), mask_bias=mask)
+        h = Tensor(rng.normal(size=(1, 4, 4)))
+        d, alpha = attention(p, h, Tensor(rng.normal(size=(1, 3))), mask_bias=mask,
+                             projected=project_context(p, h, lengths=np.array([2])))
         npt.assert_allclose(alpha.data.sum(), 1.0, atol=1e-6)
         npt.assert_allclose(alpha.data[0, 2:], 0.0, atol=1e-12)
 
     def test_empty_context_rejected(self):
         p = AttentionParams.create(np.random.default_rng(0), 4, 3, 2)
         with pytest.raises(ShapeError):
-            attention(p, Tensor(np.zeros((1, 0, 4))), Tensor(np.zeros((1, 3))))
+            attend(p, Tensor(np.zeros((1, 0, 4))), Tensor(np.zeros((1, 3))))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(4)
@@ -365,9 +378,9 @@ class TestAttention:
             h = Tensor(rng.normal(size=(1, 3, 4)))
             s = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
             worst = max(worst, gradient_check(
-                lambda t: reduce_sum(attention(p, h, t)[0]), s))
+                lambda t: reduce_sum(attend(p, h, t)[0]), s))
             worst = max(worst, gradient_check(
-                lambda t: reduce_sum(attention(p, h, s)[0]), p.u_h))
+                lambda t: reduce_sum(attend(p, h, s)[0]), p.u_h))
         assert worst < 1e-3, worst
 
 
@@ -439,7 +452,7 @@ class TestIAttentionMask:
     def test_zero_embedding_stays_zero(self):
         rng = np.random.default_rng(0)
         p = MaskNetParams.create(rng, 4, 3, 2)
-        out = iattention_mask(p, Tensor(rng.normal(size=(1, 3, 4))), Tensor(np.zeros((1, 2))))
+        out = soft_mask(p, Tensor(rng.normal(size=(1, 3, 4))), Tensor(np.zeros((1, 2))))
         npt.assert_allclose(out.data, 0.0)
 
     def test_zero_params_halve_embedding(self):
@@ -447,7 +460,7 @@ class TestIAttentionMask:
         for t in (p.w_ff, p.b_ff, p.w_m, p.b_m):
             t.data[:] = 0.0
         x = np.array([[2.0, -6.0]])
-        out = iattention_mask(p, Tensor(np.random.default_rng(2).normal(size=(1, 3, 4))), Tensor(x))
+        out = soft_mask(p, Tensor(np.random.default_rng(2).normal(size=(1, 3, 4))), Tensor(x))
         npt.assert_allclose(out.data, 0.5 * x, atol=1e-12)
 
     def test_mask_shrinks_coordinates(self):
@@ -455,20 +468,20 @@ class TestIAttentionMask:
         for _ in range(20):
             p = MaskNetParams.create(rng, 4, 3, 5)
             x = rng.normal(size=(1, 5))
-            out = iattention_mask(p, Tensor(rng.normal(size=(1, 6, 4))), Tensor(x)).data
+            out = soft_mask(p, Tensor(rng.normal(size=(1, 6, 4))), Tensor(x)).data
             assert np.all(np.abs(out) <= np.abs(x))
 
     def test_empty_context_rejected(self):
         p = MaskNetParams.create(np.random.default_rng(0), 4, 3, 2)
         with pytest.raises(ShapeError):
-            iattention_mask(p, Tensor(np.zeros((1, 0, 4))), Tensor(np.zeros((1, 2))))
+            soft_mask(p, Tensor(np.zeros((1, 0, 4))), Tensor(np.zeros((1, 2))))
 
     def test_masked_mean_ignores_padding(self):
         rng = np.random.default_rng(4)
         p = MaskNetParams.create(rng, 4, 3, 2)
         h = rng.normal(size=(1, 2, 4))
         x = Tensor(rng.normal(size=(1, 2)))
-        plain = iattention_mask(p, Tensor(h), x).data
+        plain = soft_mask(p, Tensor(h), x).data
         padded = np.concatenate([h, rng.normal(size=(1, 3, 4))], axis=1)
         masked = iattention_mask(p, Tensor(padded), x, lengths=np.array([2])).data
         npt.assert_allclose(masked, plain, atol=1e-12)
@@ -481,7 +494,7 @@ class TestIAttentionMask:
             h = Tensor(rng.normal(size=(1, 3, 4)))
             x = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
             worst = max(worst, gradient_check(
-                lambda t: reduce_sum(iattention_mask(p, h, t)), x))
+                lambda t: reduce_sum(soft_mask(p, h, t)), x))
             worst = max(worst, gradient_check(
-                lambda t: reduce_sum(iattention_mask(p, h, x)), p.w_ff))
+                lambda t: reduce_sum(soft_mask(p, h, x)), p.w_ff))
         assert worst < 1e-3, worst

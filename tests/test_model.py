@@ -322,7 +322,7 @@ class TestSequenceLoss:
         model.params.out_w.data[:] = 0.0
         model.params.out_b.data[:] = 0.0
         batch = make_batch([toy_entry(desc=("w1", "w2"))], vocab)
-        loss, _ = model.forward_loss(batch)
+        loss, _ = model.forward_loss(batch, train=False)
         assert loss.item() == pytest.approx(math.log(10000), abs=1e-9)
         assert f"{loss.item():.4f}" == "9.2103"
 
@@ -343,7 +343,7 @@ class TestSequenceLoss:
             return Tensor(next(states)[None, :]), Tensor(np.zeros((1, TINY["dec_width"])))
 
         monkeypatch.setattr(model, "_top", rigged)
-        loss, aux = model.forward_loss(batch)
+        loss, aux = model.forward_loss(batch, train=False)
         assert loss.item() < 1e-6
         assert aux["correct"] == aux["tokens"]
 
@@ -354,9 +354,9 @@ class TestSequenceLoss:
         e1 = toy_entry(desc=("red",))
         e2 = Entry(["dog"], ["a", "[TRG]", "barked", "at", "him"], (1, 1),
                    ["blue", "fish", "dog"])
-        l1, a1 = model.forward_loss(make_batch([e1], vocab))
-        l2, a2 = model.forward_loss(make_batch([e2], vocab))
-        l12, _ = model.forward_loss(make_batch([e1, e2], vocab))
+        l1, a1 = model.forward_loss(make_batch([e1], vocab), train=False)
+        l2, a2 = model.forward_loss(make_batch([e2], vocab), train=False)
+        l12, _ = model.forward_loss(make_batch([e1, e2], vocab), train=False)
         n1, n2 = a1["tokens"], a2["tokens"]
         want = (l1.item() * n1 + l2.item() * n2) / (n1 + n2)
         assert l12.item() == pytest.approx(want, abs=1e-9)
@@ -367,8 +367,8 @@ class TestSequenceLoss:
                                  seed=3, dtype=np.float64)
         e1 = toy_entry(desc=("red",))
         e2 = Entry(["dog"], ["a", "[TRG]", "barked"], (1, 1), ["blue", "fish"])
-        a, _ = model.forward_loss(make_batch([e1, e2], vocab))
-        b, _ = model.forward_loss(make_batch([e2, e1], vocab))
+        a, _ = model.forward_loss(make_batch([e1, e2], vocab), train=False)
+        b, _ = model.forward_loss(make_batch([e2, e1], vocab), train=False)
         assert a.item() == pytest.approx(b.item(), abs=1e-9)
 
     def test_loss_wrapper_and_empty_batch(self):
@@ -378,7 +378,7 @@ class TestSequenceLoss:
         with pytest.raises(ValueError):
             make_batch([], vocab)
         batch = make_batch([toy_entry()], vocab)
-        loss, _ = model.forward_loss(batch)
+        loss, _ = model.forward_loss(batch, train=False)
         assert np.isfinite(loss.item())
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -390,10 +390,10 @@ class TestSequenceLoss:
         entries = padded_entries()
         want = 0.0
         for e in entries:
-            loss, aux = model.forward_loss(make_batch([e], vocab))
+            loss, aux = model.forward_loss(make_batch([e], vocab), train=False)
             want += loss.item() * aux["tokens"]
         batch = make_batch(entries, vocab)
-        loss, aux = model.forward_loss(batch)
+        loss, aux = model.forward_loss(batch, train=False)
         assert loss.item() * aux["tokens"] == pytest.approx(want, abs=1e-12)
 
         # decoding the three entries as one session gives each row the
@@ -418,7 +418,7 @@ class TestSequenceLoss:
 
         def grads(entries):
             with GradGraph() as g:
-                loss, aux = model.forward_loss(make_batch(entries, vocab))
+                loss, aux = model.forward_loss(make_batch(entries, vocab), train=False)
             g.backward(loss)
             got = {name: t.grad * aux["tokens"] for name, t in model.params.named()}
             for t in model.params.tensors():
@@ -476,7 +476,7 @@ class TestSequenceLoss:
                 targets = batch.target_ids[real, t]
                 gold += logp[real, targets].tolist()
                 hits += int((logp[real].argmax(axis=1) == targets).sum())
-            loss, aux = model.forward_loss(batch)
+            loss, aux = model.forward_loss(batch, train=False)
             assert loss.item() == pytest.approx(-np.mean(gold), rel=0, abs=1e-12), dec_layers
             assert aux["tokens"] == len(gold)
             assert aux["correct"] == hits, dec_layers

@@ -70,7 +70,7 @@ class TestAdam:
     def test_weights_that_cannot_be_updated_in_place_rejected(self):
         w = Tensor(np.zeros((3, 4)).T, requires_grad=True)
         with pytest.raises(ValueError, match=r"shape \(4, 3\) are not C-contiguous"):
-            Adam([w])
+            Adam([w], lr=1e-3)
 
 
 class TestClip:
@@ -99,16 +99,18 @@ class TestTrainLoop:
     def test_loss_decreases(self):
         entries = overfit_corpus()
         model = small_model(entries)
-        result = train(model, entries, None, TrainSettings(epochs=25, batch_size=8, seed=0))
+        result = train(model, entries, None, TrainSettings(epochs=25, batch_size=8, seed=0),
+                       start_epoch=0, verbose=False)
         assert result.rows[-1].train_loss < result.rows[0].train_loss
 
     def test_epoch_counter_continues_on_resume(self):
         entries = overfit_corpus()
         model = small_model(entries)
-        r1 = train(model, entries, None, TrainSettings(epochs=2, batch_size=16, seed=0))
+        r1 = train(model, entries, None, TrainSettings(epochs=2, batch_size=16, seed=0),
+                   start_epoch=0, verbose=False)
         assert [row.epoch for row in r1.rows] == [1, 2]
         r2 = train(model, entries, None, TrainSettings(epochs=2, batch_size=16, seed=0),
-                   start_epoch=2)
+                   start_epoch=2, verbose=False)
         assert [row.epoch for row in r2.rows] == [3, 4]
 
     def test_early_stopping_restores_best(self):
@@ -119,7 +121,7 @@ class TestTrainLoop:
                        ["zzz", "qqq", "xxx"]) for _ in range(4)]
         model = small_model(entries)
         settings = TrainSettings(epochs=60, batch_size=8, seed=0, patience=3)
-        result = train(model, entries, valid, settings)
+        result = train(model, entries, valid, settings, start_epoch=0, verbose=False)
         assert result.epochs_run < 60
         from logcad.train import _teacher_forced
         assert _teacher_forced(model, valid, 8)[0] == pytest.approx(result.best_valid,
@@ -128,7 +130,8 @@ class TestTrainLoop:
     def test_log_format(self):
         entries = overfit_corpus()
         model = small_model(entries)
-        result = train(model, entries, None, TrainSettings(epochs=2, batch_size=16, seed=0))
+        result = train(model, entries, None, TrainSettings(epochs=2, batch_size=16, seed=0),
+                       start_epoch=0, verbose=False)
         lines = result.log_text().splitlines()
         assert lines[0] == "epoch\ttrain_loss\tvalid_loss"
         assert lines[1].startswith("1\t")
@@ -140,7 +143,8 @@ class TestTrainLoop:
         for _ in range(2):
             model = small_model(entries, seed=5)
             result = train(model, entries, None,
-                           TrainSettings(epochs=4, batch_size=8, seed=5))
+                           TrainSettings(epochs=4, batch_size=8, seed=5),
+                           start_epoch=0, verbose=False)
             finals.append((result.final_train,
                            [t.data.copy() for t in model.params.tensors()]))
         assert finals[0][0] == finals[1][0]
@@ -156,7 +160,7 @@ class TestTrainLoop:
     def test_empty_training_set_rejected(self):
         model = small_model(overfit_corpus())
         with pytest.raises(ValueError):
-            train(model, [], None, TrainSettings(epochs=1))
+            train(model, [], None, TrainSettings(epochs=1), start_epoch=0, verbose=False)
 
 
 class TestNonFiniteGuard:
@@ -167,7 +171,8 @@ class TestNonFiniteGuard:
         before = [t.data.copy() for t in model.params.tensors()]
         with pytest.raises(ValueError, match=r"epoch 1, batch 1: loss nan, gradient norm nan; "
                                              r"first non-finite gradient in group word_emb"):
-            train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0))
+            train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0),
+                  start_epoch=0, verbose=False)
         for t, b in zip(model.params.tensors(), before):
             npt.assert_array_equal(t.data, b)
 
@@ -188,7 +193,8 @@ class TestNonFiniteGuard:
             with pytest.raises(ValueError, match=r"epoch 1, batch 1: loss [0-9.]+, gradient "
                                                  r"norm inf; first non-finite gradient in "
                                                  r"group decoder \(decoder\.l0\.wh\)"):
-                train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0))
+                train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0),
+                      start_epoch=0, verbose=False)
         for t, b in zip(model.params.tensors(), before):
             npt.assert_array_equal(t.data, b)
 
@@ -213,7 +219,8 @@ class TestFloat32TracksFloat64:
             t64.data[...] = t32.data  # exact
         # one batch per epoch: each row's loss is one step's, before its update
         settings = TrainSettings(epochs=self.STEPS, batch_size=len(entries), lr=1e-2, seed=3)
-        losses = [np.array([row.train_loss for row in train(m, entries, None, settings).rows])
+        losses = [np.array([row.train_loss for row in
+                            train(m, entries, None, settings, start_epoch=0, verbose=False).rows])
                   for m in (m32, m64)]
         assert losses[1][-1] < 0.8 * losses[1][0]  # the steps trained the model
         npt.assert_allclose(losses[0], losses[1], rtol=self.RTOL)
