@@ -307,7 +307,8 @@ def cmd_describe(args) -> int:
 _HELP = {"seed": "seed governing all randomness",
          "clip_norm": "global gradient-norm bound; 0 disables clipping",
          "patience": "epochs without validation gain before stopping; 0 disables",
-         "beam": "beam width; 1 = greedy"}
+         "beam": "beam width; 1 = greedy",
+         "max_len": "most tokens a description may have"}
 
 
 def _add_options(p: argparse.ArgumentParser, names: str) -> None:
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("describe", cmd_describe, "describe one phrase in one sentence")
     trained(p)
-    p.add_argument("--phrase", required=True)
+    p.add_argument("--phrase", required=True, help="the phrase to describe, as in the sentence")
     p.add_argument("--sentence", required=True,
                    help=f"sentence containing the phrase or an explicit {TRG_TOKEN}")
     _add_options(p, "beam max_len")

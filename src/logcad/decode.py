@@ -5,8 +5,9 @@ Works against the batch decode protocol of
 session with one row per entry, ``step(session, prev_ids)`` advances every
 row and returns ``(rows, V)`` log-probabilities (``prev_ids`` holds each
 row's previous token and is None at the first step), and
-``session.take(rows)`` selects, reorders or repeats rows. Anything exposing
-that protocol decodes the same way.
+``session.take(rows)`` selects, reorders or repeats rows. The
+log-probabilities are a new array, which the search overwrites. Anything
+exposing that protocol decodes the same way.
 
 :func:`decode_batch` advances every live hypothesis of every entry with one
 ``step`` call; greedy decoding is beam width 1. Scores are summed token
@@ -99,10 +100,17 @@ class _Beam:
 def _top_k(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Column ids and values of the ``k`` largest values of each row, largest
     first and lowest id first among equal values (the first ``k`` of a
-    stable argsort of ``-logp``) without sorting whole rows. ``logp`` holds
-    no NaN."""
+    stable argsort of ``-logp``, with NaN read as -inf) without sorting whole
+    rows. NaN in ``logp`` may be overwritten with -inf."""
     if k == 1:
-        return np.argmax(logp, axis=1)[:, None], logp.max(axis=1, keepdims=True)
+        top = logp.argmax(axis=1)
+        vals = logp[np.arange(len(logp)), top]
+        if np.isnan(vals).any():  # argmax stops at a row's first NaN
+            np.fmax(logp, -np.inf, out=logp)
+            top = logp.argmax(axis=1)
+            vals = logp[np.arange(len(logp)), top]
+        return top[:, None], vals[:, None]
+    np.fmax(logp, -np.inf, out=logp)
     cut = logp.shape[1] - k
     top = np.argpartition(logp, cut, axis=1)[:, cut:]
     vals = np.take_along_axis(logp, top, axis=1)
@@ -137,7 +145,6 @@ def _search(model, entries: Sequence, beam: int, max_len: int) -> list[Hypothesi
     prev_ids = None
     for _ in range(max_len):
         logp, session = model.step(session, prev_ids)
-        logp = np.fmax(logp, -np.inf)  # a copy, with NaN as -inf
         logp[:, Vocab.PAD] = -np.inf
         logp[:, Vocab.BOS] = -np.inf
         top, top_logp = _top_k(logp, min(beam, logp.shape[1]))

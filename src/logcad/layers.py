@@ -353,11 +353,28 @@ class GateParams:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def gate(p: GateParams, s_t: Tensor, f_t: Tensor) -> Tensor:
+def gate_constants(p: GateParams, blocks: Sequence[tuple[int, Tensor]]) -> tuple[Tensor, Tensor]:
+    """The part of the gate's z and r pre-activations that does not change
+    over a session: ``b_z + sum_k f_k @ W_z[rows of f_k]``, and the same for
+    r, over the feature blocks ``blocks``, each given as (its first column
+    in f, the block). With no blocks these are the biases."""
+    pre = []
+    for w, bias in ((p.w_z, p.b_z), (p.w_r, p.b_r)):
+        acc = bias
+        for start, block in blocks:
+            acc = add(matmul(block, take_rows(w, slice(start, start + block.shape[1]))), acc)
+        pre.append(acc)
+    return pre[0], pre[1]
+
+
+def gate(p: GateParams, s_t: Tensor, feats: Sequence[Tensor], var: Optional[int],
+         pre: tuple[Tensor, Tensor]) -> Tensor:
     """z = sig(W_z[f;s]+b_z);  r = sig(W_r[f;s]+b_r);
-    s~ = tanh(W_s[(r*f);s]+b_s);  s' = (1-z)*s + z*s~, as one
-    ``tensor.fusion_gate`` op."""
-    return fusion_gate(s_t, f_t, p.w_z, p.b_z, p.w_r, p.b_r, p.w_s, p.b_s)
+    s~ = tanh(W_s[(r*f);s]+b_s);  s' = (1-z)*s + z*s~, for f the feature
+    blocks ``feats`` side by side, as one ``tensor.fusion_gate`` op. ``pre``
+    is ``gate_constants`` of every block but ``feats[var]`` (of every block
+    when ``var`` is None), so each call multiplies only s and that block."""
+    return fusion_gate(s_t, feats, var, *pre, p.w_z, p.w_r, p.w_s, p.b_s)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from logcad.layers import (
     bilstm_encode,
     char_cnn,
     gate,
+    gate_constants,
     iattention_mask,
     lstm_cell,
     project_context,
@@ -50,7 +51,6 @@ from logcad.layers import (
 )
 from logcad.tensor import (
     Tensor,
-    add,
     concat,
     dropout_keep,
     linear_nll,
@@ -241,6 +241,8 @@ class _Session:
     enc_states: Optional[Tensor]   # (B, T, enc_width), for attention
     enc_proj: Optional[Tensor]
     enc_bias: Optional[np.ndarray]
+    pre_z: Optional[Tensor]        # (B, dec_width) and (B, F): the gate's pre-activations
+    pre_r: Optional[Tensor]        # from its biases and the features x_trg and c_trg
 
     def take(self, rows) -> "_Session":
         """The session made of rows ``rows`` of this one, in that order: a
@@ -257,7 +259,8 @@ class _Session:
                        x_trg=pick(self.x_trg), c_trg=pick(self.c_trg),
                        x_masked=pick(self.x_masked),
                        enc_states=pick(self.enc_states), enc_proj=pick(self.enc_proj),
-                       enc_bias=None if self.enc_bias is None else self.enc_bias[rows])
+                       enc_bias=None if self.enc_bias is None else self.enc_bias[rows],
+                       pre_z=pick(self.pre_z), pre_r=pick(self.pre_r))
 
 
 class DescriptionModel:
@@ -296,9 +299,11 @@ class DescriptionModel:
 
     def _start(self, batch: Batch, train: bool) -> _Session:
         """Build the conditioning and the zero decoder state of the batch's
-        rows, in batch order, with encoder dropout when ``train``."""
+        rows, in batch order, with encoder dropout when ``train``. A gated
+        variant's conditioning includes the gate's pre-activations from its
+        constant features, the phrase embedding and the char CNN's."""
         cfg = self.config
-        enc_states = enc_proj = enc_bias = x_trg = c_trg = x_masked = None
+        enc_states = enc_proj = enc_bias = x_trg = c_trg = x_masked = pre_z = pre_r = None
         if cfg.uses_encoder:
             lengths = batch.context_lengths
             embs = take_rows(self.params.word_emb, batch.context_ids)
@@ -316,10 +321,17 @@ class DescriptionModel:
         if cfg.variant == "i-attention":
             x_masked = iattention_mask(self.params.masknet, enc_states, x_trg, lengths=lengths)
             enc_states = None  # after this step only attention reads them
+        if cfg.uses_gate:
+            # the gate's feature rows are [x_trg; d_t; c_trg], without the
+            # blocks the variant lacks; d_t changes at every step
+            blocks = [(0, x_trg)] if cfg.uses_global_embedding else []
+            blocks.append((cfg.feature_width - CHAR_WIDTH, c_trg))
+            pre_z, pre_r = gate_constants(self.params.gate, blocks)
         zeros = lambda: Tensor(np.zeros((len(batch), cfg.dec_width), dtype=self.dtype))  # noqa: E731
         return _Session(step=0, layer_states=[(zeros(), zeros()) for _ in self.params.decoder],
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
-                        enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias)
+                        enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias,
+                        pre_z=pre_z, pre_r=pre_r)
 
     def _top(self, session: _Session, x: Tensor, drop) -> tuple[Tensor, Tensor]:
         """A gated variant's top decoder layer's ``lstm_cell`` step on input
@@ -328,15 +340,15 @@ class DescriptionModel:
         layer recurs, and the cell state."""
         cfg = self.config
         h, c = lstm_cell(self.params.decoder[-1], x, *session.layer_states[-1], drop=drop)
-        feats = []
-        if cfg.uses_global_embedding:
-            feats.append(session.x_trg)
+        feats = [session.x_trg] if cfg.uses_global_embedding else []
+        var = None  # the block that is new at this step, d_t
         if cfg.uses_attention:
             d_t, _alpha = attention(self.params.attn, session.enc_states, h,
                                     mask_bias=session.enc_bias, projected=session.enc_proj)
+            var = len(feats)
             feats.append(d_t)
         feats.append(session.c_trg)
-        return gate(self.params.gate, h, concat(feats, axis=1)), c
+        return gate(self.params.gate, h, feats, var, (session.pre_z, session.pre_r)), c
 
     def _inputs(self, session: _Session, ids: np.ndarray) -> Tensor:
         """The decoder's inputs (rows, T, width) for the session's next T
@@ -345,16 +357,18 @@ class DescriptionModel:
         then the embeddings of ``ids``; i-attention appends its masked phrase
         embedding at every step."""
         cfg = self.config
-        rows = len(ids)
-        x = take_rows(self.params.word_emb, ids)
+        rows, steps = ids.shape[0], ids.shape[1] + (session.step == 0)
+        parts = []
         if session.step == 0:
             first = session.x_trg if cfg.uses_global_embedding else \
                 Tensor(np.zeros((rows, cfg.word_emb_width), dtype=self.dtype))
-            x = concat([reshape(first, (rows, 1, first.shape[1])), x], axis=1)
+            parts.append(reshape(first, (rows, 1, first.shape[1])))
+        if ids.shape[1]:
+            parts.append(take_rows(self.params.word_emb, ids))
+        x = concat(parts, axis=1)
         if cfg.variant == "i-attention":
-            masked = session.x_masked
-            x = concat([x, add(Tensor(np.zeros(x.shape, dtype=self.dtype)),
-                               reshape(masked, (rows, 1, masked.shape[1])))], axis=2)
+            each_step = np.repeat(np.arange(rows)[:, None], steps, axis=1)
+            x = concat([x, take_rows(session.x_masked, each_step)], axis=2)
         return x
 
     def _decode(self, session: _Session, x: Tensor, lengths: np.ndarray,
@@ -368,8 +382,7 @@ class DescriptionModel:
         Returns the top outputs at the real positions, time-major, and the
         session after the last step, holding the rows live there."""
         cfg = self.config
-        real = lengths > np.arange(x.shape[1])[:, None]  # (T, rows)
-        live = real.sum(axis=1)
+        steps = x.shape[1]
         states = list(session.layer_states)
         for k, lstm_p in enumerate(self.params.decoder):
             if k < cfg.dec_layers - 1 or not cfg.uses_gate:
@@ -377,10 +390,13 @@ class DescriptionModel:
                 x, h, c = lstm_sequence(x, lstm_p.wx, lstm_p.b, lstm_p.wh, lengths, *states[k],
                                         drop=drop)
                 states[k] = (h, c)
-        session = replace(session, step=session.step + x.shape[1], layer_states=states)
+        session = replace(session, step=session.step + steps, layer_states=states)
         if not cfg.uses_gate:
-            steps_of, rows_of = real.nonzero()
+            steps_of, rows_of = (lengths > np.arange(steps)[:, None]).nonzero()
             return take_rows(x, (rows_of, steps_of)), session
+        # the rows live at each step, a prefix
+        live = [len(lengths)] if steps == 1 else \
+            np.count_nonzero(lengths > np.arange(steps)[:, None], axis=1).tolist()
         outs = []
         for t, n in enumerate(live):
             if t and n < live[t - 1]:
@@ -448,9 +464,11 @@ class DescriptionModel:
             prev = prev[:, None]
         s_out, session = self._decode(session, self._inputs(session, prev),
                                       np.ones(rows, dtype=np.intp))
-        logits = s_out.data @ self.params.out_w.data + self.params.out_b.data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)), session
+        logp = s_out.data @ self.params.out_w.data
+        logp += self.params.out_b.data
+        logp -= logp.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        return logp, session
 
 
 # ---------------------------------------------------------------------------

@@ -208,10 +208,21 @@ class GradGraph:
             t.grad = g
 
 
+def _output(data, requires_grad: bool) -> Tensor:
+    # an op's output is a float array already: no conversion to check for
+    t = Tensor.__new__(Tensor)
+    t.data, t.requires_grad, t.grad = np.asarray(data), requires_grad, None
+    return t
+
+
 def _record(name: str, out_data, inputs: tuple, backward_fn: Callable[..., Sequence]):
-    req = any(isinstance(t, Tensor) and t.requires_grad for t in inputs)
-    out = tuple(Tensor(d, requires_grad=req) for d in out_data) \
-        if isinstance(out_data, tuple) else Tensor(out_data, requires_grad=req)
+    req = False
+    for t in inputs:
+        if isinstance(t, Tensor) and t.requires_grad:
+            req = True
+            break
+    out = tuple([_output(d, req) for d in out_data]) if isinstance(out_data, tuple) \
+        else _output(out_data, req)
     if req and _GRAPH_STACK:
         _GRAPH_STACK[-1].ops.append((name, inputs, out, backward_fn))
     return out
@@ -418,7 +429,7 @@ def take_rows(x: Tensor, key) -> Tensor:
     are sorted stably and each run of equal ids is one ``np.add.reduceat``."""
     if not isinstance(key, (slice, tuple)):
         key = np.asarray(key)
-        if not np.issubdtype(key.dtype, np.integer):
+        if key.dtype.kind not in "iu":
             raise ShapeError("take_rows: ids must be integers")
 
     def bw(g):
@@ -520,13 +531,18 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
     (B, T, D) mask ``keep`` holds and by 0 elsewhere, and only the mask is
     kept.
 
-    Only real tokens are computed: rows are sorted longest first, so the rows
-    active at step t are a prefix, and the real positions are packed
-    time-major. The input projection is one GEMM over the packed positions,
+    Only real tokens are computed. The state rows are time-major: block s
+    holds the rows active at step s (block 0 the initial states), a prefix of
+    the rows sorted longest first, so step s reads its previous states from
+    the first rows of block s-1. When rows differ in length, they are sorted
+    and their real positions gathered ("packed"); when every row runs all T
+    steps, each block is all B rows in batch order, and the inputs and
+    outputs are time-major views of ``x`` and of the hidden states, with no
+    sort or gather. The input projection is one GEMM over the state rows,
     and the backward pass forms ``d x``, ``d wx``, ``d b`` and ``d wh`` over
-    the packed rows with one GEMM each. It keeps the gate activations and
-    the cell states; it recomputes ``tanh(c)`` and reads ``h`` back from the
-    op's own output.
+    them with one GEMM each. It keeps the gate activations and the cell
+    states; it recomputes ``tanh(c)`` and reads ``h`` back from the op's own
+    output.
     """
     wxs, bs, whs, revs = (v if isinstance(v, tuple) else (v,) for v in (wx, b, wh, reverse))
     dirs = len(whs)
@@ -545,47 +561,105 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
     if lengths.shape != x.shape[:1] or lengths.dtype.kind != "i":
         raise ShapeError(f"lstm_sequence: need signed integer lengths (B,) for x {x.shape}, "
                          f"got {lengths!r}")
-    order = (-lengths).argsort(kind="stable")
-    longest_first = lengths[order]
-    if longest_first[-1] < 1 or longest_first[0] > x.shape[1]:
-        raise ShapeError(f"lstm_sequence: lengths must lie in [1, {x.shape[1]}], "
-                         f"got {lengths!r}")
     bsz, steps = x.shape[:2]
+    full = not np.count_nonzero(lengths != steps)  # every row runs all T steps
     dtype = x.dtype
-    # state row k is sorted row j_of[k] after step s_of[k] - 1: block s has n[s]
-    # rows from offs[s] on, block 0 holds the B initial states, and the
-    # previous states of block s are the first n[s] rows of block s-1
-    s_of, j_of = (longest_first >= np.arange(steps + 1)[:, None]).nonzero()
-    n = np.bincount(s_of)
-    offs = n.cumsum() - n
-    rows = order[j_of[bsz:]]
-    poss = [lengths[rows] - s_of[bsz:] if rev else s_of[bsz:] - 1 for rev in revs]
     cols = [slice(k * hid, (k + 1) * hid) for k in range(dirs)]
     scale, shift = _gate_affine(hid, dtype)
 
+    # the layout of the state rows: block s has n[s] rows from offs[s] on;
+    # ``order`` picks the sorted rows of a (B, ...) array, ``steps_of(a, k)``
+    # direction k's inputs at its state rows past block 0 from a (B, T, ...)
+    # array, ``outputs`` makes the op's outputs from each direction's hidden
+    # and cell states, and ``align(p, k)`` puts direction k's state rows in
+    # direction 0's order
+    if full:
+        n, offs = [bsz] * (steps + 1), range(0, (steps + 1) * bsz, bsz)
+        order, last = slice(None), slice(steps * bsz, None)
+
+        def steps_of(a, k):
+            a = a.swapaxes(0, 1)
+            return (a[::-1] if revs[k] else a).reshape((steps * bsz,) + a.shape[2:])
+
+        def unsteps(p, k):  # steps_of's inverse, as a view of p
+            p = p.reshape((steps, bsz) + p.shape[1:])
+            return (p[::-1] if revs[k] else p).swapaxes(0, 1)
+
+        def outputs(hs, cs):  # views of the states when one direction runs
+            if dirs == 1:
+                return unsteps(hs[0][bsz:], 0), hs[0][last], cs[0][last]
+            return (np.concatenate([unsteps(h[bsz:], k) for k, h in enumerate(hs)], axis=2),
+                    np.concatenate([h[last] for h in hs], axis=1),
+                    np.concatenate([c[last] for c in cs], axis=1))
+
+        def align(p, k):
+            return p if revs[k] == revs[0] else p.reshape(steps, bsz, -1)[::-1].reshape(p.shape)
+
+        def x_grad(dx):
+            return unsteps(dx, 0)
+
+        def prev_rows():
+            return slice(0, steps * bsz)
+    else:
+        order = (-lengths).argsort(kind="stable")
+        longest_first = lengths[order]
+        if longest_first[-1] < 1 or longest_first[0] > steps:
+            raise ShapeError(f"lstm_sequence: lengths must lie in [1, {steps}], "
+                             f"got {lengths!r}")
+        # state row k is sorted row j_of[k] after step s_of[k] - 1
+        s_of, j_of = (longest_first >= np.arange(steps + 1)[:, None]).nonzero()
+        n = np.bincount(s_of)
+        offs = n.cumsum() - n
+        last = offs[longest_first] + np.arange(bsz)
+        rows = order[j_of[bsz:]]
+        poss = [lengths[rows] - s_of[bsz:] if rev else s_of[bsz:] - 1 for rev in revs]
+
+        def steps_of(a, k):
+            return a[rows, poss[k]]
+
+        def outputs(hs, cs):
+            out = np.zeros((bsz, steps, dirs * hid), dtype=dtype)
+            h_last, c_last = np.empty_like(h0.data), np.empty_like(c0.data)
+            for k, (h, c) in enumerate(zip(hs, cs)):
+                out[rows, poss[k], cols[k]] = h[bsz:]
+                h_last[order, cols[k]], c_last[order, cols[k]] = h[last], c[last]
+            return out, h_last, c_last
+
+        def align(p, k):
+            at = np.empty(bsz * steps, dtype=np.intp)
+            at[rows * steps + poss[k]] = np.arange(len(rows))
+            return p[at[rows * steps + poss[0]]]
+
+        def x_grad(dx):
+            return _Part((rows, poss[0]), dx)
+
+        def prev_rows():  # the previous state of state row k in block s > 0 is row k - n[s-1]
+            return np.arange(bsz, len(s_of)) - np.repeat(n[:-1], n[1:])
+
     def kept(k):  # the dropout multiplier of direction k's inputs
         keep, p = drop
-        return keep[rows, poss[k]].astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
+        return steps_of(keep, k).astype(dtype) / np.asarray(1.0 - p, dtype=dtype)
 
     def packed(k):  # direction k's inputs at its state rows, after dropout
-        xp = x.data[rows, poss[k]]
-        if drop is not None:
-            xp *= kept(k)
-        return xp
+        xp = steps_of(x.data, k)
+        if drop is None:
+            return xp
+        mult = kept(k)
+        mult *= xp  # into the new multiplier: xp is a view of x where no gather is needed
+        return mult
 
     # per direction: z, then the gate activations, of each state row past the
     # B initial ones, and the cell states of all state rows
-    acts = np.empty((dirs, len(rows), 4 * hid), dtype=dtype)
-    cs = np.empty((dirs, len(s_of), hid), dtype=dtype)
-    out = np.zeros((bsz, steps, dirs * hid), dtype=dtype)
-    h_last, c_last = np.empty_like(h0.data), np.empty_like(c0.data)
-    last = offs[longest_first] + np.arange(bsz)  # state row of each sorted row's last step
-    for k, (act, c, w_x, b_, w_h) in enumerate(zip(acts, cs, wxs, bs, whs)):
-        h = np.empty_like(c)
+    states = offs[-1] + n[-1]
+    acts = np.empty((dirs, states - bsz, 4 * hid), dtype=dtype)
+    cs = np.empty((dirs, states, hid), dtype=dtype)
+    hs = np.empty_like(cs)
+    for k, (act, h, c, w_x, b_, w_h) in enumerate(zip(acts, hs, cs, wxs, bs, whs)):
         h[:bsz], c[:bsz] = h0.data[order, cols[k]], c0.data[order, cols[k]]
         np.matmul(packed(k), w_x.data, out=act)
         act += b_.data
-        for s, m in enumerate(n[1:], start=1):
+        for s in range(1, len(n)):
+            m = n[s]
             prev, now = slice(offs[s - 1], offs[s - 1] + m), slice(offs[s], offs[s] + m)
             a = act[offs[s] - bsz:offs[s] - bsz + m]
             a += h[prev] @ w_h.data
@@ -596,20 +670,19 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
             i, f, g, o = a.reshape(m, 4, hid).swapaxes(0, 1)
             np.add(f * c[prev], i * g, out=c[now])
             np.multiply(o, np.tanh(c[now]), out=h[now])
-        out[rows, poss[k], cols[k]] = h[bsz:]
-        h_last[order, cols[k]], c_last[order, cols[k]] = h[last], c[last]
-
-    # the previous state of state row k in block s > 0 is row k - n[s-1]
-    prev_rows = np.arange(bsz, len(s_of)) - np.repeat(n[:-1], n[1:])
+    out, h_last, c_last = outputs(hs, cs)
+    del hs
 
     def bptt(k, grads):
         """Direction k's backward: its gate pre-activation gradients dz, one
-        row per packed position, and the gradients of its initial state."""
+        row per state row past block 0, and the gradients of its initial
+        state."""
         act, c, w_h = acts[k], cs[k], whs[k]
-        g_h = grads[0][rows, poss[k], cols[k]]
+        g_h = steps_of(grads[0][:, :, cols[k]], k)
         dz = np.empty_like(act)
-        # a row's last-state gradients enter at its last step
-        dh, dc = grads[1][order, cols[k]], grads[2][order, cols[k]]
+        # a row's last-state gradients enter at its last step (copies: the
+        # recurrence adds into them)
+        dh, dc = grads[1][order, cols[k]].copy(), grads[2][order, cols[k]].copy()
         # a copy of wh.T pays for itself over many steps, not over one
         wh_t = w_h.data.T if len(n) == 2 else np.ascontiguousarray(w_h.data.T)
         for s in reversed(range(1, len(n))):
@@ -631,74 +704,103 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
         return dz, dh, dc
 
     def bw(grads):  # of the hidden states and of the last hidden and cell states
-        back = order.argsort()  # the sorted place of each row
+        back = slice(None) if full else order.argsort()  # each row's sorted place
         weights, dx = [], None
         dh0, dc0 = np.empty_like(h0.data), np.empty_like(c0.data)
         # one direction at a time, so only one direction's dz is alive
         for k, w_x in enumerate(wxs):
             dz, dh, dc = bptt(k, grads)
             h_prev = np.concatenate([h0.data[order, cols[k]],
-                                     out[rows, poss[k], cols[k]]])[prev_rows]
+                                     steps_of(out[:, :, cols[k]], k)])[prev_rows()]
             weights += [packed(k).T @ dz, dz.sum(axis=0), h_prev.T @ dz]
             dx_k = dz @ w_x.data.T
             if dx is None:
                 dx = dx_k
-            else:  # direction k's rows in direction 0's order
-                at = np.empty(bsz * steps, dtype=np.intp)
-                at[rows * steps + poss[k]] = np.arange(len(rows))
-                dx += dx_k[at[rows * steps + poss[0]]]
+            else:
+                dx += align(dx_k, k)
             dh0[:, cols[k]], dc0[:, cols[k]] = dh[back], dc[back]
             del dz, dh, dc, h_prev, dx_k
         if drop is not None:
             dx *= kept(0)
-        return (_Part((rows, poss[0]), dx), *weights, dh0, dc0)
+        return (x_grad(dx), *weights, dh0, dc0)
 
     inputs = (x, *(t for cell in zip(wxs, bs, whs) for t in cell), h0, c0)
     return _record("lstm_sequence", (out, h_last, c_last), inputs, bw)
 
 
-def fusion_gate(s: Tensor, f: Tensor, w_z: Tensor, b_z: Tensor, w_r: Tensor, b_r: Tensor,
-                w_s: Tensor, b_s: Tensor) -> Tensor:
-    """The context-fusion gate as one op, for a state ``s`` (N, S) and
-    features ``f`` (N, F): with ``fs = [f; s]``, ``z = sig(fs @ w_z + b_z)``,
-    ``r = sig(fs @ w_r + b_r)``, ``s~ = tanh([r*f; s] @ w_s + b_s)`` and
-    ``s' = (1-z)*s + z*s~``; ``w_z``, ``w_s`` are (F+S, S), ``w_r`` (F+S, F).
+def fusion_gate(s: Tensor, feats: Sequence[Tensor], var: Optional[int], pre_z: Tensor,
+                pre_r: Tensor, w_z: Tensor, w_r: Tensor, w_s: Tensor, b_s: Tensor) -> Tensor:
+    """The context-fusion gate as one op, for a state ``s`` (N, S) and the
+    features ``f`` (N, F), the blocks ``feats`` side by side: with ``fs = [f;
+    s]``, ``z = sig(fs @ w_z + b_z)``, ``r = sig(fs @ w_r + b_r)``, ``s~ =
+    tanh([r*f; s] @ w_s + b_s)`` and ``s' = (1-z)*s + z*s~``; ``w_z``, ``w_s``
+    are (F+S, S), ``w_r`` (F+S, F).
 
-    The backward pass keeps only ``z``, ``r`` and ``s~``: it rebuilds
-    ``[f; s]`` and ``[r*f; s]`` from its inputs, and forms every gradient
-    with the operations, in the order, of the gate composed of primitives."""
-    n, nf = f.shape if f.ndim == 2 else (-1, -1)
-    width = nf + s.shape[-1]
-    if s.ndim != 2 or s.shape[0] != n or w_z.shape != (width, s.shape[1]) \
-            or w_s.shape != w_z.shape or w_r.shape != (width, nf) \
-            or b_z.shape != w_z.shape[1:] or b_s.shape != w_s.shape[1:] \
-            or b_r.shape != w_r.shape[1:]:
-        raise ShapeError(f"fusion_gate: need s (N,S), f (N,F), w_z and w_s (F+S,S), w_r "
-                         f"(F+S,F) and their biases, got {s.shape}, {f.shape}, {w_z.shape}, "
-                         f"{w_s.shape} and {w_r.shape}")
-    fs = np.concatenate([f.data, s.data], axis=1)
-    z = _sig(fs @ w_z.data + b_z.data)
-    r = _sig(fs @ w_r.data + b_r.data)
-    cand = np.tanh(np.concatenate([r * f.data, s.data], axis=1) @ w_s.data + b_s.data)
+    Only ``s`` and the block ``feats[var]`` (no block if ``var`` is None) are
+    multiplied here, by their rows of ``w_z`` and ``w_r``. ``pre_z`` and
+    ``pre_r``, (N, S) and (N, F) or (S,) and (F,), hold the rest of the
+    pre-activations: ``b_z`` plus the other blocks times their rows of
+    ``w_z``, and the same for ``r``. A decoder whose other blocks do not
+    change computes them once (``layers.gate_constants``), and their
+    gradients are those of ``pre_z`` and ``pre_r``.
+
+    The backward pass keeps only ``z``, ``r`` and ``s~``, and rebuilds ``[r*f;
+    s]`` from its inputs. The gradients of ``w_z`` and ``w_r`` are parts, at
+    the rows that this op multiplies."""
+    n = s.shape[0]
+    widths = [t.shape[1] if t.ndim == 2 and t.shape[0] == n else -1 for t in feats]
+    nf, ns = sum(widths), s.shape[-1]
+    if s.ndim != 2 or -1 in widths or not (var is None or 0 <= var < len(feats)) \
+            or w_z.shape != (nf + ns, ns) or w_s.shape != w_z.shape \
+            or w_r.shape != (nf + ns, nf) or b_s.shape != (ns,) \
+            or pre_z.shape not in ((ns,), (n, ns)) or pre_r.shape not in ((nf,), (n, nf)):
+        raise ShapeError(f"fusion_gate: need s (N,S), feature blocks (N,F_k) of F columns, "
+                         f"pre_z (N,S) or (S,), pre_r (N,F) or (F,), w_z and w_s (F+S,S), "
+                         f"w_r (F+S,F) and b_s (S,), got {s.shape}, {[t.shape for t in feats]}, "
+                         f"{pre_z.shape}, {pre_r.shape}, {w_z.shape}, {w_s.shape}, {w_r.shape} "
+                         f"and {b_s.shape}")
+    f = feats[0].data if len(feats) == 1 else np.concatenate([t.data for t in feats], axis=1)
+    # the rows of w_z and w_r that this op multiplies: those of s and feats[var]
+    state = slice(nf, nf + ns)
+    if var is not None:
+        start = sum(widths[:var])
+        block = slice(start, start + widths[var])
+
+    def pre_activation(pre, w):
+        out = s.data @ w.data[state]
+        out += pre.data
+        if var is not None:
+            out += feats[var].data @ w.data[block]
+        return out
+
+    z = _sig(pre_activation(pre_z, w_z))
+    r = _sig(pre_activation(pre_r, w_r))
+    cand = np.tanh(np.concatenate([r * f, s.data], axis=1) @ w_s.data + b_s.data)
 
     def bw(g):
-        fs = np.concatenate([f.data, s.data], axis=1)
-        rfs = np.concatenate([r * f.data, s.data], axis=1)
+        rfs = np.concatenate([r * f, s.data], axis=1)
         d_s = g * (1.0 - z)
         d_z = g * cand + -(g * s.data)
         d_pre_s = g * z * (1.0 - cand * cand)
         d_rfs = d_pre_s @ w_s.data.T
         d_s = d_s + d_rfs[:, nf:]
-        d_rf = d_rfs[:, :nf]
-        d_pre_r = d_rf * f.data * r * (1.0 - r)
+        d_f = d_rfs[:, :nf] * r
+        d_pre_r = d_rfs[:, :nf] * f * r * (1.0 - r)
         d_pre_z = d_z * z * (1.0 - z)
-        d_fs = d_pre_r @ w_r.data.T + d_pre_z @ w_z.data.T
-        d_s += d_fs[:, nf:]
-        return (d_s, d_rf * r + d_fs[:, :nf], fs.T @ d_pre_z, d_pre_z.sum(axis=0),
-                fs.T @ d_pre_r, d_pre_r.sum(axis=0), rfs.T @ d_pre_s, d_pre_s.sum(axis=0))
+        d_s += d_pre_r @ w_r.data[state].T + d_pre_z @ w_z.data[state].T
+        if var is not None:
+            d_f[:, block] += d_pre_r @ w_r.data[block].T + d_pre_z @ w_z.data[block].T
+        d_feats = np.split(d_f, np.cumsum(widths[:-1]), axis=1)
+        if var is None:
+            rows, varying = state, s.data
+        else:
+            rows, varying = np.r_[block, state], np.concatenate([feats[var].data, s.data], axis=1)
+        return (d_s, *d_feats, _unbroadcast(d_pre_z, pre_z.shape),
+                _unbroadcast(d_pre_r, pre_r.shape), _Part(rows, varying.T @ d_pre_z),
+                _Part(rows, varying.T @ d_pre_r), rfs.T @ d_pre_s, d_pre_s.sum(axis=0))
 
     out = (1.0 - z) * s.data + z * cand
-    return _record("fusion_gate", out, (s, f, w_z, b_z, w_r, b_r, w_s, b_s), bw)
+    return _record("fusion_gate", out, (s, *feats, pre_z, pre_r, w_z, w_r, w_s, b_s), bw)
 
 
 def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:

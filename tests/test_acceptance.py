@@ -27,6 +27,7 @@ from logcad.layers import (
     bilstm_encode,
     char_cnn,
     gate,
+    gate_constants,
     iattention_mask,
     lstm_cell,
     project_context,
@@ -52,6 +53,11 @@ def report(num, name, ok, detail=""):
 
 
 TOY_DIMS = dict(enc_width=64, dec_width=64, attn_width=64, word_emb_width=64, dropout=0.0)
+
+
+def full_gate(p, s, f):
+    """``gate`` over all of ``[f; s]`` in one call, from the biases alone."""
+    return gate(p, s, [f], 0, gate_constants(p, []))
 
 
 def attend(p, h, s):
@@ -106,7 +112,7 @@ def test_criterion_1_gradient_suite():
         f = Tensor(rng.normal(size=(1, 4)))
         s = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
         worst = max(worst, gradient_check(
-            lambda t: reduce_sum(gate(p, t, f)), s, eps=1e-4))
+            lambda t: reduce_sum(full_gate(p, t, f)), s, eps=1e-4))
 
     rng = np.random.default_rng(106)
     for _ in range(N_POINTS):
@@ -170,7 +176,7 @@ def test_criterion_2_layer_oracles():
 
     gp = GateParams.create(rng, 5, 3)
     sv, fv = rng.normal(size=3), rng.normal(size=5)
-    got = gate(gp, Tensor(sv[None]), Tensor(fv[None]))
+    got = full_gate(gp, Tensor(sv[None]), Tensor(fv[None]))
     worst = max(worst, np.abs(got.data[0] - gate_oracle(gp, sv, fv)).max())
 
     mp = MaskNetParams.create(rng, 4, 3, 5)

@@ -664,6 +664,14 @@ def test_help_shows_the_owners_defaults():
             assert f"(default {defaults[dest]})" in entries[flag], (name, flag)
 
 
+@pytest.mark.parametrize("command", ["evaluate", "describe"])
+def test_every_option_says_what_it_is(command):
+    # an option's help text says more than its default
+    for action in _commands()[command]._actions:
+        text = re.sub(r"\(default [^)]*\)", "", action.help or "").strip()
+        assert text, (command, action.option_strings)
+
+
 def _with_meta(blob: bytes, key: str, value: str) -> bytes:
     """``blob``, a checkpoint, with meta ``key`` set to ``value``."""
     start = blob.index(f"\nmeta {key}=".encode()) + 1

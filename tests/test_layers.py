@@ -15,6 +15,7 @@ from logcad.layers import (
     bilstm_encode,
     char_cnn,
     gate,
+    gate_constants,
     iattention_mask,
     join_words,
     lstm_cell,
@@ -26,12 +27,20 @@ from logcad.tensor import (
     ShapeError,
     Tensor,
     add,
+    concat,
+    fusion_gate,
     gradient_check,
     lstm_sequence,
+    mul,
     reduce_sum,
 )
 from oracles import attention_oracle, gate_oracle, lstm_cell_oracle
 from oracles import sigmoid as _sigmoid
+
+
+def full_gate(p, s, f):
+    """``gate`` over all of ``[f; s]`` in one call, from the biases alone."""
+    return gate(p, s, [f], 0, gate_constants(p, []))
 
 
 def attend(p, h, s):
@@ -394,7 +403,7 @@ class TestGate:
         for t in (p.w_z, p.b_z, p.w_r, p.b_r, p.w_s, p.b_s):
             t.data[:] = 0.0
         s = np.array([[1.0, -4.0]])
-        out = gate(p, Tensor(s), Tensor(np.ones((1, 3))))
+        out = full_gate(p, Tensor(s), Tensor(np.ones((1, 3))))
         npt.assert_allclose(out.data, 0.5 * s, atol=1e-12)
 
     def test_interpolation_property(self):
@@ -403,7 +412,7 @@ class TestGate:
             p = GateParams.create(rng, 4, 3)
             s = rng.normal(size=(1, 3))
             f = rng.normal(size=(1, 4))
-            out = gate(p, Tensor(s), Tensor(f)).data
+            out = full_gate(p, Tensor(s), Tensor(f)).data
             fs = np.concatenate([f, s], axis=1)
             r = 1 / (1 + np.exp(-(fs @ p.w_r.data + p.b_r.data)))
             cand = np.tanh(np.concatenate([r * f, s], axis=1) @ p.w_s.data + p.b_s.data)
@@ -416,7 +425,7 @@ class TestGate:
         p = GateParams.create(rng, 5, 3)
         s = rng.normal(size=3)
         f = rng.normal(size=5)
-        out = gate(p, Tensor(s[None]), Tensor(f[None]))
+        out = full_gate(p, Tensor(s[None]), Tensor(f[None]))
         npt.assert_allclose(out.data[0], gate_oracle(p, s, f), atol=1e-6)
 
     def test_approaches_identity_as_update_gate_closes(self):
@@ -424,13 +433,13 @@ class TestGate:
         p = GateParams.create(rng, 4, 3)
         p.b_z.data[:] = -40.0  # drives z to ~0
         s = rng.normal(size=(1, 3))
-        out = gate(p, Tensor(s), Tensor(rng.normal(size=(1, 4))))
+        out = full_gate(p, Tensor(s), Tensor(rng.normal(size=(1, 4))))
         npt.assert_allclose(out.data, s, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         p = GateParams.create(np.random.default_rng(0), 5, 3)
         with pytest.raises(ShapeError):
-            gate(p, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))))
+            full_gate(p, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(3)
@@ -439,13 +448,84 @@ class TestGate:
             p = GateParams.create(rng, 4, 3)
             f = Tensor(rng.normal(size=(1, 4)))
             s = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
-            worst = max(worst, gradient_check(lambda t: reduce_sum(gate(p, t, f)), s))
-            worst = max(worst, gradient_check(lambda t: reduce_sum(gate(p, s, f)), p.w_s))
+            worst = max(worst, gradient_check(lambda t: reduce_sum(full_gate(p, t, f)), s))
+            worst = max(worst, gradient_check(lambda t: reduce_sum(full_gate(p, s, f)), p.w_s))
         assert worst < 1e-3, worst
 
 
 # ---------------------------------------------------------------------------
 # I-Attention mask
+
+
+class TestGateConstants:
+    """The gate with its constant feature blocks hoisted into
+    ``gate_constants``, over two steps that share them, against
+    ``fusion_gate`` over the full ``[f; s]`` at each step."""
+
+    # per variant: the feature blocks in row order and which one changes at
+    # each step (d_t); the rest are constant, x_trg and c_trg
+    SHAPES = {"global": ((3, 2), None), "local": ((4, 2), 0), "log-cad": ((3, 4, 2), 1)}
+
+    def _run(self, variant, hoisted, rng):
+        widths, var = self.SHAPES[variant]
+        rows, state = 4, 3
+        p = GateParams.create(rng, sum(widths), state)
+        consts = [Tensor(rng.normal(size=(rows, w)), requires_grad=True) for w in widths]
+        steps = [Tensor(rng.normal(size=(rows, widths[var])), requires_grad=True)
+                 for _ in range(2)] if var is not None else []
+        s0 = Tensor(rng.normal(size=(rows, state)), requires_grad=True)
+        weights = [Tensor(rng.normal(size=(rows, state))) for _ in range(2)]
+        starts = np.cumsum((0,) + widths[:-1])
+        with GradGraph() as g:
+            pre = gate_constants(p, [(int(at), t) for k, (at, t) in enumerate(zip(starts, consts))
+                                     if k != var])
+            s, loss = s0, None
+            for t in range(2):
+                feats = list(consts)
+                if var is not None:
+                    feats[var] = steps[t]
+                if hoisted:
+                    s = gate(p, s, feats, var, pre)
+                else:
+                    s = fusion_gate(s, [concat(feats, axis=1)], 0, p.b_z, p.b_r, p.w_z, p.w_r,
+                                    p.w_s, p.b_s)
+                term = reduce_sum(mul(s, weights[t]))
+                loss = term if loss is None else add(loss, term)
+        g.backward(loss)
+        tensors = [s0] + [c for k, c in enumerate(consts) if k != var] + steps + \
+            [p.w_z, p.b_z, p.w_r, p.b_r, p.w_s, p.b_s]
+        return s.data, [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("variant", list(SHAPES))
+    def test_equals_the_full_gate(self, variant):
+        out, grads = self._run(variant, True, np.random.default_rng(8))
+        want_out, want_grads = self._run(variant, False, np.random.default_rng(8))
+        npt.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["global", "log-cad"])
+    def test_gradient_check_through_the_constants(self, variant):
+        # a constant feature block reaches the loss through gate_constants
+        # and through each step's reset gate
+        rng = np.random.default_rng(9)
+        widths, var = self.SHAPES[variant]
+        worst = 0.0
+        for _ in range(10):
+            p = GateParams.create(rng, sum(widths), 3)
+            feats = [Tensor(rng.normal(size=(2, w))) for w in widths]
+            s0 = Tensor(rng.normal(size=(2, 3)))
+            c_trg = Tensor(feats[-1].data.copy(), requires_grad=True)
+            at = sum(widths[:-1])
+
+            def f(c):
+                blocks = [(0, feats[0])] if var != 0 else []
+                pre = gate_constants(p, blocks + [(at, c)])
+                s = gate(p, s0, feats[:-1] + [c], var, pre)
+                return reduce_sum(gate(p, s, feats[:-1] + [c], var, pre))
+            worst = max(worst, gradient_check(f, c_trg))
+        assert worst < 1e-3, worst
 
 
 class TestIAttentionMask:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import logcad.model
 from logcad.data import EmbeddingTable, Entry, Vocab, make_batch
 from logcad.decode import greedy_decode
-from logcad.layers import MaskNetParams, attention, gate, lstm_cell
+from logcad.layers import MaskNetParams, attention, gate, gate_constants, lstm_cell
 from logcad.model import (
     VARIANTS,
     DescriptionModel,
@@ -675,6 +675,11 @@ def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None):
     return seq
 
 
+def full_gate(p, s, f):
+    """``gate`` over all of ``[f; s]`` in one call, from the biases alone."""
+    return gate(p, s, [f], 0, gate_constants(p, []))
+
+
 def padded_forward_loss(self, batch, train=False):
     """``forward_loss`` computed step by step on every row of the batch
     sorted longest description first: each step runs every row through each
@@ -711,7 +716,7 @@ def padded_forward_loss(self, batch, train=False):
                     feats.append(attention(p.attn, session.enc_states, h,
                                            mask_bias=session.enc_bias,
                                            projected=session.enc_proj)[0])
-                h = gate(p.gate, h, concat(feats + [session.c_trg], axis=1))
+                h = full_gate(p.gate, h, concat(feats + [session.c_trg], axis=1))
             layer_states[k] = (h, c)
             x = h
         states.append(x)

@@ -400,14 +400,22 @@ class TestGradientCheckAllPrimitives:
         self._run(build_w, (4, 2), 44)
 
     def test_fusion_gate(self):
-        # every input of the one-op gate, at F = 4 features and S = 3
-        shapes = {"s": (2, 3), "f": (2, 4), "w_z": (7, 3), "b_z": (3,), "w_r": (7, 4),
-                  "b_r": (4,), "w_s": (7, 3), "b_s": (3,)}
+        # every input of the one-op gate, at S = 3 and F = 4 features in
+        # blocks of 2, 1 and 1, of which the op multiplies the middle one;
+        # pre_z and pre_r stand for the other blocks' pre-activations
+        shapes = {"s": (2, 3), "f0": (2, 2), "f1": (2, 1), "f2": (2, 1), "pre_z": (2, 3),
+                  "pre_r": (2, 4), "w_z": (7, 3), "w_r": (7, 4), "w_s": (7, 3), "b_s": (3,)}
         for seed, arg in enumerate(shapes, start=45):
             def build(rng, arg=arg):
                 consts = {k: Tensor(rng.normal(size=v)) for k, v in shapes.items()}
                 w = Tensor(rng.normal(size=(2, 3)))
-                return lambda t: reduce_sum(mul(fusion_gate(**dict(consts, **{arg: t})), w))
+
+                def f(t):
+                    a = dict(consts, **{arg: t})
+                    return reduce_sum(mul(fusion_gate(
+                        a["s"], [a["f0"], a["f1"], a["f2"]], 1, a["pre_z"], a["pre_r"],
+                        a["w_z"], a["w_r"], a["w_s"], a["b_s"]), w))
+                return f
             self._run(build, shapes[arg], seed)
 
     # rows of unequal lengths, including 1 and T (= 4), in no sorted order
@@ -600,6 +608,84 @@ class TestLstmSequencePacked:
         assert np.all(out.data[~valid] == 0.0)
         assert np.all(xt.grad[~valid] == 0.0)
         assert np.all(np.isfinite(xt.grad))
+
+
+def _pad_steps(a, steps):
+    """``a`` (B, T, H) with zeros appended up to ``steps`` positions."""
+    return np.pad(a, ((0, 0), (0, steps - a.shape[1]), (0, 0)))
+
+
+class TestLstmSequenceFullRows:
+    """Rows that all run every step take the path without packing; its
+    outputs match the numpy loop, and its gradients those of the packed path
+    on the same rows with one more, padded, step."""
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_numpy_and_the_packed_path(self, steps, rows, reverse):
+        rng = np.random.default_rng(steps * 10 + rows + 100 * reverse)
+        dim, hid = 3, 2
+        x = rng.normal(size=(rows, steps, dim))
+        wx, b, wh = (rng.normal(size=s) for s in ((dim, 4 * hid), (4 * hid,), (hid, 4 * hid)))
+        h0, c0 = rng.normal(size=(2, rows, hid))
+        lengths = np.full(rows, steps)
+        w_out, w_h, w_c = (rng.normal(size=s) for s in ((rows, steps, hid), (rows, hid),
+                                                         (rows, hid)))
+
+        def run(x_in):
+            xt = Tensor(x_in, requires_grad=True)
+            params = [Tensor(a, requires_grad=True) for a in (wx, b, wh, h0, c0)]
+            with GradGraph() as g:
+                out, h, c = lstm_sequence(xt, *params[:3], lengths, *params[3:], reverse=reverse)
+                loss = add(add(reduce_sum(mul(out, Tensor(_pad_steps(w_out, out.shape[1])))),
+                               reduce_sum(mul(h, Tensor(w_h)))), reduce_sum(mul(c, Tensor(w_c))))
+            g.backward(loss)
+            return out.data, h.data, c.data, [xt.grad[:, :steps]] + [t.grad for t in params]
+
+        out, h_last, c_last, grads = run(x)
+        for r in range(rows):
+            tokens = x[r, ::-1] if reverse else x[r]
+            want, want_c = _np_lstm(tokens, wx, b, wh, h0[r], c0[r])
+            npt.assert_allclose(out[r], want[::-1] if reverse else want, rtol=0, atol=1e-12)
+            npt.assert_allclose(h_last[r], want[-1], rtol=0, atol=1e-12)
+            npt.assert_allclose(c_last[r], want_c, rtol=0, atol=1e-12)
+        padded = np.concatenate([x, np.full((rows, 1, dim), np.nan)], axis=1)
+        p_out, p_h, p_c, p_grads = run(padded)
+        npt.assert_allclose(p_out[:, :steps], out, rtol=0, atol=1e-12)
+        for got, want in zip(grads, p_grads):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_two_directions_with_dropout_match_the_packed_path(self):
+        rng = np.random.default_rng(7)
+        rows, steps, dim, hid, p = 4, 3, 3, 2, 0.4
+        x = rng.normal(size=(rows, steps, dim))
+        keep = rng.random(x.shape) >= p
+        cells = [rng.normal(size=s) for _ in range(2)
+                 for s in ((dim, 4 * hid), (4 * hid,), (hid, 4 * hid))]
+        h0, c0 = rng.normal(size=(2, rows, 2 * hid))
+        w_out = rng.normal(size=(rows, steps, 2 * hid))
+        lengths = np.full(rows, steps)
+
+        def run(x_in, keep_in):
+            xt = Tensor(x_in, requires_grad=True)
+            params = [Tensor(a, requires_grad=True) for a in cells + [h0, c0]]
+            (wx0, b0, wh0, wx1, b1, wh1), (h0t, c0t) = params[:6], params[6:]
+            with GradGraph() as g:
+                out, h, c = lstm_sequence(xt, (wx0, wx1), (b0, b1), (wh0, wh1), lengths, h0t,
+                                          c0t, reverse=(False, True), drop=(keep_in, p))
+                loss = add(reduce_sum(mul(out, Tensor(_pad_steps(w_out, out.shape[1])))),
+                           reduce_sum(mul(c, h)))
+            g.backward(loss)
+            return [out.data[:, :steps], h.data, c.data, xt.grad[:, :steps]] + \
+                [t.grad for t in params]
+
+        pad = np.ones((rows, 1, dim), dtype=bool)
+        got = run(x, keep)
+        want = run(np.concatenate([x, np.full((rows, 1, dim), np.nan)], axis=1),
+                   np.concatenate([keep, pad], axis=1))
+        for a, b_ in zip(got, want):
+            npt.assert_allclose(a, b_, rtol=0, atol=1e-12)
 
 
 class TestLstmSequenceDirections:
