@@ -43,7 +43,6 @@ from logcad.evaluate import (
 from logcad.model import (
     VARIANTS,
     DescriptionModel,
-    InputMismatch,
     ModelConfig,
     load_checkpoint,
     load_model,
@@ -177,12 +176,7 @@ def cmd_train(args) -> int:
     if args.resume:
         # load_model's two steps, called apart: the meta was read above to
         # refuse clashing options before any data was read
-        try:
-            model = model_from_checkpoint(tensors, meta, vocab, table)
-        except InputMismatch:
-            raise  # names the vocabulary's or the embedding table's file
-        except ValueError as e:
-            raise ValueError(f"{args.resume}: {e}") from None
+        model = model_from_checkpoint(args.resume, tensors, meta, vocab, table)
     else:
         start_epoch = 0
         vocab = build_vocab(train_entries, size=model_cfg.vocab_size)

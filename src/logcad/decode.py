@@ -99,30 +99,33 @@ class _Beam:
 
 def _top_k(logp: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Column ids and values of the ``k`` largest values of each row, largest
-    first and lowest id first among equal values (the first ``k`` of a
-    stable argsort of ``-logp``, with NaN read as -inf) without sorting whole
-    rows. NaN in ``logp`` may be overwritten with -inf."""
-    if k == 1:
-        top = logp.argmax(axis=1)
-        vals = logp[np.arange(len(logp)), top]
-        if np.isnan(vals).any():  # argmax stops at a row's first NaN
+    first and lowest id first among equal values: the first ``k`` of a
+    stable argsort of ``-logp``, with NaN read as -inf. Each of ``k`` argmax
+    passes (ties: first index wins) blanks its pick to -inf for the next
+    pass, and the picks are written back at the end, so ``logp`` changes only
+    where it held NaN, which becomes -inf once a first pass meets one. A row
+    with fewer than ``k`` values above -inf fills its remaining slots with its
+    lowest unpicked ids."""
+    rows = np.arange(len(logp))
+    top = np.empty((len(logp), k), dtype=np.intp)
+    vals = np.empty((len(logp), k), dtype=logp.dtype)
+    for j in range(k):
+        top[:, j] = logp.argmax(axis=1)
+        vals[:, j] = logp[rows, top[:, j]]
+        if j == 0 and np.isnan(vals[:, 0]).any():  # argmax stops at a row's first NaN
             np.fmax(logp, -np.inf, out=logp)
-            top = logp.argmax(axis=1)
-            vals = logp[np.arange(len(logp)), top]
-        return top[:, None], vals[:, None]
-    np.fmax(logp, -np.inf, out=logp)
-    cut = logp.shape[1] - k
-    top = np.argpartition(logp, cut, axis=1)[:, cut:]
-    vals = np.take_along_axis(logp, top, axis=1)
-    # argpartition picks arbitrarily among ids tied at the k-th value; where
-    # more ids share it than fit, take those with the lowest ids
-    kth = vals.min(axis=1)
-    for r in np.flatnonzero(np.count_nonzero(logp >= kth[:, None], axis=1) > k):
-        ids = np.flatnonzero(logp[r] >= kth[r])
-        top[r] = ids[np.argsort(-logp[r, ids], kind="stable")[:k]]
-        vals[r] = logp[r, top[r]]
-    order = np.lexsort((top, -vals))
-    return np.take_along_axis(top, order, axis=1), np.take_along_axis(vals, order, axis=1)
+            top[:, 0] = logp.argmax(axis=1)
+            vals[:, 0] = logp[rows, top[:, 0]]
+        logp[rows, top[:, j]] = -np.inf
+    for r in np.flatnonzero(vals[:, -1] == -np.inf):
+        # once a row's max is -inf, argmax returns its lowest -inf id, which
+        # may be one already picked
+        j = int(np.argmax(vals[r] == -np.inf))
+        free = logp[r] == -np.inf
+        free[top[r, :j]] = False
+        top[r, j:] = np.flatnonzero(free)[:k - j]
+    logp[rows[:, None], top] = vals
+    return top, vals
 
 
 def check_search(beam: int, max_len: int) -> None:

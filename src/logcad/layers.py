@@ -237,10 +237,11 @@ def char_cnn(p: CharCnnParams, phrases: Sequence[Sequence[str]]) -> Tensor:
 
     Each phrase's words are joined with "_" (e.g. "sonic_boom"), characters
     are embedded, each kernel bank is convolved with stride 1 and max-pooled
-    over time, and the pooled outputs are concatenated. Strings shorter than
-    a kernel are right-padded so every bank yields at least one window;
-    windows made of padding beyond that are masked out of the pool, so extra
-    trailing padding never changes the output.
+    over time, the bias is added, and the pooled outputs are concatenated.
+    Strings shorter than a kernel are right-padded so every bank yields at
+    least one window. A row's windows past its last real one repeat that one:
+    the max is the same, and ties go to the first index, so the repeats take
+    no gradient and extra trailing padding never changes the output.
     """
     if not phrases or any(len(ws) == 0 for ws in phrases):
         raise ShapeError("char_cnn: phrases must be nonempty word lists")
@@ -249,20 +250,17 @@ def char_cnn(p: CharCnnParams, phrases: Sequence[Sequence[str]]) -> Tensor:
     lens = np.array([len(t) for t in texts], dtype=np.intp)
     width = max(int(lens.max()), max_kernel)
     ids = np.stack([p.alphabet.encode(t, width) for t in texts])
-    dtype = p.emb.dtype
+    rows = np.arange(len(texts))[:, None, None]
 
     pooled = []
     for w, kernel, bias in p.banks:
         lw = width - w + 1
-        # window l is the embeddings of characters l..l+w-1 side by side
-        windows = reshape(take_rows(p.emb, ids[:, np.arange(lw)[:, None] + np.arange(w)]),
+        # window l is the embeddings of characters s..s+w-1 side by side, where
+        # s is l or, past the row's last real window, that window's start
+        starts = np.minimum(np.arange(lw), np.maximum(lens - w, 0)[:, None])
+        windows = reshape(take_rows(p.emb, ids[rows, starts[:, :, None] + np.arange(w)]),
                           (len(texts), lw, w * p.char_emb))
-        conv = add(matmul(windows, kernel), bias)  # (B, lw, C)
-        n_valid = np.maximum(lens - w + 1, 1)
-        pos = np.arange(lw)[None, :]
-        bias_mask = np.where(pos < n_valid[:, None], 0.0, MASK_BIAS).astype(dtype)
-        conv = add(conv, Tensor(bias_mask[:, :, None]))
-        pooled.append(reduce_max(conv, axis=1))
+        pooled.append(add(reduce_max(matmul(windows, kernel), axis=1), bias))
     return concat(pooled, axis=1)
 
 

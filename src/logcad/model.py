@@ -596,21 +596,27 @@ def load_params_into(params: ModelParams, tensors: dict[str, np.ndarray]) -> Non
         t.data = arr if arr.dtype == params.dtype else arr.astype(params.dtype)
 
 
-def model_from_checkpoint(tensors: dict[str, np.ndarray], meta: dict[str, str], vocab: Vocab,
-                          emb_table: Optional[EmbeddingTable]) -> DescriptionModel:
-    """Rebuild a model from ``load_checkpoint``'s tensors and config metadata.
-    No weight is drawn: each starts as a placeholder that the checkpoint's
-    tensor replaces, and a tensor it lacks or shapes differently raises
-    ``ValueError``."""
-    config = ModelConfig.from_meta(meta)
-    seed = meta_count(meta, "seed")
-    rows = tensors.get("word_emb")
-    if rows is not None and len(rows) != len(vocab):
-        raise InputMismatch(f"{vocab.source}: {len(vocab)} tokens, but the checkpoint was "
-                            f"trained with {len(rows)}")
-    model = DescriptionModel(config, vocab, emb_table, seed=seed,
-                             params=ModelParams(config, len(vocab), None))
-    load_params_into(model.params, tensors)
+def model_from_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict[str, str],
+                          vocab: Vocab, emb_table: Optional[EmbeddingTable]) -> DescriptionModel:
+    """Rebuild a model from ``load_checkpoint(path)``'s tensors and config
+    metadata. No weight is drawn: each starts as a placeholder that the
+    checkpoint's tensor replaces, and a tensor it lacks or shapes differently
+    raises ``ValueError``. Each ``ValueError`` names ``path``, apart from an
+    ``InputMismatch``, which names the vocabulary's or embedding table's file."""
+    try:
+        config = ModelConfig.from_meta(meta)
+        seed = meta_count(meta, "seed")
+        rows = tensors.get("word_emb")
+        if rows is not None and len(rows) != len(vocab):
+            raise InputMismatch(f"{vocab.source}: {len(vocab)} tokens, but the checkpoint was "
+                                f"trained with {len(rows)}")
+        model = DescriptionModel(config, vocab, emb_table, seed=seed,
+                                 params=ModelParams(config, len(vocab), None))
+        load_params_into(model.params, tensors)
+    except InputMismatch:
+        raise
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return model
 
 
@@ -618,9 +624,4 @@ def load_model(path, vocab: Vocab, emb_table: Optional[EmbeddingTable] = None
                ) -> tuple[DescriptionModel, dict[str, str]]:
     """Rebuild a model from a checkpoint file; returns it with the metadata."""
     tensors, meta = load_checkpoint(path)
-    try:
-        return model_from_checkpoint(tensors, meta, vocab, emb_table), meta
-    except InputMismatch:
-        raise
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return model_from_checkpoint(path, tensors, meta, vocab, emb_table), meta

@@ -228,12 +228,6 @@ def _record(name: str, out_data, inputs: tuple, backward_fn: Callable[..., Seque
     return out
 
 
-def _coerce(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
     if g.shape == shape:
@@ -258,9 +252,7 @@ def _broadcast_shape(name: str, a: Tensor, b: Tensor) -> None:
 # primitives
 
 
-def add(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce(a, b)
-    b = _coerce(b, a)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shape("add", a, b)
 
     def bw(g):
@@ -269,9 +261,7 @@ def add(a, b) -> Tensor:
     return _record("add", a.data + b.data, (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else _coerce(a, b)
-    b = _coerce(b, a)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shape("mul", a, b)
 
     def bw(g):

@@ -230,12 +230,17 @@ class TestSelection:
     def test_top_k_is_a_stable_argsort_prefix(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            logp = rng.choice([-np.inf, -2.0, -1.0, 0.0, np.inf], size=(4, 9))
+            given = rng.choice([np.nan, -np.inf, -2.0, -1.0, 0.0, np.inf], size=(4, 9))
+            read = np.fmax(given, -np.inf)  # NaN read as -inf
+            logp = given.copy()
             for k in range(1, 10):
                 ids, vals = _top_k(logp, k)
-                want = np.argsort(-logp, axis=1, kind="stable")[:, :k]
+                want = np.argsort(-read, axis=1, kind="stable")[:, :k]
                 npt.assert_array_equal(ids, want)
-                npt.assert_array_equal(vals, np.take_along_axis(logp, want, axis=1))
+                npt.assert_array_equal(vals, np.take_along_axis(read, want, axis=1))
+                # only NaN entries may change, and only to -inf
+                npt.assert_array_equal(np.where(np.isnan(given), np.fmax(logp, -np.inf), logp),
+                                       read)
 
     def test_all_tied_greedy_emits_lowest_usable_id(self):
         flat = RiggedModel(lambda prefix: np.zeros(len(VOCAB)))

@@ -33,6 +33,7 @@ from logcad.tensor import (
     lstm_sequence,
     mul,
     reduce_sum,
+    take_rows,
 )
 from oracles import attention_oracle, gate_oracle, lstm_cell_oracle
 from oracles import sigmoid as _sigmoid
@@ -316,6 +317,25 @@ class TestCharCnn:
         alone = char_cnn(p, [["ab"]]).data
         padded = char_cnn(p, [["ab"], ["abcdefghijklmnop"]]).data
         npt.assert_allclose(padded[0], alone[0], atol=1e-12)
+
+    def test_trailing_padding_invariance_backward(self):
+        p = CharCnnParams.create(np.random.default_rng(3))
+        params = [p.emb] + [t for _, kernel, bias in p.banks for t in (kernel, bias)]
+        weights = Tensor(np.random.default_rng(4).normal(size=(1, p.out_width)))
+
+        def grads(phrases):
+            for t in params:
+                t.zero_grad()
+            with GradGraph() as g:
+                out = take_rows(char_cnn(p, phrases), slice(0, 1))
+                loss = reduce_sum(mul(out, weights))
+            g.backward(loss)
+            return [t.grad for t in params]
+
+        alone = grads([["ab"]])
+        padded = grads([["ab"], ["abcdefghijklmnop"]])
+        for a, b in zip(alone, padded):
+            npt.assert_allclose(b, a, atol=1e-12)
 
     def test_empty_phrase_rejected(self):
         p = CharCnnParams.create(np.random.default_rng(4))
