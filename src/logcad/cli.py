@@ -112,7 +112,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 # commands
 
-# entries ``evaluate`` decodes together; each is decoded as it would be alone
+# entries ``evaluate`` decodes together, each as alone up to float rounding (``logcad.decode``)
 EVAL_CHUNK = 32
 
 

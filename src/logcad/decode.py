@@ -16,7 +16,8 @@ count. [PAD] and <bos> are never emitted, and tokens with non-finite
 log-probability are never selected. The beam always retains the greedy
 continuation, so beam search never returns a hypothesis scoring below
 greedy decoding under the same normalization. An entry's result does not
-depend on which entries are decoded with it.
+depend on which entries are decoded with it, except between candidates whose
+scores tie within float rounding, which can differ from batch to batch.
 """
 
 from __future__ import annotations

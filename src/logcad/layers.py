@@ -1,6 +1,7 @@
 """Neural building blocks: the LSTM cell and the bidirectional local-context
 encoder (both on ``tensor.lstm_sequence``), the character-level CNN, bilinear
-attention, the context-fusion gate, and the I-Attention soft-mask network.
+attention (on ``tensor.bilinear_attention``), the context-fusion gate (on
+``tensor.fusion_gate``), and the I-Attention soft-mask network.
 
 Layers are pure functions of (params, inputs). Parameter containers expose
 ``named(prefix)`` so the model can assemble a flat name -> tensor registry.
@@ -18,6 +19,7 @@ from logcad.tensor import (
     ShapeError,
     Tensor,
     add,
+    bilinear_attention,
     concat,
     dropout_keep,
     fusion_gate,
@@ -28,13 +30,11 @@ from logcad.tensor import (
     reduce_sum,
     reshape,
     sigmoid,
-    softmax,
     take_rows,
     tanh,
 )
 
 INIT_SCALE = 0.08  # uniform weight init range; forget-gate bias starts at 1
-MASK_BIAS = -1e9  # additive score mask for padded positions (keeps values finite)
 
 
 def uniform_init(rng: Optional[np.random.Generator], shape, dtype=np.float64,
@@ -294,25 +294,12 @@ def project_context(p: AttentionParams, states: Tensor, lengths: np.ndarray) -> 
     return matmul(states, p.u_h, at=np.arange(states.shape[1]) < lengths[:, None])
 
 
-def attention(p: AttentionParams, states: Tensor, s_t: Tensor, mask_bias: np.ndarray,
-              projected: Tensor) -> tuple[Tensor, Tensor]:
-    """Weighted summary of encoder states for one decoder state.
-
-    score_i = (U_h h_i) . (U_s s_t); weights are a softmax over positions;
-    the summary is the weight-averaged encoder state. ``mask_bias`` (B, T)
-    holds 0 for valid positions and a large negative value for padding, and
-    ``projected`` is ``project_context`` of ``states``.
-    Returns (summary (B, enc_width), weights (B, T)).
-    """
-    if states.ndim != 3 or states.shape[1] == 0:
-        raise ShapeError(f"attention: need nonempty (B, T, D) states, got {states.shape}")
-    b, t, _ = states.shape
-    q = matmul(s_t, p.u_s)  # (B, A)
-    scores = reshape(matmul(projected, reshape(q, (b, q.shape[1], 1))), (b, t))
-    scores = add(scores, Tensor(mask_bias.astype(states.dtype, copy=False)))
-    alpha = softmax(scores, axis=1)
-    summary = reshape(matmul(reshape(alpha, (b, 1, t)), states), (b, states.shape[2]))
-    return summary, alpha
+def attention(p: AttentionParams, states: Tensor, s_t: Tensor, lengths: np.ndarray,
+              projected: Tensor) -> tuple[Tensor, np.ndarray]:
+    """The summary (B, enc_width) of each row's first ``lengths[r]`` states,
+    weighted by the softmax of score_i = (U_h h_i) . (U_s s_t), and the
+    weights (B, T); ``projected`` is ``project_context`` of ``states``."""
+    return bilinear_attention(states, projected, lengths, s_t, p.u_s)
 
 
 # ---------------------------------------------------------------------------

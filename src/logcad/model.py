@@ -37,7 +37,6 @@ from logcad.layers import (
     GateParams,
     LstmParams,
     MaskNetParams,
-    MASK_BIAS,
     attention,
     bilstm_encode,
     char_cnn,
@@ -240,7 +239,7 @@ class _Session:
     x_masked: Optional[Tensor]     # (B, W) masked embedding (i-attention)
     enc_states: Optional[Tensor]   # (B, T, enc_width), for attention
     enc_proj: Optional[Tensor]
-    enc_bias: Optional[np.ndarray]
+    enc_lengths: Optional[np.ndarray]  # (B,) context lengths, for attention
     pre_z: Optional[Tensor]        # (B, dec_width) and (B, F): the gate's pre-activations
     pre_r: Optional[Tensor]        # from its biases and the features x_trg and c_trg
 
@@ -259,7 +258,7 @@ class _Session:
                        x_trg=pick(self.x_trg), c_trg=pick(self.c_trg),
                        x_masked=pick(self.x_masked),
                        enc_states=pick(self.enc_states), enc_proj=pick(self.enc_proj),
-                       enc_bias=None if self.enc_bias is None else self.enc_bias[rows],
+                       enc_lengths=None if self.enc_lengths is None else self.enc_lengths[rows],
                        pre_z=pick(self.pre_z), pre_r=pick(self.pre_r))
 
 
@@ -303,15 +302,14 @@ class DescriptionModel:
         variant's conditioning includes the gate's pre-activations from its
         constant features, the phrase embedding and the char CNN's."""
         cfg = self.config
-        enc_states = enc_proj = enc_bias = x_trg = c_trg = x_masked = pre_z = pre_r = None
+        enc_states = enc_proj = enc_lengths = x_trg = c_trg = x_masked = pre_z = pre_r = None
         if cfg.uses_encoder:
             lengths = batch.context_lengths
             embs = take_rows(self.params.word_emb, batch.context_ids)
             enc_states = bilstm_encode(self.params.encoder, embs, lengths,
                                        drop=cfg.dropout if train else 0.0, rng=self._drop_rng)
             if cfg.uses_attention:
-                positions = np.arange(batch.context_ids.shape[1])[None, :]
-                enc_bias = np.where(positions < lengths[:, None], 0.0, MASK_BIAS).astype(self.dtype)
+                enc_lengths = lengths
                 enc_proj = project_context(self.params.attn, enc_states, lengths)
         if cfg.uses_global_embedding:
             x_trg = Tensor(np.asarray([phrase_embedding(words, self.emb_table)
@@ -330,7 +328,7 @@ class DescriptionModel:
         zeros = lambda: Tensor(np.zeros((len(batch), cfg.dec_width), dtype=self.dtype))  # noqa: E731
         return _Session(step=0, layer_states=[(zeros(), zeros()) for _ in self.params.decoder],
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
-                        enc_states=enc_states, enc_proj=enc_proj, enc_bias=enc_bias,
+                        enc_states=enc_states, enc_proj=enc_proj, enc_lengths=enc_lengths,
                         pre_z=pre_z, pre_r=pre_r)
 
     def _top(self, session: _Session, x: Tensor, drop) -> tuple[Tensor, Tensor]:
@@ -344,7 +342,7 @@ class DescriptionModel:
         var = None  # the block that is new at this step, d_t
         if cfg.uses_attention:
             d_t, _alpha = attention(self.params.attn, session.enc_states, h,
-                                    mask_bias=session.enc_bias, projected=session.enc_proj)
+                                    session.enc_lengths, session.enc_proj)
             var = len(feats)
             feats.append(d_t)
         feats.append(session.c_trg)

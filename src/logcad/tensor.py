@@ -41,11 +41,11 @@ __all__ = [
     "reshape",
     "sigmoid",
     "tanh",
-    "softmax",
     "reduce_max",
     "reduce_sum",
     "take_rows",
     "linear_nll",
+    "bilinear_attention",
     "lstm_sequence",
     "fusion_gate",
     "dropout_keep",
@@ -271,43 +271,31 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, at=None) -> Tensor:
-    """Matrix product with numpy's broadcasting rules. A 2-D right operand
-    (a weight) is applied to all leading dims of ``a`` as one folded GEMM,
-    forward and backward, instead of a batched product and a sum; with
-    ``at``, a key into ``a``'s leading dims that picks each row once, only
-    the rows ``a[at]`` are multiplied and the rest of the result is 0."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >=2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    """``a @ b`` for a 2-D right operand (a weight), applied to all leading
+    dims of ``a`` as one folded GEMM, forward and backward; with ``at``, a key
+    into ``a``'s leading dims that picks each row once, only the rows
+    ``a[at]`` are multiplied and the rest of the result is 0."""
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul: need a (..., K) and a 2-D b (K, N), got {a.shape} and "
+                         f"{b.shape}")
 
-    if b.ndim == 2:
-        if at is not None:
-            def bw_rows(g):
-                g_at = g[at]
-                return _Part(at, g_at @ b.data.T), a.data[at].T @ g_at
+    if at is not None:
+        def bw_rows(g):
+            g_at = g[at]
+            return _Part(at, g_at @ b.data.T), a.data[at].T @ g_at
 
-            out = np.zeros(a.shape[:-1] + (b.shape[1],), dtype=np.result_type(a.data, b.data))
-            out[at] = a.data[at] @ b.data
-            return _record("matmul", out, (a, b), bw_rows)
+        out = np.zeros(a.shape[:-1] + (b.shape[1],), dtype=np.result_type(a.data, b.data))
+        out[at] = a.data[at] @ b.data
+        return _record("matmul", out, (a, b), bw_rows)
 
-        a2 = a.data.reshape(-1, a.shape[-1])
+    a2 = a.data.reshape(-1, a.shape[-1])
 
-        def bw_folded(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+    def bw_folded(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
-        out = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
-        return _record("matmul", out, (a, b), bw_folded)
-
-    def bw(g):
-        # a product over a dimension of 1 is an outer product: a broadcast multiply
-        b_t, a_t = np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2)
-        ga = g * b_t if g.shape[-1] == 1 else np.matmul(g, b_t)
-        gb = a_t * g if g.shape[-2] == 1 else np.matmul(a_t, g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _record("matmul", np.matmul(a.data, b.data), (a, b), bw)
+    out = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+    return _record("matmul", out, (a, b), bw_folded)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -373,19 +361,6 @@ def tanh(x: Tensor) -> Tensor:
         return (g * (1.0 - out * out),)
 
     return _record("tanh", out, (x,), bw)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    # max-subtraction keeps exp() bounded
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record("softmax", out, (x,), bw)
 
 
 def reduce_max(x: Tensor, axis: int) -> Tensor:
@@ -488,6 +463,44 @@ def linear_nll(x: Tensor, w: Tensor, b: Tensor, targets, weights) -> tuple[Tenso
     out = weights @ (lse - logits[np.arange(n), targets])
     return (_record("linear_nll", out, (x, w, b, targets, weights), bw),
             int((best == targets).sum()))
+
+
+def bilinear_attention(states: Tensor, projected: Tensor, lengths, s: Tensor,
+                       u_s: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Attention as one op. Row b scores its first ``lengths[b]`` positions by
+    ``projected[b] @ (s[b] @ u_s)`` and returns the softmax-weighted summary
+    ``alpha[b] @ states[b]`` (B, D) with the weights ``alpha`` (B, T), which
+    are not differentiated, for ``states`` (B, T, D), their projection
+    ``projected`` (B, T, A), ``s`` (B, S) and ``u_s`` (S, A). Padded positions
+    score -inf: their weights and gradients are exactly 0. The backward pass
+    keeps only ``q = s @ u_s`` and the weights."""
+    lengths = np.asarray(lengths)
+    b, t = states.shape[:2] if states.ndim == 3 else (-1, 0)
+    if t == 0 or projected.shape[:2] != (b, t) or u_s.ndim != 2 \
+            or projected.shape[2:] != u_s.shape[1:] or s.shape != (b, u_s.shape[0]) \
+            or lengths.shape != (b,) or not 1 <= lengths.min() <= lengths.max() <= t:
+        raise ShapeError(f"bilinear_attention: need nonempty states (B,T,D), projected "
+                         f"(B,T,A), s (B,S), u_s (S,A) and lengths (B,) in [1, T], got "
+                         f"{states.shape}, {projected.shape}, {s.shape}, {u_s.shape}, {lengths!r}")
+    q = s.data @ u_s.data
+    scores = np.matmul(projected.data, q.reshape(b, -1, 1)).reshape(b, t)
+    scores[np.arange(t) >= lengths[:, None]] = -np.inf
+    scores -= scores.max(axis=1, keepdims=True)
+    alpha = np.exp(scores, out=scores)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        g = g.reshape(b, 1, -1)
+        d_alpha = np.matmul(g, states.data.swapaxes(1, 2)).reshape(b, t)
+        d_alpha -= (d_alpha * alpha).sum(axis=1, keepdims=True)
+        d_scores = (alpha * d_alpha).reshape(b, t, 1)
+        d_q = np.matmul(projected.data.swapaxes(1, 2), d_scores).reshape(b, -1)
+        return (alpha.reshape(b, t, 1) * g, d_scores * q.reshape(b, 1, -1), None,
+                d_q @ u_s.data.T, s.data.T @ d_q)
+
+    summary = np.matmul(alpha.reshape(b, 1, t), states.data).reshape(b, -1)
+    return _record("bilinear_attention", summary, (states, projected, lengths, s, u_s),
+                   bw), alpha
 
 
 @functools.lru_cache(maxsize=None)

@@ -63,7 +63,7 @@ def full_gate(p, s, f):
 def attend(p, h, s):
     """``attention`` over states ``h`` (B, T, D) that hold no padding."""
     full = np.full(h.shape[0], h.shape[1])
-    return attention(p, h, s, np.zeros(h.shape[:2]), project_context(p, h, full))
+    return attention(p, h, s, full, project_context(p, h, full))
 
 
 def soft_mask(p, h, x):
@@ -172,7 +172,7 @@ def test_criterion_2_layer_oracles():
     d, alpha = attend(ap, Tensor(hs), Tensor(s))
     want_d, want_alpha = attention_oracle(ap, hs[0], s[0])
     worst = max(worst, np.abs(d.data[0] - want_d).max(),
-                np.abs(alpha.data[0] - want_alpha).max())
+                np.abs(alpha[0] - want_alpha).max())
 
     gp = GateParams.create(rng, 5, 3)
     sv, fv = rng.normal(size=3), rng.normal(size=5)

@@ -282,7 +282,6 @@ DEFAULTS_RELIED_ON_BY_TESTS = {
     "GateParams.create: dtype": _FLOAT64,
     "MaskNetParams.create: dtype": _FLOAT64,
     "reduce_sum: axis": "gradient checks sum a whole output to one number",
-    "softmax: axis": "tensor tests normalise over the last axis",
     "lstm_sequence: drop": "LSTM tests step and unroll without dropout",
     "lstm_cell: drop": "LSTM tests step and unroll without dropout",
     "DescriptionModel: seed": _SEED,

@@ -47,7 +47,7 @@ def full_gate(p, s, f):
 def attend(p, h, s):
     """``attention`` over states ``h`` (B, T, D) that hold no padding."""
     full = np.full(h.shape[0], h.shape[1])
-    return attention(p, h, s, np.zeros(h.shape[:2]), project_context(p, h, full))
+    return attention(p, h, s, full, project_context(p, h, full))
 
 
 def soft_mask(p, h, x):
@@ -363,7 +363,7 @@ class TestAttention:
         p = AttentionParams.create(rng, 4, 3, 2)
         h = rng.normal(size=(1, 1, 4))
         d, alpha = attend(p, Tensor(h), Tensor(rng.normal(size=(1, 3))))
-        npt.assert_allclose(alpha.data, [[1.0]])
+        npt.assert_allclose(alpha, [[1.0]])
         npt.assert_allclose(d.data[0], h[0, 0], atol=1e-12)
 
     def test_identical_states_average(self):
@@ -371,7 +371,7 @@ class TestAttention:
         p = AttentionParams.create(rng, 4, 3, 2)
         h = np.tile(rng.normal(size=(1, 1, 4)), (1, 5, 1))
         d, alpha = attend(p, Tensor(h), Tensor(rng.normal(size=(1, 3))))
-        npt.assert_allclose(alpha.data, np.full((1, 5), 0.2), atol=1e-12)
+        npt.assert_allclose(alpha, np.full((1, 5), 0.2), atol=1e-12)
         npt.assert_allclose(d.data[0], h[0, 0], atol=1e-12)
 
     def test_random_case_matches_loop_oracle(self):
@@ -381,18 +381,18 @@ class TestAttention:
         s = rng.normal(size=(1, 3))
         d, alpha = attend(p, Tensor(h), Tensor(s))
         want_d, want_alpha = attention_oracle(p, h[0], s[0])
-        npt.assert_allclose(alpha.data[0], want_alpha, atol=1e-6)
+        npt.assert_allclose(alpha[0], want_alpha, atol=1e-6)
         npt.assert_allclose(d.data[0], want_d, atol=1e-6)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(3)
         p = AttentionParams.create(rng, 4, 3, 2)
-        mask = np.array([[0.0, 0.0, -1e9, -1e9]])
+        lengths = np.array([2])
         h = Tensor(rng.normal(size=(1, 4, 4)))
-        d, alpha = attention(p, h, Tensor(rng.normal(size=(1, 3))), mask_bias=mask,
-                             projected=project_context(p, h, lengths=np.array([2])))
-        npt.assert_allclose(alpha.data.sum(), 1.0, atol=1e-6)
-        npt.assert_allclose(alpha.data[0, 2:], 0.0, atol=1e-12)
+        d, alpha = attention(p, h, Tensor(rng.normal(size=(1, 3))), lengths,
+                             project_context(p, h, lengths))
+        npt.assert_allclose(alpha.sum(), 1.0, atol=1e-6)
+        npt.assert_allclose(alpha[0, 2:], 0.0, atol=1e-12)
 
     def test_empty_context_rejected(self):
         p = AttentionParams.create(np.random.default_rng(0), 4, 3, 2)

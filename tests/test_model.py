@@ -714,8 +714,7 @@ def padded_forward_loss(self, batch, train=False):
                 feats = [session.x_trg] if cfg.uses_global_embedding else []
                 if cfg.uses_attention:
                     feats.append(attention(p.attn, session.enc_states, h,
-                                           mask_bias=session.enc_bias,
-                                           projected=session.enc_proj)[0])
+                                           session.enc_lengths, session.enc_proj)[0])
                 h = full_gate(p.gate, h, concat(feats + [session.c_trg], axis=1))
             layer_states[k] = (h, c)
             x = h

@@ -14,6 +14,7 @@ from logcad.tensor import (
     ShapeError,
     Tensor,
     add,
+    bilinear_attention,
     concat,
     dropout_keep,
     fusion_gate,
@@ -26,7 +27,6 @@ from logcad.tensor import (
     reduce_sum,
     reshape,
     sigmoid,
-    softmax,
     take_rows,
     tanh,
 )
@@ -52,10 +52,6 @@ class TestForward:
     def test_sigmoid_at_zero(self):
         out = sigmoid(Tensor([0.0, 0.0, 0.0]))
         npt.assert_allclose(out.data, [0.5, 0.5, 0.5])
-
-    def test_softmax_symmetry(self):
-        out = softmax(Tensor([[2.5, 2.5, 2.5]]), axis=1)
-        npt.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_matmul_against_triple_loop(self):
         rng = np.random.default_rng(0)
@@ -99,22 +95,10 @@ class TestForward:
         with pytest.raises(ShapeError, match="add"):
             add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
 
-    def test_softmax_sums_to_one(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(scale=30.0, size=(4, 9))
-        out = softmax(Tensor(x), axis=1)
-        npt.assert_allclose(out.data.sum(axis=1), np.ones(4), atol=1e-6)
-        assert np.all(out.data >= 0)
-        assert np.all(np.isfinite(out.data))
-
-    @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_softmax_shift_invariance(self, vals):
-        x = np.asarray(vals)
-        a = softmax(Tensor(x[None, :]), axis=1).data
-        b = softmax(Tensor(x[None, :] + 7.25), axis=1).data
-        npt.assert_allclose(a, b, atol=1e-9)
-        npt.assert_allclose(a.sum(), 1.0, atol=1e-6)
+    def test_matmul_refuses_a_batched_right_operand(self):
+        # the right operand is a weight: one matrix for every leading index of a
+        with pytest.raises(ShapeError, match="matmul"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 1))))
 
 
 class TestBackward:
@@ -369,21 +353,6 @@ class TestGradientCheckAllPrimitives:
             return lambda t: reduce_sum(tanh(matmul(a, t)))
         self._run(build, (4, 2), 25)
 
-    def test_matmul_contracting_a_dimension_of_one(self):
-        # attention's two batched products: (B, T, A) @ (B, A, 1) and
-        # (B, 1, T) @ (B, T, D); each has one operand whose gradient
-        # contracts a dimension of 1
-        for shape, other, seed in (((2, 3, 4), (2, 4, 1), 41), ((2, 1, 3), (2, 3, 4), 42)):
-            def build(rng, other=other):
-                b = Tensor(rng.normal(size=other))
-                return lambda t: reduce_sum(tanh(matmul(t, b)))
-            self._run(build, shape, seed)
-
-            def build_b(rng, shape=shape):
-                a = Tensor(rng.normal(size=shape))
-                return lambda t: reduce_sum(tanh(matmul(a, t)))
-            self._run(build_b, other, seed)
-
     def test_matmul_at_rows(self):
         # only the picked rows are multiplied; the others read 0 and pass no
         # gradient
@@ -417,6 +386,23 @@ class TestGradientCheckAllPrimitives:
                         a["w_z"], a["w_r"], a["w_s"], a["b_s"]), w))
                 return f
             self._run(build, shapes[arg], seed)
+
+    # rows of unequal lengths, including 1 and T (= 4), in no sorted order
+    ATTENTION_SHAPES = {"states": (3, 4, 3), "projected": (3, 4, 2), "s": (3, 2), "u_s": (2, 2)}
+
+    @pytest.mark.parametrize("arg", list(ATTENTION_SHAPES))
+    def test_bilinear_attention(self, arg):
+        def build(rng):
+            consts = {k: Tensor(rng.normal(size=v)) for k, v in self.ATTENTION_SHAPES.items()}
+            w = Tensor(rng.normal(size=(3, 3)))
+
+            def f(t):
+                a = dict(consts, **{arg: t})
+                summary, _ = bilinear_attention(a["states"], a["projected"], np.array([3, 1, 4]),
+                                                a["s"], a["u_s"])
+                return reduce_sum(mul(summary, w))
+            return f
+        self._run(build, self.ATTENTION_SHAPES[arg], 51)
 
     # rows of unequal lengths, including 1 and T (= 4), in no sorted order
     LSTM_LENGTHS = np.array([3, 1, 4])
@@ -485,12 +471,6 @@ class TestGradientCheckAllPrimitives:
 
     def test_tanh(self):
         self._run(lambda rng: (lambda t: reduce_sum(tanh(t))), (3, 4), 20)
-
-    def test_softmax(self):
-        def build(rng):
-            w = Tensor(rng.normal(size=(3, 4)))
-            return lambda t: reduce_sum(mul(softmax(t, axis=1), w))
-        self._run(build, (3, 4), 21)
 
     def test_reduce_max(self):
         self._run(lambda rng: (lambda t: reduce_sum(reduce_max(t, axis=1))), (3, 4), 23)
@@ -903,9 +883,107 @@ class TestUtilities:
         assert w.grad.shape == (d, v)
         assert peak < 1.5 * n * v * x.data.itemsize, peak / (n * v * x.data.itemsize)
 
-    def test_finite_after_mask_bias(self):
-        # -1e9 additive masking keeps softmax finite
-        x = Tensor(np.array([[1.0, 2.0, -1e9]]))
-        out = softmax(x, axis=1)
-        assert np.all(np.isfinite(out.data))
-        npt.assert_allclose(out.data[0, 2], 0.0, atol=1e-12)
+
+class TestBilinearAttention:
+    @staticmethod
+    def _inputs(rng, lengths, t, d=3, a=2, s=4):
+        """Random states (zero past each row's length, as the encoder leaves
+        them), their projection, decoder states and ``u_s``, as leaves."""
+        real = (np.arange(t) < np.asarray(lengths)[:, None])[:, :, None]
+        return (Tensor(rng.normal(size=(len(lengths), t, d)) * real, requires_grad=True),
+                Tensor(rng.normal(size=(len(lengths), t, a)), requires_grad=True),
+                Tensor(rng.normal(size=(len(lengths), s)), requires_grad=True),
+                Tensor(rng.normal(size=(s, a)), requires_grad=True))
+
+    @staticmethod
+    def _run(states, projected, lengths, s, u_s, w):
+        with GradGraph() as g:
+            summary, alpha = bilinear_attention(states, projected, lengths, s, u_s)
+            loss = reduce_sum(mul(summary, w))
+        g.backward(loss)
+        return summary.data, alpha
+
+    def test_padding_takes_no_weight_and_no_gradient(self):
+        rng = np.random.default_rng(60)
+        lengths = np.array([3, 1, 5, 2])
+        states, projected, s, u_s = self._inputs(rng, lengths, 5)
+        _, alpha = self._run(states, projected, lengths, s, u_s,
+                             Tensor(rng.normal(size=(4, 3))))
+        pad = np.arange(5) >= lengths[:, None]
+        assert np.all(alpha[pad] == 0.0) and np.all(alpha[~pad] > 0.0)
+        assert np.all(states.grad[pad] == 0.0) and np.all(projected.grad[pad] == 0.0)
+        assert np.any(states.grad[~pad] != 0.0) and np.any(projected.grad[~pad] != 0.0)
+
+    def test_a_row_gets_what_it_gets_alone(self):
+        # row 0 (2 positions) beside a longer row equals row 0 alone, which has no padding
+        rng = np.random.default_rng(61)
+        lengths = np.array([2, 5])
+        states, projected, s, u_s = self._inputs(rng, lengths, 5)
+        w = rng.normal(size=(2, 3))
+        summary, alpha = self._run(states, projected, lengths, s, u_s, Tensor(w))
+        u_s_batched = u_s.grad
+        alone = [Tensor(states.data[:1, :2], requires_grad=True),
+                 Tensor(projected.data[:1, :2], requires_grad=True),
+                 Tensor(s.data[:1], requires_grad=True)]
+        other = [Tensor(states.data[1:], requires_grad=True),
+                 Tensor(projected.data[1:], requires_grad=True),
+                 Tensor(s.data[1:], requires_grad=True)]
+        u_s.grad = None
+        one, one_alpha = self._run(*alone[:2], lengths[:1], alone[2], u_s, Tensor(w[:1]))
+        self._run(*other[:2], lengths[1:], other[2], u_s, Tensor(w[1:]))
+        npt.assert_allclose(summary[0], one[0], rtol=0, atol=1e-12)
+        npt.assert_allclose(alpha[0, :2], one_alpha[0], rtol=0, atol=1e-12)
+        for batched, t in zip((states.grad[:1, :2], projected.grad[:1, :2], s.grad[:1]), alone):
+            npt.assert_allclose(batched, t.grad, rtol=0, atol=1e-12)
+        # u_s sums its gradient over the rows: the two rows alone add up to the batch's
+        npt.assert_allclose(u_s_batched, u_s.grad, rtol=0, atol=1e-12)
+
+    def test_one_call_records_one_op(self):
+        rng = np.random.default_rng(62)
+        lengths = np.array([2, 3])
+        states, projected, s, u_s = self._inputs(rng, lengths, 3)
+        with GradGraph() as g:
+            bilinear_attention(states, projected, lengths, s, u_s)
+        assert [op[0] for op in g.ops] == ["bilinear_attention"]
+
+    @staticmethod
+    def _weights(scores, lengths=None):
+        """The weights of the scores (B, T) themselves: a one-wide projection
+        read by q = 1."""
+        scores = np.asarray(scores, dtype=np.float64)
+        if lengths is None:
+            lengths = np.full(len(scores), scores.shape[1])
+        states = Tensor(np.zeros(scores.shape + (1,)))
+        return bilinear_attention(states, Tensor(scores[:, :, None]), lengths,
+                                  Tensor(np.ones((len(scores), 1))), Tensor(np.ones((1, 1))))[1]
+
+    def test_weights_sum_to_one(self):
+        rng = np.random.default_rng(2)
+        lengths = np.array([9, 4, 1, 7])
+        alpha = self._weights(rng.normal(scale=30.0, size=(4, 9)), lengths)
+        npt.assert_allclose(alpha.sum(axis=1), np.ones(4), atol=1e-6)
+        assert np.all(alpha >= 0) and np.all(np.isfinite(alpha))
+
+    def test_equal_scores_give_uniform_weights(self):
+        alpha = self._weights([[2.5, 2.5, 2.5, 9.0], [2.5, 2.5, 2.5, 2.5]], np.array([3, 4]))
+        npt.assert_allclose(alpha, [[1 / 3, 1 / 3, 1 / 3, 0.0], [0.25] * 4])
+
+    @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_weights_ignore_a_shift_of_every_score(self, vals):
+        x = np.asarray(vals)[None, :]
+        a, b = self._weights(x), self._weights(x + 7.25)
+        npt.assert_allclose(a, b, atol=1e-9)
+        npt.assert_allclose(a.sum(), 1.0, atol=1e-6)
+
+    def test_weights_stay_finite_at_large_scores(self):
+        alpha = self._weights([[1e4, -1e4, 3.0], [-1e4, -1e4, -1e4]])
+        assert np.all(np.isfinite(alpha))
+        npt.assert_allclose(alpha, [[1.0, 0.0, 0.0], [1 / 3] * 3], atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[0, 2], [1, 3], [1]])
+    def test_lengths_outside_the_states_are_refused(self, lengths):
+        rng = np.random.default_rng(63)
+        states, projected, s, u_s = self._inputs(rng, [2, 2], 2)
+        with pytest.raises(ShapeError, match="bilinear_attention"):
+            bilinear_attention(states, projected, np.array(lengths), s, u_s)
