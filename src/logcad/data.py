@@ -265,9 +265,10 @@ def build_vocab(entries: Sequence[Entry], size: int) -> Vocab:
     counts = Counter(t for e in entries for t in e.description)
     for special in Vocab.SPECIALS:
         counts.pop(special, None)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = [t for t, _ in ranked[: max(size - len(Vocab.SPECIALS), 0)]]
-    return Vocab(list(Vocab.SPECIALS) + keep)
+    # a stable sort by count, descending, keeps ties in lexicographic order
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    return Vocab(list(Vocab.SPECIALS) + ranked[: max(size - len(Vocab.SPECIALS), 0)])
 
 
 # ---------------------------------------------------------------------------

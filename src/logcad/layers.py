@@ -35,15 +35,23 @@ from logcad.tensor import (
 )
 
 INIT_SCALE = 0.08  # uniform weight init range; forget-gate bias starts at 1
+INIT_BLOCK = 1 << 16  # values per rng.uniform call in uniform_init
 
 
 def uniform_init(rng: Optional[np.random.Generator], shape, dtype=np.float64,
                  scale: float = INIT_SCALE) -> Tensor:
-    """Uniform [-scale, scale] weights; with no ``rng``, an uninitialized
-    placeholder of the shape, for weights a checkpoint load overwrites."""
-    if rng is None:
-        return Tensor(np.empty(shape, dtype=dtype), requires_grad=True)
-    return Tensor(rng.uniform(-scale, scale, size=shape).astype(dtype), requires_grad=True)
+    """Uniform [-scale, scale] weights, drawn as float64 and rounded once into
+    ``dtype``, block by block in C order: the values of one draw of the whole
+    shape, without its full-size float64 array. With no ``rng``, an
+    uninitialized placeholder of the shape, for weights a checkpoint load
+    overwrites."""
+    data = np.empty(shape, dtype=dtype)
+    if rng is not None:
+        flat = data.reshape(-1)
+        for start in range(0, flat.size, INIT_BLOCK):
+            stop = min(start + INIT_BLOCK, flat.size)
+            flat[start:stop] = rng.uniform(-scale, scale, size=stop - start)
+    return Tensor(data, requires_grad=True)
 
 
 def matrix_init(rng: Optional[np.random.Generator], shape, dtype=np.float64) -> Tensor:

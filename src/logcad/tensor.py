@@ -748,8 +748,9 @@ def fusion_gate(s: Tensor, feats: Sequence[Tensor], var: Optional[int], pre_z: T
     gradients are those of ``pre_z`` and ``pre_r``.
 
     The backward pass keeps only ``z``, ``r`` and ``s~``, and rebuilds ``[r*f;
-    s]`` from its inputs. The gradients of ``w_z`` and ``w_r`` are parts, at
-    the rows that this op multiplies."""
+    s]`` from its inputs. The gradients of ``w_z`` and ``w_r`` are parts, one
+    row slice for ``s`` and one for ``feats[var]``, the rows that this op
+    multiplies."""
     n = s.shape[0]
     widths = [t.shape[1] if t.ndim == 2 and t.shape[0] == n else -1 for t in feats]
     nf, ns = sum(widths), s.shape[-1]
@@ -794,16 +795,19 @@ def fusion_gate(s: Tensor, feats: Sequence[Tensor], var: Optional[int], pre_z: T
         if var is not None:
             d_f[:, block] += d_pre_r @ w_r.data[block].T + d_pre_z @ w_z.data[block].T
         d_feats = np.split(d_f, np.cumsum(widths[:-1]), axis=1)
+        grads = (d_s, *d_feats, _unbroadcast(d_pre_z, pre_z.shape),
+                 _unbroadcast(d_pre_r, pre_r.shape), _Part(state, s.data.T @ d_pre_z),
+                 _Part(state, s.data.T @ d_pre_r), rfs.T @ d_pre_s, d_pre_s.sum(axis=0))
         if var is None:
-            rows, varying = state, s.data
-        else:
-            rows, varying = np.r_[block, state], np.concatenate([feats[var].data, s.data], axis=1)
-        return (d_s, *d_feats, _unbroadcast(d_pre_z, pre_z.shape),
-                _unbroadcast(d_pre_r, pre_r.shape), _Part(rows, varying.T @ d_pre_z),
-                _Part(rows, varying.T @ d_pre_r), rfs.T @ d_pre_s, d_pre_s.sum(axis=0))
+            return grads
+        f_var = feats[var].data
+        return (*grads, _Part(block, f_var.T @ d_pre_z), _Part(block, f_var.T @ d_pre_r))
 
     out = (1.0 - z) * s.data + z * cand
-    return _record("fusion_gate", out, (s, *feats, pre_z, pre_r, w_z, w_r, w_s, b_s), bw)
+    # with a varying block, w_z and w_r are listed twice: their gradients
+    # land as two row slices, at the state's rows and at the block's
+    inputs = (s, *feats, pre_z, pre_r, w_z, w_r, w_s, b_s)
+    return _record("fusion_gate", out, inputs if var is None else (*inputs, w_z, w_r), bw)
 
 
 def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:

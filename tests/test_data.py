@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -187,6 +189,18 @@ class TestVocab:
         with pytest.raises(ValueError) as e:
             Vocab.load(path)
         assert str(e.value) == f"{path}: Vocab: token {twice!r} is listed twice"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "ab", "B", "ba", "a b", "é", "z9",
+                                              "[UNK]", "<eos>"]), min_size=1, max_size=12),
+                    max_size=8),
+           st.integers(0, 16))
+    def test_frequency_then_lexicographic_order(self, descriptions, size):
+        entries = [Entry(["p"], ["[TRG]"], (0, 0), d) for d in descriptions]
+        counts = Counter(t for d in descriptions for t in d if t not in Vocab.SPECIALS)
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        expected = [t for t, _ in ranked[: max(size - len(Vocab.SPECIALS), 0)]]
+        assert build_vocab(entries, size).tokens == list(Vocab.SPECIALS) + expected
 
 
 class TestStats:

@@ -8,10 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logcad.layers
 import logcad.model
 from logcad.data import EmbeddingTable, Entry, Vocab, make_batch
 from logcad.decode import greedy_decode
-from logcad.layers import MaskNetParams, attention, gate, gate_constants, lstm_cell
+from logcad.layers import (
+    INIT_SCALE,
+    AttentionParams,
+    BiLstmParams,
+    CharCnnParams,
+    GateParams,
+    LstmParams,
+    MaskNetParams,
+    attention,
+    gate,
+    gate_constants,
+    lstm_cell,
+    matrix_init,
+)
 from logcad.model import (
     VARIANTS,
     DescriptionModel,
@@ -1025,6 +1039,72 @@ class TestCheckpoint:
 class _NoDrawGenerator(np.random.Generator):
     def uniform(self, *args, **kwargs):
         raise AssertionError("drew weights")
+
+
+class _RecordingGenerator(np.random.Generator):
+    drawn = 0
+
+    def uniform(self, low, high, size):
+        self.drawn += int(np.prod(size))
+        return super().uniform(low, high, size)
+
+
+def _draw_whole(rng, shape, dtype=np.float64, scale=INIT_SCALE):
+    """``uniform_init`` as one float64 draw of the whole shape, then a cast."""
+    return Tensor(rng.uniform(-scale, scale, size=shape).astype(dtype), requires_grad=True)
+
+
+def _every_group(config, n_vocab, rng, dtype):
+    """Every parameter group of ModelParams' layout, each drawn in full from
+    ``rng`` in ModelParams' order whether or not the variant keeps it, through
+    whatever ``logcad.layers.uniform_init`` is; the tensors by name."""
+    held = {"word_emb": logcad.layers.uniform_init(rng, (n_vocab, config.word_emb_width), dtype)}
+    held.update(BiLstmParams.create(rng, config.word_emb_width, config.enc_width,
+                                    config.enc_layers, dtype).named("encoder"))
+    in_dim = config.dec_input_width
+    for k in range(config.dec_layers):
+        held.update(LstmParams.create(rng, in_dim, config.dec_width, dtype).named(f"decoder.l{k}"))
+        in_dim = config.dec_width
+    held.update(AttentionParams.create(rng, config.enc_width, config.dec_width,
+                                       config.attn_width, dtype).named("attn"))
+    held.update(CharCnnParams.create(rng, dtype=dtype).named("char"))
+    held.update(GateParams.create(rng, config.feature_width, config.dec_width,
+                                  dtype).named("gate"))
+    held.update(MaskNetParams.create(rng, config.enc_width, config.word_emb_width,
+                                     config.word_emb_width, dtype).named("masknet"))
+    held["out.w"] = matrix_init(rng, (config.dec_width, n_vocab), dtype)
+    held["out.b"] = Tensor(np.zeros(n_vocab, dtype=dtype))
+    return held
+
+
+class TestInit:
+    """A fresh ModelParams draws only the groups its variant keeps, and
+    those take the values they take when every group is drawn."""
+
+    # word_emb and out.w span several of uniform_init's blocks
+    N_VOCAB = 3 * logcad.layers.INIT_BLOCK // TINY["word_emb_width"] + 7
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_kept_groups_match_drawing_every_group(self, variant, dtype, monkeypatch):
+        config = tiny_config(variant)
+        rng = np.random.default_rng(23)
+        params = ModelParams(config, self.N_VOCAB, rng, dtype)
+        ref_rng = np.random.default_rng(23)
+        with monkeypatch.context() as m:
+            m.setattr(logcad.layers, "uniform_init", _draw_whole)
+            ref = _every_group(config, self.N_VOCAB, ref_rng, dtype)
+        for name, t in params.named():
+            assert t.data.dtype == dtype
+            assert t.data.tobytes() == ref[name].data.tobytes(), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_only_held_weights_are_drawn(self, variant):
+        rng = _RecordingGenerator(np.random.PCG64(24))
+        params = ModelParams(tiny_config(variant), 50, rng)
+        # the weight matrices are drawn; the 1-D biases start at constants
+        assert rng.drawn == sum(t.size for t in params.tensors() if t.ndim == 2)
 
 
 def _saved(tmp_path, variant, seed=21):
