@@ -79,7 +79,6 @@ class LstmParams:
     wh: Tensor  # (hidden, 4*hidden)
     b: Tensor   # (4*hidden,); the forget block starts at 1
     input_dim: int
-    hidden: int
 
     @classmethod
     def create(cls, rng: Optional[np.random.Generator], input_dim: int, hidden: int,
@@ -96,7 +95,7 @@ class LstmParams:
         b = np.zeros(4 * hidden, dtype=dtype)
         b[hidden:2 * hidden] = 1.0
         return cls(wx=Tensor(wx, requires_grad=True), wh=Tensor(wh, requires_grad=True),
-                   b=Tensor(b, requires_grad=True), input_dim=input_dim, hidden=hidden)
+                   b=Tensor(b, requires_grad=True), input_dim=input_dim)
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.wx", self.wx
@@ -208,13 +207,12 @@ def join_words(words: Sequence[str]) -> str:
 @dataclass
 class CharCnnParams:
     """Character embeddings plus 1-D convolution banks; the pooled bank
-    outputs concatenate to ``out_width``."""
+    outputs concatenate to one feature vector per phrase."""
 
     emb: Tensor          # (alphabet, char_emb)
     banks: list          # list of (width, kernel (width*char_emb, channels), bias (channels,))
     alphabet: CharAlphabet
     char_emb: int
-    out_width: int
 
     # kernel widths 2..6 with channel counts summing to 160
     DEFAULT_BANKS = ((2, 10), (3, 30), (4, 40), (5, 40), (6, 40))
@@ -230,8 +228,7 @@ class CharCnnParams:
             kernel = matrix_init(rng, (width * char_emb, channels), dtype)
             bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
             banks.append((width, kernel, bias))
-        return cls(emb=emb, banks=banks, alphabet=alphabet, char_emb=char_emb,
-                   out_width=sum(c for _, c in bank_spec))
+        return cls(emb=emb, banks=banks, alphabet=alphabet, char_emb=char_emb)
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
         yield f"{prefix}.emb", self.emb

@@ -166,58 +166,47 @@ class InputMismatch(ValueError):
     """A vocabulary or embedding table that does not fit; the message names its file."""
 
 
-class _Skipping:
-    """Stands in for a generator while a dropped group is created: each
-    ``uniform`` call advances the generator past the values it would draw,
-    one 64-bit output each as PCG64 spends per float64, and returns zeros in
-    their place (garbage could overflow the cast to float32)."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.bit_generator = rng.bit_generator
-
-    def uniform(self, low, high, size):
-        self.bit_generator.advance(int(np.prod(size)))
-        return np.zeros(size)
-
-
 class ModelParams:
     """The trainable weights of one variant: only the parameter groups its
     ``ModelConfig.uses_*`` flags select (see the README's per-variant table).
-    With ``rng=None`` the weights are uninitialized placeholders of the right
+    A dropped group is not built: a fresh model advances ``rng`` past the
+    values its weight matrices would draw, so every kept tensor takes the
+    same values from the seed as when each variant held all groups. With
+    ``rng=None`` the kept weights are uninitialized placeholders of the right
     shapes, for ``load_params_into`` to replace."""
 
     def __init__(self, config: ModelConfig, n_vocab: int,
                  rng: Optional[np.random.Generator], dtype=np.float32):
         self.dtype = dtype
 
-        def source(kept: bool):
-            # a group the variant drops draws nothing: rng is advanced past
-            # its values instead, so every kept tensor takes the same values
-            # from the seed as when each variant held all groups
-            return rng if kept or rng is None else _Skipping(rng)
+        def held(kept: bool, create):
+            # a dropped group draws, writes and keeps nothing; on a fresh model
+            # rng skips its weight matrices, sized by unwritten placeholders,
+            # at the one 64-bit output PCG64 spends per float64
+            if kept:
+                return create(rng)
+            if rng is not None:
+                rng.bit_generator.advance(sum(t.size for _, t in create(None).named("")
+                                              if t.ndim == 2))
+            return None
 
         self.word_emb = uniform_init(rng, (n_vocab, config.word_emb_width), dtype)
-        encoder = BiLstmParams.create(source(config.uses_encoder), config.word_emb_width,
-                                      config.enc_width, config.enc_layers, dtype)
+        self.encoder = held(config.uses_encoder, lambda r: BiLstmParams.create(
+            r, config.word_emb_width, config.enc_width, config.enc_layers, dtype))
         self.decoder: list[LstmParams] = []
         in_dim = config.dec_input_width
         for _ in range(config.dec_layers):
             self.decoder.append(LstmParams.create(rng, in_dim, config.dec_width, dtype))
             in_dim = config.dec_width
-        attn = AttentionParams.create(source(config.uses_attention), config.enc_width,
-                                      config.dec_width, config.attn_width, dtype)
-        char = CharCnnParams.create(source(config.uses_char), dtype=dtype)
-        gate = GateParams.create(source(config.uses_gate), config.feature_width,
-                                 config.dec_width, dtype)
-        masknet = MaskNetParams.create(source(config.variant == "i-attention"), config.enc_width,
-                                       config.word_emb_width, config.word_emb_width, dtype)
+        self.attn = held(config.uses_attention, lambda r: AttentionParams.create(
+            r, config.enc_width, config.dec_width, config.attn_width, dtype))
+        self.char = held(config.uses_char, lambda r: CharCnnParams.create(r, dtype=dtype))
+        self.gate = held(config.uses_gate, lambda r: GateParams.create(
+            r, config.feature_width, config.dec_width, dtype))
+        self.masknet = held(config.variant == "i-attention", lambda r: MaskNetParams.create(
+            r, config.enc_width, config.word_emb_width, config.word_emb_width, dtype))
         self.out_w = matrix_init(rng, (config.dec_width, n_vocab), dtype)
         self.out_b = Tensor(np.zeros(n_vocab, dtype=dtype), requires_grad=True)
-        self.encoder = encoder if config.uses_encoder else None
-        self.attn = attn if config.uses_attention else None
-        self.char = char if config.uses_char else None
-        self.gate = gate if config.uses_gate else None
-        self.masknet = masknet if config.variant == "i-attention" else None
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
         yield "word_emb", self.word_emb

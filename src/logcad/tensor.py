@@ -574,8 +574,8 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
     # ``order`` picks the sorted rows of a (B, ...) array, ``steps_of(a, k)``
     # direction k's inputs at its state rows past block 0 from a (B, T, ...)
     # array, ``outputs`` makes the op's outputs from each direction's hidden
-    # and cell states, and ``align(p, k)`` puts direction k's state rows in
-    # direction 0's order
+    # and cell states, and ``x_grad(dx, k)`` makes direction k's gradient of
+    # ``x`` from one row per state row past block 0
     if full:
         n, offs = [bsz] * (steps + 1), range(0, (steps + 1) * bsz, bsz)
         order, last = slice(None), slice(steps * bsz, None)
@@ -595,11 +595,7 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
                     np.concatenate([h[last] for h in hs], axis=1),
                     np.concatenate([c[last] for c in cs], axis=1))
 
-        def align(p, k):
-            return p if revs[k] == revs[0] else p.reshape(steps, bsz, -1)[::-1].reshape(p.shape)
-
-        def x_grad(dx):
-            return unsteps(dx, 0)
+        x_grad = unsteps
 
         def prev_rows():
             return slice(0, steps * bsz)
@@ -628,13 +624,8 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
                 h_last[order, cols[k]], c_last[order, cols[k]] = h[last], c[last]
             return out, h_last, c_last
 
-        def align(p, k):
-            at = np.empty(bsz * steps, dtype=np.intp)
-            at[rows * steps + poss[k]] = np.arange(len(rows))
-            return p[at[rows * steps + poss[0]]]
-
-        def x_grad(dx):
-            return _Part((rows, poss[0]), dx)
+        def x_grad(dx, k):
+            return _Part((rows, poss[k]), dx)
 
         def prev_rows():  # the previous state of state row k in block s > 0 is row k - n[s-1]
             return np.arange(bsz, len(s_of)) - np.repeat(n[:-1], n[1:])
@@ -708,26 +699,24 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
 
     def bw(grads):  # of the hidden states and of the last hidden and cell states
         back = slice(None) if full else order.argsort()  # each row's sorted place
-        weights, dx = [], None
+        grads_in = []
         dh0, dc0 = np.empty_like(h0.data), np.empty_like(c0.data)
         # one direction at a time, so only one direction's dz is alive
         for k, w_x in enumerate(wxs):
             dz, dh, dc = bptt(k, grads)
             h_prev = np.concatenate([h0.data[order, cols[k]],
                                      steps_of(out[:, :, cols[k]], k)])[prev_rows()]
-            weights += [packed(k).T @ dz, dz.sum(axis=0), h_prev.T @ dz]
-            dx_k = dz @ w_x.data.T
-            if dx is None:
-                dx = dx_k
-            else:
-                dx += align(dx_k, k)
+            dx = dz @ w_x.data.T
+            if drop is not None:
+                dx *= kept(k)
+            grads_in += [x_grad(dx, k), packed(k).T @ dz, dz.sum(axis=0), h_prev.T @ dz]
             dh0[:, cols[k]], dc0[:, cols[k]] = dh[back], dc[back]
-            del dz, dh, dc, h_prev, dx_k
-        if drop is not None:
-            dx *= kept(0)
-        return (x_grad(dx), *weights, dh0, dc0)
+            del dz, dh, dc, h_prev, dx
+        return (*grads_in, dh0, dc0)
 
-    inputs = (x, *(t for cell in zip(wxs, bs, whs) for t in cell), h0, c0)
+    # x is listed once per direction: each direction's gradient of x lands on
+    # its own, in that direction's order
+    inputs = (*(t for cell in zip(wxs, bs, whs) for t in (x, *cell)), h0, c0)
     return _record("lstm_sequence", (out, h_last, c_last), inputs, bw)
 
 

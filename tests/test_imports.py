@@ -1,8 +1,9 @@
 """Every name a module of the package imports is read in that module, every
 name ``logcad.tensor`` exports is imported by another module, every
 private function, method and class the package defines is referenced in it,
-and every defaulted parameter the package defines is passed by some call and,
-if any call reaches it, left out by some call."""
+every defaulted parameter the package defines is passed by some call and, if
+any call reaches it, left out by some call, and every dataclass field it
+defines is read as an attribute."""
 
 import ast
 from pathlib import Path
@@ -300,3 +301,48 @@ def test_every_default_is_relied_on_by_some_call():
     calling = defining + [path.read_text(encoding="utf-8")
                           for path in sorted(PERFBENCH.glob("*.py"))]
     assert unrelied_defaults(defining, calling) == sorted(DEFAULTS_RELIED_ON_BY_TESTS)
+
+
+def unread_dataclass_fields(defining: list[str], reading: list[str]) -> list[str]:
+    """``"Class.field"`` for each field of a dataclass defined in
+    ``defining`` whose name no module of ``reading`` reads as an attribute
+    (``obj.field`` in a load, not an assignment)."""
+    def is_dataclass(decorator) -> bool:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    defined = [(node.name, stmt.target.id)
+               for tree in map(ast.parse, defining) for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+               for stmt in node.body
+               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    read = {node.attr for tree in map(ast.parse, reading) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{cls}.{name}" for cls, name in defined if name not in read)
+
+
+def test_field_checker_flags_unread_fields():
+    defining = ["import dataclasses\n"
+                "from dataclasses import dataclass\n"
+                "@dataclass\n"
+                "class A:\n"
+                "    used: int\n"
+                "    unused: int\n"
+                "    LIMIT = 3\n"
+                "@dataclasses.dataclass(frozen=True)\n"
+                "class B:\n"
+                "    x: int\n"
+                "    written: int\n"
+                "class Plain:\n"
+                "    y: int\n"]
+    reading = defining + ["def f(a, b):\n"
+                          "    b.written = a.LIMIT\n"
+                          "    return a.used + b.x\n"]
+    assert unread_dataclass_fields(defining, reading) == ["A.unused", "B.written"]
+
+
+def test_every_dataclass_field_is_read():
+    defining = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    reading = defining + [path.read_text(encoding="utf-8")
+                          for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unread_dataclass_fields(defining, reading) == []

@@ -22,6 +22,7 @@ from logcad.layers import (
     matrix_init,
     project_context,
 )
+from logcad.model import CHAR_WIDTH
 from logcad.tensor import (
     GradGraph,
     ShapeError,
@@ -124,7 +125,7 @@ class TestLstmCell:
 
 def _cell_loop(p, seq):
     """(B, T, D) array -> (B, T, H) hidden states, one lstm_cell per step."""
-    h = c = Tensor(np.zeros((seq.shape[0], p.hidden)))
+    h = c = Tensor(np.zeros((seq.shape[0], p.wh.shape[0])))
     outs = []
     for t in range(seq.shape[1]):
         h, c = lstm_cell(p, Tensor(seq[:, t]), h, c)
@@ -321,7 +322,7 @@ class TestCharCnn:
     def test_trailing_padding_invariance_backward(self):
         p = CharCnnParams.create(np.random.default_rng(3))
         params = [p.emb] + [t for _, kernel, bias in p.banks for t in (kernel, bias)]
-        weights = Tensor(np.random.default_rng(4).normal(size=(1, p.out_width)))
+        weights = Tensor(np.random.default_rng(4).normal(size=(1, CHAR_WIDTH)))
 
         def grads(phrases):
             for t in params:

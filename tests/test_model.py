@@ -27,6 +27,7 @@ from logcad.layers import (
     matrix_init,
 )
 from logcad.model import (
+    CHAR_WIDTH,
     VARIANTS,
     DescriptionModel,
     ModelConfig,
@@ -99,14 +100,14 @@ def np_bilstm(enc, embs):
     seq = embs  # (T, E), single unpadded sequence
     for fwd, bwd in enc.layers:
         t_len = seq.shape[0]
-        h = np.zeros(fwd.hidden)
-        c = np.zeros(fwd.hidden)
+        h = np.zeros(fwd.wh.shape[0])
+        c = np.zeros(fwd.wh.shape[0])
         outs_f = []
         for t in range(t_len):
             h, c = np_lstm_step(fwd, seq[t], h, c)
             outs_f.append(h)
-        h = np.zeros(bwd.hidden)
-        c = np.zeros(bwd.hidden)
+        h = np.zeros(bwd.wh.shape[0])
+        c = np.zeros(bwd.wh.shape[0])
         outs_b = [None] * t_len
         for t in reversed(range(t_len)):
             h, c = np_lstm_step(bwd, seq[t], h, c)
@@ -673,12 +674,12 @@ def padded_bilstm_encode(p, embs, lengths, drop=0.0, rng=None):
         return reshape(take_rows(reshape(seq, (b * t, seq.shape[2])), flat), seq.shape)
 
     def run(lp, seq):
-        h = c = Tensor(np.zeros((b, lp.hidden)))
+        h = c = Tensor(np.zeros((b, lp.wh.shape[0])))
         outs = []
         for k in range(t):
             step = take_rows(reshape(seq, (b * t, seq.shape[2])), np.arange(b) * t + k)
             h, c = lstm_cell(lp, step, h, c)
-            outs.append(reshape(h, (b, 1, lp.hidden)))
+            outs.append(reshape(h, (b, 1, lp.wh.shape[0])))
         return concat(outs, axis=1)
 
     seq = embs
@@ -823,7 +824,7 @@ class TestVariantReduction:
             assert n1 == n2
             self._copy(t2, t1)
         # gate rows: [word(4); enc(6); char(160); state(5)] -> drop the enc rows
-        w, e, c = cfg.word_emb_width, cfg.enc_width, m1.params.char.out_width
+        w, e, c = cfg.word_emb_width, cfg.enc_width, CHAR_WIDTH
         keep_rows = np.r_[0:w, w + e : w + e + c, w + e + c : w + e + c + cfg.dec_width]
         keep_f = np.r_[0:w, w + e : w + e + c]
         g1, g2 = m1.params.gate, m2.params.gate
@@ -859,7 +860,7 @@ class TestVariantReduction:
         ):
             assert n1 == n2
             self._copy(t2, t1)
-        w, e, c = cfg.word_emb_width, cfg.enc_width, m1.params.char.out_width
+        w, e, c = cfg.word_emb_width, cfg.enc_width, CHAR_WIDTH
         keep_rows = np.r_[w : w + e + c, w + e + c : w + e + c + cfg.dec_width]
         keep_f = np.r_[w : w + e + c]
         g1, g2 = m1.params.gate, m2.params.gate
@@ -1125,6 +1126,23 @@ class TestLoadPath:
         load_model(path, toy_vocab(), table)
         with pytest.raises(AssertionError, match="drew weights"):
             DescriptionModel(tiny_config("log-cad"), toy_vocab(), table, seed=21)
+
+    @pytest.mark.parametrize("variant", ["global", "log-cad"])
+    def test_load_builds_no_dropped_group(self, tmp_path, monkeypatch, variant):
+        _, path = _saved(tmp_path, variant)
+        config = tiny_config(variant)
+        kept = {BiLstmParams: config.uses_encoder, AttentionParams: config.uses_attention,
+                CharCnnParams: config.uses_char, GateParams: config.uses_gate,
+                MaskNetParams: variant == "i-attention"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a dropped group")
+
+        for group in (g for g, held in kept.items() if not held):
+            monkeypatch.setattr(group, "create", refuse)
+        loaded, _ = load_model(path, toy_vocab(), toy_table())
+        tensors, _ = load_checkpoint(path)
+        assert [name for name, _ in loaded.params.named()] == list(tensors)
 
     def test_arrays_are_aligned_writable_views_of_one_buffer(self, tmp_path):
         model, path = _saved(tmp_path, "log-cad")
