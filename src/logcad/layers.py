@@ -314,57 +314,57 @@ def attention(p: AttentionParams, states: Tensor, s_t: Tensor, lengths: np.ndarr
 @dataclass
 class GateParams:
     """GRU-style interpolation of the decoder state with a candidate state
-    conditioned on the concatenated context features."""
+    conditioned on the concatenated context features. The update and reset
+    gates read the same input ``[f; s]``, so their weights are fused
+    column-wise, as the LSTM's gates are; W_r maps to the feature width, as
+    the reset vector multiplies f element-wise."""
 
-    w_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    b_r: Tensor
-    w_s: Tensor
+    w_zr: Tensor  # (F+S, S+F): W_z in the first S columns, W_r in the F after them
+    b_zr: Tensor  # (S+F,)
+    w_s: Tensor   # (F+S, S)
     b_s: Tensor
 
     @classmethod
     def create(cls, rng: Optional[np.random.Generator], feature_dim: int, state_dim: int,
                dtype=np.float64) -> "GateParams":
-        # the reset vector multiplies f_t element-wise, so W_r maps to the
-        # feature width; the update gate and candidate map to the state width
+        # W_z, then W_r, then W_s, each its own draw with its own Glorot floor;
+        # no rng leaves placeholders, as in matrix_init
         total = feature_dim + state_dim
+        w_zr = np.empty((total, total), dtype=dtype)
+        if rng is not None:
+            w_zr[:, :state_dim] = matrix_init(rng, (total, state_dim), dtype).data
+            w_zr[:, state_dim:] = matrix_init(rng, (total, feature_dim), dtype).data
         return cls(
-            w_z=matrix_init(rng, (total, state_dim), dtype),
-            b_z=Tensor(np.zeros(state_dim, dtype=dtype), requires_grad=True),
-            w_r=matrix_init(rng, (total, feature_dim), dtype),
-            b_r=Tensor(np.zeros(feature_dim, dtype=dtype), requires_grad=True),
+            w_zr=Tensor(w_zr, requires_grad=True),
+            b_zr=Tensor(np.zeros(total, dtype=dtype), requires_grad=True),
             w_s=matrix_init(rng, (total, state_dim), dtype),
             b_s=Tensor(np.zeros(state_dim, dtype=dtype), requires_grad=True),
         )
 
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name in ("w_z", "b_z", "w_r", "b_r", "w_s", "b_s"):
+        for name in ("w_zr", "b_zr", "w_s", "b_s"):
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def gate_constants(p: GateParams, blocks: Sequence[tuple[int, Tensor]]) -> tuple[Tensor, Tensor]:
+def gate_constants(p: GateParams, blocks: Sequence[tuple[int, Tensor]]) -> Tensor:
     """The part of the gate's z and r pre-activations that does not change
-    over a session: ``b_z + sum_k f_k @ W_z[rows of f_k]``, and the same for
-    r, over the feature blocks ``blocks``, each given as (its first column
-    in f, the block). With no blocks these are the biases."""
-    pre = []
-    for w, bias in ((p.w_z, p.b_z), (p.w_r, p.b_r)):
-        acc = bias
-        for start, block in blocks:
-            acc = add(matmul(block, take_rows(w, slice(start, start + block.shape[1]))), acc)
-        pre.append(acc)
-    return pre[0], pre[1]
+    over a session: ``b_zr + sum_k f_k @ w_zr[rows of f_k]``, over the
+    feature blocks ``blocks``, each given as (its first column in f, the
+    block). With no blocks this is the bias."""
+    pre = p.b_zr
+    for start, block in blocks:
+        pre = add(matmul(block, take_rows(p.w_zr, slice(start, start + block.shape[1]))), pre)
+    return pre
 
 
 def gate(p: GateParams, s_t: Tensor, feats: Sequence[Tensor], var: Optional[int],
-         pre: tuple[Tensor, Tensor]) -> Tensor:
-    """z = sig(W_z[f;s]+b_z);  r = sig(W_r[f;s]+b_r);
-    s~ = tanh(W_s[(r*f);s]+b_s);  s' = (1-z)*s + z*s~, for f the feature
-    blocks ``feats`` side by side, as one ``tensor.fusion_gate`` op. ``pre``
-    is ``gate_constants`` of every block but ``feats[var]`` (of every block
-    when ``var`` is None), so each call multiplies only s and that block."""
-    return fusion_gate(s_t, feats, var, *pre, p.w_z, p.w_r, p.w_s, p.b_s)
+         pre: Tensor) -> Tensor:
+    """[z | r] = sig(W_zr[f;s]+b_zr);  s~ = tanh(W_s[(r*f);s]+b_s);
+    s' = (1-z)*s + z*s~, for f the feature blocks ``feats`` side by side, as
+    one ``tensor.fusion_gate`` op. ``pre`` is ``gate_constants`` of every
+    block but ``feats[var]`` (of every block when ``var`` is None), so each
+    call multiplies only s and that block."""
+    return fusion_gate(s_t, feats, var, pre, p.w_zr, p.w_s, p.b_s)
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,8 @@ class ModelConfig:
         return self.variant != "global"
 
     @property
-    def uses_char(self) -> bool:
-        return self.variant != "i-attention"
-
-    @property
     def uses_gate(self) -> bool:
+        """The fusion gate, and the char CNN, which feeds only the gate."""
         return self.variant != "i-attention"
 
     @property
@@ -200,7 +197,7 @@ class ModelParams:
             in_dim = config.dec_width
         self.attn = held(config.uses_attention, lambda r: AttentionParams.create(
             r, config.enc_width, config.dec_width, config.attn_width, dtype))
-        self.char = held(config.uses_char, lambda r: CharCnnParams.create(r, dtype=dtype))
+        self.char = held(config.uses_gate, lambda r: CharCnnParams.create(r, dtype=dtype))
         self.gate = held(config.uses_gate, lambda r: GateParams.create(
             r, config.feature_width, config.dec_width, dtype))
         self.masknet = held(config.variant == "i-attention", lambda r: MaskNetParams.create(
@@ -249,8 +246,8 @@ class _Session:
     enc_states: Optional[Tensor]   # (B, T, enc_width), for attention
     enc_proj: Optional[Tensor]
     enc_lengths: Optional[np.ndarray]  # (B,) context lengths, for attention
-    pre_z: Optional[Tensor]        # (B, dec_width) and (B, F): the gate's pre-activations
-    pre_r: Optional[Tensor]        # from its biases and the features x_trg and c_trg
+    pre: Optional[Tensor]          # (B, dec_width + F): the gate's z and r pre-activations
+                                   # from its bias and the features x_trg and c_trg
 
     def take(self, rows) -> "_Session":
         """The session made of rows ``rows`` of this one, in that order: a
@@ -268,7 +265,7 @@ class _Session:
                        x_masked=pick(self.x_masked),
                        enc_states=pick(self.enc_states), enc_proj=pick(self.enc_proj),
                        enc_lengths=None if self.enc_lengths is None else self.enc_lengths[rows],
-                       pre_z=pick(self.pre_z), pre_r=pick(self.pre_r))
+                       pre=pick(self.pre))
 
 
 class DescriptionModel:
@@ -311,7 +308,7 @@ class DescriptionModel:
         variant's conditioning includes the gate's pre-activations from its
         constant features, the phrase embedding and the char CNN's."""
         cfg = self.config
-        enc_states = enc_proj = enc_lengths = x_trg = c_trg = x_masked = pre_z = pre_r = None
+        enc_states = enc_proj = enc_lengths = x_trg = c_trg = x_masked = pre = None
         if cfg.uses_encoder:
             lengths = batch.context_lengths
             embs = take_rows(self.params.word_emb, batch.context_ids)
@@ -323,22 +320,21 @@ class DescriptionModel:
         if cfg.uses_global_embedding:
             x_trg = Tensor(np.asarray([phrase_embedding(words, self.emb_table)
                                        for words in batch.phrase_words], dtype=self.dtype))
-        if cfg.uses_char:
-            c_trg = char_cnn(self.params.char, batch.phrase_words)
         if cfg.variant == "i-attention":
             x_masked = iattention_mask(self.params.masknet, enc_states, x_trg, lengths=lengths)
             enc_states = None  # after this step only attention reads them
         if cfg.uses_gate:
+            c_trg = char_cnn(self.params.char, batch.phrase_words)
             # the gate's feature rows are [x_trg; d_t; c_trg], without the
             # blocks the variant lacks; d_t changes at every step
             blocks = [(0, x_trg)] if cfg.uses_global_embedding else []
             blocks.append((cfg.feature_width - CHAR_WIDTH, c_trg))
-            pre_z, pre_r = gate_constants(self.params.gate, blocks)
+            pre = gate_constants(self.params.gate, blocks)
         zeros = lambda: Tensor(np.zeros((len(batch), cfg.dec_width), dtype=self.dtype))  # noqa: E731
         return _Session(step=0, layer_states=[(zeros(), zeros()) for _ in self.params.decoder],
                         x_trg=x_trg, c_trg=c_trg, x_masked=x_masked,
                         enc_states=enc_states, enc_proj=enc_proj, enc_lengths=enc_lengths,
-                        pre_z=pre_z, pre_r=pre_r)
+                        pre=pre)
 
     def _top(self, session: _Session, x: Tensor, drop) -> tuple[Tensor, Tensor]:
         """A gated variant's top decoder layer's ``lstm_cell`` step on input
@@ -355,7 +351,7 @@ class DescriptionModel:
             var = len(feats)
             feats.append(d_t)
         feats.append(session.c_trg)
-        return gate(self.params.gate, h, feats, var, (session.pre_z, session.pre_r)), c
+        return gate(self.params.gate, h, feats, var, session.pre), c
 
     def _inputs(self, session: _Session, ids: np.ndarray) -> Tensor:
         """The decoder's inputs (rows, T, width) for the session's next T
@@ -482,8 +478,10 @@ class DescriptionModel:
 # checkpoint format: text manifest, then raw little-endian float32 blocks
 
 
-# v2 stores each LSTM cell as fused ``wx``/``wh``/``b`` (gate order i, f, g, o);
-# v1 stored twelve per-gate tensors and is refused
+# v2 stores each LSTM cell as fused ``wx``/``wh``/``b`` (gate order i, f, g, o),
+# and the fusion gate's update and reset weights fused as ``w_zr``/``b_zr``: a v2
+# file with the gate's four separate tensors lacks ``gate.w_zr`` and is refused
+# as missing it. v1 stored twelve per-gate LSTM tensors and is refused
 _MAGIC = "logcad-checkpoint v2"
 _V1_MAGIC = "logcad-checkpoint v1"
 _DATA_MARKER = b"\nDATA\n"

@@ -720,54 +720,46 @@ def lstm_sequence(x: Tensor, wx, b, wh, lengths, h0: Tensor, c0: Tensor, reverse
     return _record("lstm_sequence", (out, h_last, c_last), inputs, bw)
 
 
-def fusion_gate(s: Tensor, feats: Sequence[Tensor], var: Optional[int], pre_z: Tensor,
-                pre_r: Tensor, w_z: Tensor, w_r: Tensor, w_s: Tensor, b_s: Tensor) -> Tensor:
+def fusion_gate(s: Tensor, feats: Sequence[Tensor], var: Optional[int], pre: Tensor,
+                w_zr: Tensor, w_s: Tensor, b_s: Tensor) -> Tensor:
     """The context-fusion gate as one op, for a state ``s`` (N, S) and the
     features ``f`` (N, F), the blocks ``feats`` side by side: with ``fs = [f;
-    s]``, ``z = sig(fs @ w_z + b_z)``, ``r = sig(fs @ w_r + b_r)``, ``s~ =
-    tanh([r*f; s] @ w_s + b_s)`` and ``s' = (1-z)*s + z*s~``; ``w_z``, ``w_s``
-    are (F+S, S), ``w_r`` (F+S, F).
+    s]``, ``[z | r] = sig(fs @ w_zr + b_zr)``, ``s~ = tanh([r*f; s] @ w_s +
+    b_s)`` and ``s' = (1-z)*s + z*s~``; ``w_zr`` is (F+S, S+F), the update
+    gate's weights in its first S columns and the reset gate's in the F after
+    them, and ``w_s`` is (F+S, S).
 
     Only ``s`` and the block ``feats[var]`` (no block if ``var`` is None) are
-    multiplied here, by their rows of ``w_z`` and ``w_r``. ``pre_z`` and
-    ``pre_r``, (N, S) and (N, F) or (S,) and (F,), hold the rest of the
-    pre-activations: ``b_z`` plus the other blocks times their rows of
-    ``w_z``, and the same for ``r``. A decoder whose other blocks do not
-    change computes them once (``layers.gate_constants``), and their
-    gradients are those of ``pre_z`` and ``pre_r``.
+    multiplied here, by their rows of ``w_zr``. ``pre``, (N, S+F) or (S+F,),
+    holds the rest of the pre-activation: ``b_zr`` plus the other blocks times
+    their rows of ``w_zr``. A decoder whose other blocks do not change
+    computes it once (``layers.gate_constants``), and its gradient is that of
+    ``pre``.
 
     The backward pass keeps only ``z``, ``r`` and ``s~``, and rebuilds ``[r*f;
-    s]`` from its inputs. The gradients of ``w_z`` and ``w_r`` are parts, one
-    row slice for ``s`` and one for ``feats[var]``, the rows that this op
-    multiplies."""
+    s]`` from its inputs. The gradient of ``w_zr`` is parts, one row slice for
+    ``s`` and one for ``feats[var]``, the rows that this op multiplies."""
     n = s.shape[0]
     widths = [t.shape[1] if t.ndim == 2 and t.shape[0] == n else -1 for t in feats]
     nf, ns = sum(widths), s.shape[-1]
     if s.ndim != 2 or -1 in widths or not (var is None or 0 <= var < len(feats)) \
-            or w_z.shape != (nf + ns, ns) or w_s.shape != w_z.shape \
-            or w_r.shape != (nf + ns, nf) or b_s.shape != (ns,) \
-            or pre_z.shape not in ((ns,), (n, ns)) or pre_r.shape not in ((nf,), (n, nf)):
+            or w_zr.shape != (nf + ns, ns + nf) or w_s.shape != (nf + ns, ns) \
+            or b_s.shape != (ns,) or pre.shape not in ((ns + nf,), (n, ns + nf)):
         raise ShapeError(f"fusion_gate: need s (N,S), feature blocks (N,F_k) of F columns, "
-                         f"pre_z (N,S) or (S,), pre_r (N,F) or (F,), w_z and w_s (F+S,S), "
-                         f"w_r (F+S,F) and b_s (S,), got {s.shape}, {[t.shape for t in feats]}, "
-                         f"{pre_z.shape}, {pre_r.shape}, {w_z.shape}, {w_s.shape}, {w_r.shape} "
-                         f"and {b_s.shape}")
+                         f"pre (N,S+F) or (S+F,), w_zr (F+S,S+F), w_s (F+S,S) and b_s (S,), "
+                         f"got {s.shape}, {[t.shape for t in feats]}, {pre.shape}, "
+                         f"{w_zr.shape}, {w_s.shape} and {b_s.shape}")
     f = feats[0].data if len(feats) == 1 else np.concatenate([t.data for t in feats], axis=1)
-    # the rows of w_z and w_r that this op multiplies: those of s and feats[var]
+    # the rows of w_zr that this op multiplies: those of s and feats[var]
     state = slice(nf, nf + ns)
+    zr = s.data @ w_zr.data[state]
+    zr += pre.data
     if var is not None:
         start = sum(widths[:var])
         block = slice(start, start + widths[var])
-
-    def pre_activation(pre, w):
-        out = s.data @ w.data[state]
-        out += pre.data
-        if var is not None:
-            out += feats[var].data @ w.data[block]
-        return out
-
-    z = _sig(pre_activation(pre_z, w_z))
-    r = _sig(pre_activation(pre_r, w_r))
+        zr += feats[var].data @ w_zr.data[block]
+    zr = _sig(zr)
+    z, r = zr[:, :ns], zr[:, ns:]
     cand = np.tanh(np.concatenate([r * f, s.data], axis=1) @ w_s.data + b_s.data)
 
     def bw(g):
@@ -778,25 +770,24 @@ def fusion_gate(s: Tensor, feats: Sequence[Tensor], var: Optional[int], pre_z: T
         d_rfs = d_pre_s @ w_s.data.T
         d_s = d_s + d_rfs[:, nf:]
         d_f = d_rfs[:, :nf] * r
-        d_pre_r = d_rfs[:, :nf] * f * r * (1.0 - r)
-        d_pre_z = d_z * z * (1.0 - z)
-        d_s += d_pre_r @ w_r.data[state].T + d_pre_z @ w_z.data[state].T
+        d_pre = np.empty_like(zr)
+        np.multiply(d_z * z, 1.0 - z, out=d_pre[:, :ns])
+        np.multiply(d_rfs[:, :nf] * f * r, 1.0 - r, out=d_pre[:, ns:])
+        d_s += d_pre @ w_zr.data[state].T
         if var is not None:
-            d_f[:, block] += d_pre_r @ w_r.data[block].T + d_pre_z @ w_z.data[block].T
+            d_f[:, block] += d_pre @ w_zr.data[block].T
         d_feats = np.split(d_f, np.cumsum(widths[:-1]), axis=1)
-        grads = (d_s, *d_feats, _unbroadcast(d_pre_z, pre_z.shape),
-                 _unbroadcast(d_pre_r, pre_r.shape), _Part(state, s.data.T @ d_pre_z),
-                 _Part(state, s.data.T @ d_pre_r), rfs.T @ d_pre_s, d_pre_s.sum(axis=0))
+        grads = (d_s, *d_feats, _unbroadcast(d_pre, pre.shape), _Part(state, s.data.T @ d_pre),
+                 rfs.T @ d_pre_s, d_pre_s.sum(axis=0))
         if var is None:
             return grads
-        f_var = feats[var].data
-        return (*grads, _Part(block, f_var.T @ d_pre_z), _Part(block, f_var.T @ d_pre_r))
+        return (*grads, _Part(block, feats[var].data.T @ d_pre))
 
     out = (1.0 - z) * s.data + z * cand
-    # with a varying block, w_z and w_r are listed twice: their gradients
-    # land as two row slices, at the state's rows and at the block's
-    inputs = (s, *feats, pre_z, pre_r, w_z, w_r, w_s, b_s)
-    return _record("fusion_gate", out, inputs if var is None else (*inputs, w_z, w_r), bw)
+    # with a varying block, w_zr is listed twice: its gradient lands as two
+    # row slices, at the state's rows and at the block's
+    inputs = (s, *feats, pre, w_zr, w_s, b_s)
+    return _record("fusion_gate", out, inputs if var is None else (*inputs, w_zr), bw)
 
 
 def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:

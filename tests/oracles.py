@@ -56,8 +56,10 @@ def attention_oracle(p, states, s):
 
 def gate_oracle(p, s, f):
     fs = np.concatenate([f, s])
-    z = np.array([sigmoid(float(fs @ p.w_z.data[:, j]) + p.b_z.data[j]) for j in range(s.size)])
-    r = np.array([sigmoid(float(fs @ p.w_r.data[:, j]) + p.b_r.data[j]) for j in range(f.size)])
+    # w_zr holds W_z in its first s.size columns and W_r in the rest
+    zr = np.array([sigmoid(float(fs @ p.w_zr.data[:, j]) + p.b_zr.data[j])
+                   for j in range(s.size + f.size)])
+    z, r = zr[:s.size], zr[s.size:]
     rf_s = np.concatenate([r * f, s])
     cand = np.array([math.tanh(float(rf_s @ p.w_s.data[:, j]) + p.b_s.data[j])
                      for j in range(s.size)])

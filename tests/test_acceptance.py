@@ -131,6 +131,9 @@ def test_criterion_1_gradient_suite():
     cfg_dims = dict(enc_layers=2, enc_width=6, attn_width=3, word_emb_width=4,
                     dec_layers=2, dec_width=5, vocab_size=64, dropout=0.5)
     from logcad.data import make_batch
+    rotation_names = ("attn.u_s", "gate.b_zr", "decoder.l0.b", "encoder.l0.fwd.wx",
+                      "masknet.b_m", "char.k2_bias")
+    checked = set()
     for variant in ("global", "local", "i-attention", "log-cad"):
         for point in range(N_POINTS):
             model = DescriptionModel(ModelConfig(variant=variant, **cfg_dims), vocab,
@@ -141,14 +144,14 @@ def test_criterion_1_gradient_suite():
                 return model.forward_loss(batch, train=False)[0]
 
             held = dict(model.params.named())
-            rotation = [held[name] for name in
-                        ("attn.u_s", "gate.b_z", "decoder.l0.b", "encoder.l0.fwd.wx",
-                         "masknet.b_m", "char.k2_bias")
-                        if name in held]
+            checked.update(held)
+            rotation = [held[name] for name in rotation_names if name in held]
             for target in (held["out.b"], rotation[point % len(rotation)]):
                 worst = max(worst, gradient_check(loss_fn, target, eps=1e-4))
 
     elapsed = time.monotonic() - t0
+    # a renamed tensor would otherwise fall out of the rotation unnoticed
+    assert checked.issuperset(rotation_names), set(rotation_names) - checked
     report(1, "gradient suite", worst < 1e-3 and elapsed < 120,
            f" (max rel err {worst:.2e}, {elapsed:.1f}s)")
 

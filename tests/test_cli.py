@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ import logcad.model
 from logcad.cli import main, resolve_config, build_parser
 from logcad.data import Vocab, load_dataset, write_dataset
 from logcad.decode import DEFAULT_MAX_LEN
-from logcad.model import ModelConfig, load_model, save_checkpoint
+from logcad.model import ModelConfig, load_checkpoint, load_model, save_checkpoint
+from logcad.tensor import Tensor
 from logcad.train import TrainSettings
 from corpora import overfit_corpus
 
@@ -731,6 +733,43 @@ def test_vocab_of_another_size_names_the_vocab_file(trained_run, tmp_path, capsy
     assert captured.err.splitlines()[-1] == (
         f"error: {vocab}: {len(tokens) - 1} tokens, but the checkpoint was trained with "
         f"{len(tokens)}")
+    assert captured.out == ""
+    assert not resumed.exists()
+
+
+def _separate_gate_layout(src, dst) -> None:
+    """Write checkpoint ``src`` to ``dst`` with the fusion gate's update and
+    reset weights as four separate tensors, ``gate.w_z``, ``gate.b_z``,
+    ``gate.w_r`` and ``gate.b_r``, in place of the fused ``w_zr``/``b_zr``."""
+    tensors, meta = load_checkpoint(src)
+    state = tensors["gate.w_s"].shape[1]
+    named = []
+    for name, arr in tensors.items():
+        if name == "gate.w_zr":
+            named += [("gate.w_z", arr[:, :state]), ("gate.b_z", tensors["gate.b_zr"][:state]),
+                      ("gate.w_r", arr[:, state:]), ("gate.b_r", tensors["gate.b_zr"][state:])]
+        elif name != "gate.b_zr":
+            named.append((name, arr))
+    save_checkpoint(dst, SimpleNamespace(named=lambda: ((n, Tensor(a)) for n, a in named)), meta)
+
+
+@pytest.mark.parametrize("command", ["describe", "train"])
+def test_checkpoint_with_separate_gate_tensors_refused(trained_run, tmp_path, capsys, command):
+    data, out = trained_run
+    ckpt = tmp_path / "model.ckpt"
+    _separate_gate_layout(out / "model.ckpt", ckpt)
+    (tmp_path / "vocab.txt").write_bytes((out / "vocab.txt").read_bytes())
+    resumed = tmp_path / "resumed"
+    argv = {
+        "train": _train_args(data, resumed, epochs=1, extra=["--resume", str(ckpt)]),
+        "describe": ["describe", "--ckpt", str(ckpt), "--phrase", "blue falcon",
+                     "--sentence", "the [TRG] near the harbor was seen ."],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == f"error: {ckpt}: checkpoint missing tensor gate.w_zr"
+    assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not resumed.exists()
 

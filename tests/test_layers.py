@@ -419,9 +419,23 @@ class TestAttention:
 
 
 class TestGate:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_init_equals_separate_draws(self, dtype):
+        # w_zr is [W_z | W_r], each drawn with its own Glorot floor, then W_s
+        rng = np.random.default_rng(13)
+        p = GateParams.create(rng, 5, 3, dtype)
+        ref = np.random.default_rng(13)
+        npt.assert_array_equal(p.w_zr.data[:, :3], matrix_init(ref, (8, 3), dtype).data)
+        npt.assert_array_equal(p.w_zr.data[:, 3:], matrix_init(ref, (8, 5), dtype).data)
+        npt.assert_array_equal(p.w_s.data, matrix_init(ref, (8, 3), dtype).data)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        npt.assert_array_equal(p.b_zr.data, np.zeros(8))
+        npt.assert_array_equal(p.b_s.data, np.zeros(3))
+        assert p.w_zr.dtype == p.b_zr.dtype == p.w_s.dtype == p.b_s.dtype == dtype
+
     def test_zero_params_halve_state(self):
         p = GateParams.create(np.random.default_rng(0), 3, 2)
-        for t in (p.w_z, p.b_z, p.w_r, p.b_r, p.w_s, p.b_s):
+        for t in (p.w_zr, p.b_zr, p.w_s, p.b_s):
             t.data[:] = 0.0
         s = np.array([[1.0, -4.0]])
         out = full_gate(p, Tensor(s), Tensor(np.ones((1, 3))))
@@ -435,7 +449,7 @@ class TestGate:
             f = rng.normal(size=(1, 4))
             out = full_gate(p, Tensor(s), Tensor(f)).data
             fs = np.concatenate([f, s], axis=1)
-            r = 1 / (1 + np.exp(-(fs @ p.w_r.data + p.b_r.data)))
+            r = 1 / (1 + np.exp(-(fs @ p.w_zr.data[:, 3:] + p.b_zr.data[3:])))
             cand = np.tanh(np.concatenate([r * f, s], axis=1) @ p.w_s.data + p.b_s.data)
             lo = np.minimum(s, cand)
             hi = np.maximum(s, cand)
@@ -452,7 +466,7 @@ class TestGate:
     def test_approaches_identity_as_update_gate_closes(self):
         rng = np.random.default_rng(4)
         p = GateParams.create(rng, 4, 3)
-        p.b_z.data[:] = -40.0  # drives z to ~0
+        p.b_zr.data[:3] = -40.0  # drives z to ~0
         s = rng.normal(size=(1, 3))
         out = full_gate(p, Tensor(s), Tensor(rng.normal(size=(1, 4))))
         npt.assert_allclose(out.data, s, atol=1e-12)
@@ -508,13 +522,12 @@ class TestGateConstants:
                 if hoisted:
                     s = gate(p, s, feats, var, pre)
                 else:
-                    s = fusion_gate(s, [concat(feats, axis=1)], 0, p.b_z, p.b_r, p.w_z, p.w_r,
-                                    p.w_s, p.b_s)
+                    s = fusion_gate(s, [concat(feats, axis=1)], 0, p.b_zr, p.w_zr, p.w_s, p.b_s)
                 term = reduce_sum(mul(s, weights[t]))
                 loss = term if loss is None else add(loss, term)
         g.backward(loss)
         tensors = [s0] + [c for k, c in enumerate(consts) if k != var] + steps + \
-            [p.w_z, p.b_z, p.w_r, p.b_r, p.w_s, p.b_s]
+            [p.w_zr, p.b_zr, p.w_s, p.b_s]
         return s.data, [t.grad for t in tensors]
 
     @pytest.mark.parametrize("variant", list(SHAPES))

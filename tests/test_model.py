@@ -143,8 +143,8 @@ def np_attention(p, states, s):
 
 def np_gate(p, s, f):
     fs = np.concatenate([f, s])
-    z = np_sigmoid(fs @ p.w_z.data + p.b_z.data)
-    r = np_sigmoid(fs @ p.w_r.data + p.b_r.data)
+    zr = np_sigmoid(fs @ p.w_zr.data + p.b_zr.data)
+    z, r = zr[:s.size], zr[s.size:]
     cand = np.tanh(np.concatenate([r * f, s]) @ p.w_s.data + p.b_s.data)
     return (1.0 - z) * s + z * cand
 
@@ -162,7 +162,7 @@ def np_gated_steps(model, entry, prev_tokens):
     enc = np_bilstm(p.encoder, p.word_emb.data[ctx_ids]) if cfg.uses_encoder else None
     x_trg = (phrase_embedding(entry.phrase, model.emb_table)
              if cfg.uses_global_embedding else None)
-    c_trg = np_char(p.char, entry.phrase) if cfg.uses_char else None
+    c_trg = np_char(p.char, entry.phrase) if cfg.uses_gate else None
 
     layer_states = [(np.zeros(cfg.dec_width), np.zeros(cfg.dec_width))
                     for _ in range(cfg.dec_layers)]
@@ -780,7 +780,9 @@ class TestGradientFlow:
         params = ModelParams(ModelConfig(variant=variant), 10000, np.random.default_rng(0))
         assert sum(t.size for t in params.tensors()) == FULL_SIZE_PARAMS[variant]
 
-    @pytest.mark.parametrize("variant", ["log-cad", "i-attention"])
+    GRAD_CHECK_VARIANTS = ("log-cad", "i-attention")
+
+    @pytest.mark.parametrize("variant", GRAD_CHECK_VARIANTS)
     def test_end_to_end_gradient_check(self, variant):
         vocab = toy_vocab()
         model = DescriptionModel(tiny_config(variant), vocab, toy_table(),
@@ -791,11 +793,14 @@ class TestGradientFlow:
         def loss_fn(_t):
             return model.forward_loss(batch, train=False)[0]
 
+        names = ("out.b", "attn.u_s", "gate.b_zr", "decoder.l0.b", "encoder.l0.fwd.wx",
+                 "masknet.b_m", "char.k2_bias")
+        # a renamed tensor would otherwise fall out of the check unnoticed
+        covered = {n for v in self.GRAD_CHECK_VARIANTS
+                   for n, _ in ModelParams(tiny_config(v), 50, None).named()}
+        assert covered.issuperset(names), set(names) - covered
         held = dict(model.params.named())
-        targets = [held[name] for name in
-                   ("out.b", "attn.u_s", "gate.b_z", "decoder.l0.b",
-                    "encoder.l0.fwd.wx", "masknet.b_m", "char.k2_bias")
-                   if name in held]
+        targets = [held[name] for name in names if name in held]
         worst = 0.0
         for t in targets:
             worst = max(worst, gradient_check(loss_fn, t, eps=1e-4))
@@ -824,14 +829,13 @@ class TestVariantReduction:
             assert n1 == n2
             self._copy(t2, t1)
         # gate rows: [word(4); enc(6); char(160); state(5)] -> drop the enc rows
-        w, e, c = cfg.word_emb_width, cfg.enc_width, CHAR_WIDTH
-        keep_rows = np.r_[0:w, w + e : w + e + c, w + e + c : w + e + c + cfg.dec_width]
-        keep_f = np.r_[0:w, w + e : w + e + c]
+        w, e, c, s = cfg.word_emb_width, cfg.enc_width, CHAR_WIDTH, cfg.dec_width
+        keep_rows = np.r_[0:w, w + e : w + e + c, w + e + c : w + e + c + s]
+        # w_zr's columns: z's S, then r's, one per feature row
+        keep_cols = np.r_[0:s, s + np.r_[0:w, w + e : w + e + c]]
         g1, g2 = m1.params.gate, m2.params.gate
-        g2.w_z.data = g1.w_z.data[keep_rows].copy()
-        g2.b_z.data = g1.b_z.data.copy()
-        g2.w_r.data = g1.w_r.data[keep_rows][:, keep_f].copy()
-        g2.b_r.data = g1.b_r.data[keep_f].copy()
+        g2.w_zr.data = g1.w_zr.data[keep_rows][:, keep_cols].copy()
+        g2.b_zr.data = g1.b_zr.data[keep_cols].copy()
         g2.w_s.data = g1.w_s.data[keep_rows].copy()
         g2.b_s.data = g1.b_s.data.copy()
 
@@ -860,14 +864,12 @@ class TestVariantReduction:
         ):
             assert n1 == n2
             self._copy(t2, t1)
-        w, e, c = cfg.word_emb_width, cfg.enc_width, CHAR_WIDTH
-        keep_rows = np.r_[w : w + e + c, w + e + c : w + e + c + cfg.dec_width]
-        keep_f = np.r_[w : w + e + c]
+        w, e, c, s = cfg.word_emb_width, cfg.enc_width, CHAR_WIDTH, cfg.dec_width
+        keep_rows = np.r_[w : w + e + c, w + e + c : w + e + c + s]
+        keep_cols = np.r_[0:s, s + np.r_[w : w + e + c]]
         g1, g2 = m1.params.gate, m2.params.gate
-        g2.w_z.data = g1.w_z.data[keep_rows].copy()
-        g2.b_z.data = g1.b_z.data.copy()
-        g2.w_r.data = g1.w_r.data[keep_rows][:, keep_f].copy()
-        g2.b_r.data = g1.b_r.data[keep_f].copy()
+        g2.w_zr.data = g1.w_zr.data[keep_rows][:, keep_cols].copy()
+        g2.b_zr.data = g1.b_zr.data[keep_cols].copy()
         g2.w_s.data = g1.w_s.data[keep_rows].copy()
         g2.b_s.data = g1.b_s.data.copy()
 
@@ -1132,7 +1134,7 @@ class TestLoadPath:
         _, path = _saved(tmp_path, variant)
         config = tiny_config(variant)
         kept = {BiLstmParams: config.uses_encoder, AttentionParams: config.uses_attention,
-                CharCnnParams: config.uses_char, GateParams: config.uses_gate,
+                CharCnnParams: config.uses_gate, GateParams: config.uses_gate,
                 MaskNetParams: variant == "i-attention"}
 
         def refuse(*args, **kwargs):

@@ -371,9 +371,9 @@ class TestGradientCheckAllPrimitives:
     def test_fusion_gate(self):
         # every input of the one-op gate, at S = 3 and F = 4 features in
         # blocks of 2, 1 and 1, of which the op multiplies the middle one;
-        # pre_z and pre_r stand for the other blocks' pre-activations
-        shapes = {"s": (2, 3), "f0": (2, 2), "f1": (2, 1), "f2": (2, 1), "pre_z": (2, 3),
-                  "pre_r": (2, 4), "w_z": (7, 3), "w_r": (7, 4), "w_s": (7, 3), "b_s": (3,)}
+        # pre stands for the other blocks' pre-activations
+        shapes = {"s": (2, 3), "f0": (2, 2), "f1": (2, 1), "f2": (2, 1), "pre": (2, 7),
+                  "w_zr": (7, 7), "w_s": (7, 3), "b_s": (3,)}
         for seed, arg in enumerate(shapes, start=45):
             def build(rng, arg=arg):
                 consts = {k: Tensor(rng.normal(size=v)) for k, v in shapes.items()}
@@ -382,8 +382,8 @@ class TestGradientCheckAllPrimitives:
                 def f(t):
                     a = dict(consts, **{arg: t})
                     return reduce_sum(mul(fusion_gate(
-                        a["s"], [a["f0"], a["f1"], a["f2"]], 1, a["pre_z"], a["pre_r"],
-                        a["w_z"], a["w_r"], a["w_s"], a["b_s"]), w))
+                        a["s"], [a["f0"], a["f1"], a["f2"]], 1, a["pre"], a["w_zr"],
+                        a["w_s"], a["b_s"]), w))
                 return f
             self._run(build, shapes[arg], seed)
 
