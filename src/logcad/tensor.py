@@ -49,7 +49,6 @@ __all__ = [
     "lstm_sequence",
     "fusion_gate",
     "dropout_keep",
-    "gradient_check",
 ]
 
 
@@ -413,8 +412,11 @@ def take_rows(x: Tensor, key) -> Tensor:
     return _record("take_rows", x.data[key], (x, key), bw)
 
 
-# linear_nll reduces and differentiates its (N, V) logits in blocks of this
-# many rows, so a block stays in cache across its passes (2.5 MB at V=10k)
+# linear_nll keeps its (N, V) logits as chunks of this many columns (not a
+# power of two: a 2048-float row stride made the d_w product 6 % slower), and
+# reduces a chunk in blocks of NLL_BLOCK rows, so a block stays in cache
+# across its passes (0.5 MB in float32)
+NLL_COLUMNS = 2000
 NLL_BLOCK = 64
 
 
@@ -422,45 +424,78 @@ def linear_nll(x: Tensor, w: Tensor, b: Tensor, targets, weights) -> tuple[Tenso
     """The output head: ``sum_n weights[n] * -log softmax(x @ w + b)[n,
     targets[n]]`` for ``x`` (N, D), ``w`` (D, V) and ``b`` (V,), and the number
     of rows whose highest logit (the first, on ties) is at the target.
-    ``targets`` and ``weights`` (N,) are not differentiated.
+    ``targets`` (N,), in [0, V), and ``weights`` (N,) are not differentiated.
 
-    The (N, V) logits are one buffer that only this op holds. The forward pass
-    adds the bias and takes each row's argmax and log-sum-exp in blocks of
-    ``NLL_BLOCK`` rows; the backward pass turns the buffer in place into the
-    logits' gradient, block by block, so no other (N, V) array is made."""
+    The (N, V) logits are column chunks of ``NLL_COLUMNS`` columns, ``x @
+    w[:, cols] + b[cols]``, that only this op holds. The forward pass takes,
+    in blocks of ``NLL_BLOCK`` rows, each row's first argmax and maximum
+    ``m`` over a chunk, and turns the chunk in place into ``exp(logits -
+    m)``; a row's log-sum-exp combines its chunks' sums. The backward pass
+    takes one chunk at a time: it scales each row by ``exp(m - lse)``, so the
+    chunk holds the softmax, turns it in place into its columns of the
+    logits' gradient, adds its share of the gradient of ``x``, keeps its
+    columns of the gradients of ``w`` and ``b``, and frees it before the
+    next. So the whole logits and the (D, V) gradient of ``w`` never exist
+    together, and no pass over the logits computes an exponential twice."""
     targets = np.asarray(targets)
     weights = np.asarray(weights, dtype=x.dtype)
     if x.ndim != 2 or w.ndim != 2 or w.shape[0] != x.shape[1] or b.shape != w.shape[1:] \
-            or targets.shape != x.shape[:1] or weights.shape != targets.shape:
-        raise ShapeError(f"linear_nll: need x (N,D), w (D,V), b (V,), targets and weights "
-                         f"(N,), got {x.shape}, {w.shape}, {b.shape}, {targets.shape} and "
-                         f"{weights.shape}")
-    logits = x.data @ w.data
-    n = len(logits)
-    lse = np.empty(n, dtype=logits.dtype)
-    best = np.empty(n, dtype=np.intp)
-    scratch = np.empty((min(n, NLL_BLOCK), logits.shape[1]), dtype=logits.dtype)
-    for lo in range(0, n, NLL_BLOCK):
-        rows = slice(lo, lo + NLL_BLOCK)
-        blk = logits[rows]
-        blk += b.data
-        best[rows] = blk.argmax(axis=1)
-        top = blk[np.arange(len(blk)), best[rows]]
-        shifted = np.subtract(blk, top[:, None], out=scratch[:len(blk)])
-        lse[rows] = top + np.log(np.exp(shifted, out=shifted).sum(axis=1))
+            or targets.shape != x.shape[:1] or weights.shape != targets.shape \
+            or (targets.size and not 0 <= targets.min() <= targets.max() < w.shape[1]):
+        raise ShapeError(f"linear_nll: need x (N,D), w (D,V), b (V,), and targets in [0, V) "
+                         f"and weights (N,), got {x.shape}, {w.shape}, {b.shape}, "
+                         f"{targets.shape} and {weights.shape}")
+    n, v = len(targets), w.shape[1]
+    dtype = np.result_type(x.data, w.data)  # the logits'
+    cols = [slice(lo, lo + NLL_COLUMNS) for lo in range(0, v, NLL_COLUMNS)]
+    owner, local = np.divmod(targets, NLL_COLUMNS)  # each target's chunk and column in it
+    hits = [np.flatnonzero(owner == k) for k in range(len(cols))]  # the rows of chunk k's targets
+    # per chunk and row: the first argmax, the maximum m and the sum of exp(logits - m)
+    firsts = np.empty((len(cols), n), dtype=np.intp)
+    tops = np.empty((len(cols), n), dtype=dtype)
+    sums = np.empty_like(tops)
+    picked = b.data[targets].astype(dtype, copy=False)  # each row's logit at its target
+    ones = np.ones(min(v, NLL_COLUMNS), dtype=dtype)
+
+    chunks = []
+    for k, c in enumerate(cols):
+        chunk = x.data @ w.data[:, c]
+        picked[hits[k]] += chunk[hits[k], local[hits[k]]]
+        for lo in range(0, n, NLL_BLOCK):
+            rows = slice(lo, lo + NLL_BLOCK)
+            blk = chunk[rows]
+            blk += b.data[c]
+            firsts[k, rows] = blk.argmax(axis=1)
+            tops[k, rows] = top = blk[np.arange(len(blk)), firsts[k, rows]]
+            blk -= top[:, None]
+            np.exp(blk, out=blk)
+            # a product with ones sums the rows about 4x faster than blk.sum
+            np.matmul(blk, ones[:blk.shape[1]], out=sums[k, rows])
+        chunks.append(chunk)
+    first = tops.argmax(axis=0)  # on ties the first chunk, so the first column
+    top = tops[first, np.arange(n)]
+    best = first * NLL_COLUMNS + firsts[first, np.arange(n)]
+    lse = top + np.log((sums * np.exp(tops - top)).sum(axis=0))
 
     def bw(g):
         scale = g * weights
-        for lo in range(0, n, NLL_BLOCK):
-            rows = slice(lo, lo + NLL_BLOCK)
-            blk = logits[rows]
-            blk -= lse[rows, None]
-            np.exp(blk, out=blk)
-            blk[np.arange(len(blk)), targets[rows]] -= 1.0  # softmax - onehot
-            blk *= scale[rows, None]
-        return logits @ w.data.T, x.data.T @ logits, logits.sum(axis=0), None, None
+        d_w, d_b = [], []
+        for k, c in enumerate(cols):
+            chunk, chunks[k] = chunks[k], None
+            chunk *= (np.exp(tops[k] - lse) * scale)[:, None]  # scale * softmax
+            chunk[hits[k], local[hits[k]]] -= scale[hits[k]]  # scale * (softmax - onehot)
+            if k == 0:
+                d_x = chunk @ w.data[:, c].T
+            else:
+                d_x += chunk @ w.data[:, c].T
+            d_w.append(x.data.T @ chunk)
+            d_b.append(chunk.sum(axis=0))
+            del chunk  # so the last chunk is gone before the concatenation
+        if len(cols) == 1:
+            return d_x, d_w[0], d_b[0], None, None
+        return d_x, np.concatenate(d_w, axis=1), np.concatenate(d_b), None, None
 
-    out = weights @ (lse - logits[np.arange(n), targets])
+    out = weights @ (lse - picked)
     return (_record("linear_nll", out, (x, w, b, targets, weights), bw),
             int((best == targets).sum()))
 
@@ -796,41 +831,3 @@ def dropout_keep(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     if p >= 1.0:
         raise ValueError("dropout: rate must be < 1")
     return rng.random(shape) >= p
-
-
-# ---------------------------------------------------------------------------
-# finite-difference checking
-
-
-def gradient_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-4) -> float:
-    """Max relative error between the analytic gradient of ``f`` at ``x`` and
-    central finite differences with step ``eps``.
-
-    ``f`` must be scalar-valued. Relative error per coordinate is
-    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.
-    """
-    if eps <= 0:
-        raise ValueError("gradient_check: eps must be positive")
-    x.grad = None
-    with GradGraph() as g:
-        out = f(x)
-        if out.size != 1:
-            raise ValueError(f"gradient_check: f must be scalar-valued, got shape {out.shape}")
-        g.backward(out)
-    analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-
-    flat = x.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x).item()
-        flat[i] = orig - eps
-        lo = f(x).item()
-        flat[i] = orig
-        numeric[i] = (hi - lo) / (2.0 * eps)
-    numeric = numeric.reshape(x.shape)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
-

@@ -172,10 +172,11 @@ def train(model: DescriptionModel, train_entries: Sequence[Entry],
           start_epoch: int, verbose: bool) -> TrainResult:
     """Optimize the model in place; returns per-epoch rows, numbered from
     ``start_epoch + 1`` and printed when ``verbose``. With validation entries
-    (or None) and a nonzero patience, training stops after ``patience``
-    non-improving epochs and the best-validation parameters are restored.
-    A non-finite loss or gradient norm raises ``ValueError`` before the
-    update that would carry it into the weights."""
+    and a nonzero patience, training stops after ``patience`` non-improving
+    epochs and the best-validation weights are restored; at patience 0 every
+    epoch runs and the last epoch's weights are kept. A non-finite loss or
+    gradient norm raises ``ValueError`` before the update that would carry
+    it into the weights."""
     if not train_entries:
         raise ValueError("train: no training entries")
     params = model.params.tensors()
@@ -211,7 +212,8 @@ def train(model: DescriptionModel, train_entries: Sequence[Entry],
             valid_loss = _teacher_forced(model, valid_entries, settings.batch_size)[0]
             if result.best_valid is None or valid_loss < result.best_valid - 1e-12:
                 result.best_valid = valid_loss
-                best_snapshot = [t.data.copy() for t in params]
+                if settings.patience > 0:
+                    best_snapshot = [t.data.copy() for t in params]
                 since_best = 0
             else:
                 since_best += 1

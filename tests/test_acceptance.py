@@ -12,6 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from corpora import directional_corpus, overfit_corpus
+from gradcheck import gradient_check
 from logcad.cli import main
 from logcad.data import Entry, build_vocab, corpus_stats, format_stats, load_dataset, write_dataset
 from logcad.decode import greedy_decode
@@ -33,7 +34,7 @@ from logcad.layers import (
     project_context,
 )
 from logcad.model import DescriptionModel, ModelConfig
-from logcad.tensor import Tensor, gradient_check, reduce_sum
+from logcad.tensor import Tensor, reduce_sum
 from logcad.train import TrainSettings, token_accuracy, train
 from oracles import (
     attention_oracle,

@@ -50,10 +50,6 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# test support, called by the gradient-check tests only
-TENSOR_TEST_SUPPORT = {"gradient_check"}
-
-
 def test_every_tensor_export_is_used_by_the_package():
     import logcad.tensor
 
@@ -63,7 +59,7 @@ def test_every_tensor_export_is_used_by_the_package():
             imported |= {alias.name for node in ast.walk(ast.parse(path.read_text("utf-8")))
                          if isinstance(node, ast.ImportFrom) and node.module == "logcad.tensor"
                          for alias in node.names}
-    unused = set(logcad.tensor.__all__) - TENSOR_TEST_SUPPORT - imported
+    unused = set(logcad.tensor.__all__) - imported
     assert sorted(unused) == []
 
 
@@ -221,7 +217,6 @@ DEFAULTS_TEST_SUPPORT = {
     "CharCnnParams.create: char_emb", "CharCnnParams.create: bank_spec",
     "DescriptionModel: dtype",
     "Tensor: dtype",
-    "gradient_check: eps",
     "split_by_phrase: ratios",
 }
 

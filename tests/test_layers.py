@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gradcheck import gradient_check
 from logcad.layers import (
     AttentionParams,
     BiLstmParams,
@@ -30,7 +31,6 @@ from logcad.tensor import (
     add,
     concat,
     fusion_gate,
-    gradient_check,
     lstm_sequence,
     mul,
     reduce_sum,

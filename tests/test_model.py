@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import logcad.layers
 import logcad.model
+from gradcheck import gradient_check
 from logcad.data import EmbeddingTable, Entry, Vocab, make_batch
 from logcad.decode import greedy_decode
 from logcad.layers import (
@@ -43,7 +44,6 @@ from logcad.tensor import (
     Tensor,
     concat,
     dropout_keep,
-    gradient_check,
     linear_nll,
     mul,
     reshape,
@@ -539,6 +539,35 @@ class TestSequenceLoss:
             else:
                 assert len(kernels) == encoder + cfg.dec_layers, variant
             assert "slice" not in names
+
+    # the ops of one training pass over padded_entries(), by name: targets of
+    # 2, 4 and 6 tokens, so 3, 3, 2, 2, 1 and 1 rows live at the six steps
+    TRAINING_TAPE = {
+        "global": {"add": 7, "concat": 3, "fusion_gate": 6, "linear_nll": 1,
+                   "lstm_sequence": 7, "matmul": 7, "max": 5, "reshape": 11, "take_rows": 26},
+        "local": {"add": 6, "bilinear_attention": 6, "concat": 3, "fusion_gate": 6,
+                  "linear_nll": 1, "lstm_sequence": 9, "matmul": 7, "max": 5, "reshape": 11,
+                  "take_rows": 30},
+        "i-attention": {"add": 2, "concat": 2, "linear_nll": 1, "lstm_sequence": 4,
+                        "matmul": 2, "mul": 3, "sigmoid": 1, "sum": 1, "take_rows": 4,
+                        "tanh": 1},
+        "log-cad": {"add": 7, "bilinear_attention": 6, "concat": 3, "fusion_gate": 6,
+                    "linear_nll": 1, "lstm_sequence": 9, "matmul": 8, "max": 5, "reshape": 11,
+                    "take_rows": 31},
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_tape_op_counts(self, variant):
+        vocab = toy_vocab()
+        batch = make_batch(padded_entries(), vocab)
+        model = DescriptionModel(tiny_config(variant), vocab, toy_table(), seed=16,
+                                 dtype=np.float64)
+        with GradGraph() as g:
+            model.forward_loss(batch, train=True)
+        counts = {}
+        for name, *_ in g.ops:
+            counts[name] = counts.get(name, 0) + 1
+        assert counts == self.TRAINING_TAPE[variant]
 
     def test_training_tape_keeps_no_copies(self):
         # what a log-cad training pass leaves on the tape: each bidirectional

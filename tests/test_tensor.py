@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcheck import gradient_check
 from logcad.tensor import (
+    NLL_COLUMNS,
     GradGraph,
     _Part,
     _record,
@@ -18,7 +20,6 @@ from logcad.tensor import (
     concat,
     dropout_keep,
     fusion_gate,
-    gradient_check,
     linear_nll,
     lstm_sequence,
     matmul,
@@ -882,6 +883,99 @@ class TestUtilities:
             tracemalloc.stop()
         assert w.grad.shape == (d, v)
         assert peak < 1.5 * n * v * x.data.itemsize, peak / (n * v * x.data.itemsize)
+
+    def test_linear_nll_frees_each_chunk_before_the_next(self):
+        # float32 at the benchmark's ratio (N > 2D, several chunks): the
+        # forward and backward hold the logits' bytes and little more, as no
+        # (D, V) gradient of w exists beside all of them; with one (N, V)
+        # buffer and its whole d_w this reads 1.37
+        rng = np.random.default_rng(42)
+        n, d, v = 600, 200, 3 * NLL_COLUMNS
+        x = Tensor(rng.normal(size=(n, d)).astype(np.float32), requires_grad=True)
+        w = Tensor((rng.normal(size=(d, v)) * 0.1).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(v, dtype=np.float32), requires_grad=True)
+        targets = rng.integers(v, size=n)
+        weights = np.full(n, 1.0 / n)
+        tracemalloc.start()
+        try:
+            with GradGraph() as g:
+                loss, _ = linear_nll(x, w, b, targets, weights)
+            g.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad.shape == (d, v) and w.grad.flags.c_contiguous
+        assert peak < 1.2 * n * v * 4, peak / (n * v * 4)
+
+    @pytest.mark.parametrize("targets", [[0, -1], [0, 4]], ids=["negative", "past-v"])
+    def test_linear_nll_rejects_targets_outside_the_vocabulary(self, targets):
+        with pytest.raises(ShapeError, match=r"targets in \[0, V\)"):
+            linear_nll(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)),
+                       np.array(targets), np.ones(2))
+
+
+def _dense_nll(x, w, b, targets, weights):
+    """The head's loss, count and gradients of x, w and b from one dense
+    (N, V) array of logits."""
+    rows = np.arange(len(x))
+    logits = x @ w + b
+    top = logits.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
+    grad = np.exp(logits - lse[:, None])
+    grad[rows, targets] -= 1.0
+    grad *= weights[:, None]
+    return (weights @ (lse - logits[rows, targets]), int((logits.argmax(axis=1) == targets).sum()),
+            grad @ w.T, x.T @ grad, grad.sum(axis=0))
+
+
+class TestLinearNllChunks:
+    """``linear_nll`` keeps its logits in chunks of ``NLL_COLUMNS`` columns:
+    at every chunk edge its loss, count and gradients are those of one dense
+    array."""
+
+    @staticmethod
+    def _run(x, w, b, targets, weights):
+        ts = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        with GradGraph() as g:
+            loss, correct = linear_nll(*ts, targets, weights)
+        g.backward(loss)
+        return (loss.item(), correct, *(t.grad for t in ts))
+
+    @pytest.mark.parametrize("v", [7, NLL_COLUMNS - 1, NLL_COLUMNS, NLL_COLUMNS + 1,
+                                   2 * NLL_COLUMNS + 37],
+                             ids=["below-one-chunk", "one-short", "one-chunk", "one-over",
+                                  "partial-third"])
+    def test_matches_one_dense_array(self, v):
+        rng = np.random.default_rng(v)
+        n, d = 9, 4
+        x, w, b = rng.normal(size=(n, d)), rng.normal(size=(d, v)), rng.normal(size=v)
+        targets = rng.integers(v, size=n)
+        targets[:3] = (x[:3] @ w + b).argmax(axis=1)  # rows the count must find
+        targets[3] = v - 1  # a target in the last chunk, partial unless v is a multiple
+        weights = rng.random(n)
+        weights[4] = 0.0
+        got, want = self._run(x, w, b, targets, weights), _dense_nll(x, w, b, targets, weights)
+        npt.assert_allclose(got[0], want[0], rtol=1e-12)
+        assert got[1] == want[1] >= 3
+        for g, ref in zip(got[2:], want[2:]):
+            npt.assert_allclose(g, ref, rtol=1e-9, atol=1e-14)
+
+    @pytest.mark.parametrize("tied,targets,correct", [
+        ((NLL_COLUMNS - 1, NLL_COLUMNS), (NLL_COLUMNS - 1, NLL_COLUMNS, NLL_COLUMNS - 1), 2),
+        ((NLL_COLUMNS + 3, 2 * NLL_COLUMNS), (2 * NLL_COLUMNS, NLL_COLUMNS + 3, 0), 1),
+    ], ids=["last-and-first-column", "second-and-third-chunk"])
+    def test_ties_across_a_chunk_boundary_keep_the_first_index(self, tied, targets, correct):
+        # w is 0, so every row's logits are the bias, whose maximum is tied
+        # at two columns in different chunks; the first of them is the argmax
+        v = 2 * NLL_COLUMNS + 5
+        b = np.random.default_rng(43).random(v)
+        b[list(tied)] = 2.0
+        x, w = np.ones((3, 2)), np.zeros((2, v))
+        targets, weights = np.array(targets), np.full(3, 0.5)
+        got, want = self._run(x, w, b, targets, weights), _dense_nll(x, w, b, targets, weights)
+        assert got[1] == want[1] == correct
+        npt.assert_allclose(got[0], want[0], rtol=1e-12)
+        npt.assert_allclose(got[4], want[4], rtol=1e-12, atol=1e-16)
 
 
 class TestBilinearAttention:

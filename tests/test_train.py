@@ -127,6 +127,22 @@ class TestTrainLoop:
         assert _teacher_forced(model, valid, 8)[0] == pytest.approx(result.best_valid,
                                                                     abs=1e-6)
 
+    def test_patience_zero_keeps_the_last_epoch(self):
+        # the validation loss (see above) is lowest at epoch 7 and rises at
+        # epoch 8; with early stopping off the weights are the last epoch's,
+        # as in a run without validation entries
+        entries = overfit_corpus()
+        valid = [Entry(["odd", "pair"], ["a", "[TRG]", "thing"], (1, 1),
+                       ["zzz", "qqq", "xxx"]) for _ in range(4)]
+        settings = TrainSettings(epochs=8, batch_size=8, seed=0, patience=0)
+        with_valid, without = small_model(entries), small_model(entries)
+        result = train(with_valid, entries, valid, settings, start_epoch=0, verbose=False)
+        train(without, entries, None, settings, start_epoch=0, verbose=False)
+        assert result.epochs_run == 8
+        assert result.rows[-1].valid_loss > result.best_valid
+        for a, b in zip(with_valid.params.tensors(), without.params.tensors()):
+            npt.assert_array_equal(a.data, b.data)
+
     def test_log_format(self):
         entries = overfit_corpus()
         model = small_model(entries)
