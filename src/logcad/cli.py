@@ -1,9 +1,11 @@
 """Command-line entry points: extract, train, evaluate, describe.
 
 Options resolve in order: their owners' defaults (``OPTIONS``), then a
-``--config`` file of flat ``key=value`` lines, then explicit flags. One seed
-governs all randomness (parameter init, shuffling, dropout, the UNK vector),
-so every command is deterministic given its inputs and seed.
+``--config`` file of flat ``key=value`` lines, then explicit flags. Only
+``extract`` (for its split) and ``train`` take ``--seed``: a model's seed,
+set when ``train`` creates it and kept in its checkpoint, governs all its
+randomness (parameter init, shuffling, dropout, the UNK vector), so every
+command is deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -61,15 +63,18 @@ def _option(field: str) -> str:
 
 
 # every tunable option and its owner's default: ModelConfig's fields (its
-# word_emb_width is the option emb_width), TrainSettings' and the decoder's
+# word_emb_width is the option emb_width), TrainSettings', the seed of
+# extract's split and of a new model, and the decoder's
 OPTIONS = {**{_option(f.name): f.default for f in fields(ModelConfig)},
            **{f.name: f.default for f in fields(TrainSettings)},
-           "beam": 1, "max_len": DEFAULT_MAX_LEN}
+           "seed": 0, "beam": 1, "max_len": DEFAULT_MAX_LEN}
 
 
 def _owners(opts: dict) -> tuple[TrainSettings, ModelConfig]:
     """The training settings and model config that ``opts`` set; each owner
-    refuses a value it cannot use."""
+    refuses a value it cannot use, and a negative seed is refused here."""
+    if opts["seed"] < 0:
+        raise ValueError(f"seed must be at least 0, got {opts['seed']}")
     return (TrainSettings(**{f.name: opts[f.name] for f in fields(TrainSettings)}),
             ModelConfig(**{f.name: opts[_option(f.name)] for f in fields(ModelConfig)}))
 
@@ -142,20 +147,21 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     given = given_options(args)
     settings, model_cfg = _owners({**OPTIONS, **given})
+    seed = given.get("seed", OPTIONS["seed"])
     if args.resume:
-        # the checkpoint fixes the model: an option set to another value is refused
+        # the checkpoint fixes the model and its seed: another value is refused
         tensors, meta = load_checkpoint(_checkpoint_file(args.resume, "--resume"))
         try:
             model_cfg = ModelConfig.from_meta(meta)
-            # model_from_checkpoint reads the seed after the data: refuse it now
-            meta_count(meta, "seed")
+            seed = meta_count(meta, "seed")
             start_epoch = meta_count(meta, "epoch")
         except ValueError as e:
             raise ValueError(f"{args.resume}: {e}") from None
+        fixed = [(_option(f.name), f.name, getattr(model_cfg, f.name))
+                 for f in fields(ModelConfig)] + [("seed", "seed", seed)]
         clashes = [f"--{opt.replace('_', '-')} {given[opt]} disagrees with the checkpoint's "
-                   f"{f.name}={value}" for f in fields(ModelConfig)
-                   if (opt := _option(f.name)) in given
-                   and given[opt] != (value := getattr(model_cfg, f.name))]
+                   f"{name}={value}" for opt, name, value in fixed
+                   if opt in given and given[opt] != value]
         if clashes:
             raise ValueError(f"{args.resume}: " + "; ".join(clashes))
         vocab = Vocab.load(Path(args.resume).with_name("vocab.txt"))
@@ -168,7 +174,7 @@ def cmd_train(args) -> int:
         print(f"error: {args.valid}: no valid validation entries", file=sys.stderr)
         return 1
 
-    table = None if args.emb is None else load_embeddings(args.emb, seed=settings.seed)
+    table = None if args.emb is None else load_embeddings(args.emb)
     if table is None and model_cfg.uses_global_embedding:
         print("warning: no embedding file; phrase vectors fall back to the UNK vector",
               file=sys.stderr)
@@ -180,7 +186,7 @@ def cmd_train(args) -> int:
     else:
         start_epoch = 0
         vocab = build_vocab(train_entries, size=model_cfg.vocab_size)
-        model = DescriptionModel(model_cfg, vocab, table, seed=settings.seed)
+        model = DescriptionModel(model_cfg, vocab, table, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -209,12 +215,12 @@ def _checkpoint_file(path: str, flag: str) -> str:
     return path
 
 
-def _load_trained(args, seed: int):
+def _load_trained(args):
     """The vocab, embedding table and model that ``evaluate`` and
     ``describe`` decode with."""
     ckpt = _checkpoint_file(args.ckpt, "--ckpt")
     vocab = Vocab.load(args.vocab or Path(ckpt).with_name("vocab.txt"))
-    table = None if args.emb is None else load_embeddings(args.emb, seed=seed)
+    table = None if args.emb is None else load_embeddings(args.emb)
     model, _meta = load_model(ckpt, vocab, table)
     return vocab, table, model
 
@@ -225,7 +231,7 @@ def cmd_evaluate(args) -> int:
     if not entries:
         print(f"error: {args.data}: no entries to evaluate", file=sys.stderr)
         return 1
-    vocab, table, model = _load_trained(args, cfg.seed)
+    vocab, table, model = _load_trained(args)
 
     candidates = []
     for start in range(0, len(entries), EVAL_CHUNK):
@@ -284,7 +290,7 @@ def _locate_phrase(sentence: str, phrase: str) -> tuple[list, int]:
 
 def cmd_describe(args) -> int:
     cfg = resolve_config(args)
-    vocab, _table, model = _load_trained(args, cfg.seed)
+    vocab, _table, model = _load_trained(args)
     context, pos = _locate_phrase(args.sentence, args.phrase)
     entry = Entry(phrase=tokenize(args.phrase), context=context, span=(pos, pos),
                   description=["-"])  # placeholder, unused by decoding
@@ -298,7 +304,7 @@ def cmd_describe(args) -> int:
 
 
 # what --help says of an option besides its default
-_HELP = {"seed": "seed governing all randomness",
+_HELP = {"seed": "the split's seed, or a new model's (train --resume keeps the checkpoint's)",
          "clip_norm": "global gradient-norm bound; 0 disables clipping",
          "patience": "epochs without validation gain before stopping; 0 disables",
          "beam": "beam width; 1 = greedy",
@@ -325,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, fn, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key=value option file")
-        _add_options(p, "seed")
         p.set_defaults(fn=fn)
         return p
 
@@ -335,12 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emb", help="pre-trained embedding text file")
 
     p = command("extract", cmd_extract, "mine entries from articles + item descriptions")
+    _add_options(p, "seed")
     p.add_argument("--articles", required=True, help="TSV: title <TAB> first paragraph")
     p.add_argument("--items", required=True, help="TSV: title <TAB> description")
     p.add_argument("--out", required=True, help="output directory for split TSVs")
 
     p = command("train", cmd_train, "train a model variant")
-    _add_options(p, "variant enc_layers enc_width dec_layers dec_width attn_width emb_width "
+    _add_options(p, "seed variant enc_layers enc_width dec_layers dec_width attn_width emb_width "
                     "vocab_size dropout")
     p.add_argument("--train", required=True, help="training TSV")
     p.add_argument("--valid", help="validation TSV (enables early stopping)")

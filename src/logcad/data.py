@@ -11,24 +11,19 @@ sentence, in every corpus.
 
 from __future__ import annotations
 
-import logging
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 TRG_TOKEN = "[TRG]"
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
 BOS_TOKEN = "<bos>"
 EOS_TOKEN = "<eos>"
-
-UNK_INIT_SCALE = 0.08
 
 # punctuation detached as separate tokens
 _PUNCT_RE = re.compile(r"""([.,;:!?'"()])""")
@@ -122,26 +117,28 @@ def _parse_line(line: str) -> Entry:
     )
 
 
-def read_entries(path) -> tuple[list[Entry], int]:
-    """Parse a dataset TSV; invalid lines are skipped and counted."""
+def read_entries(path) -> tuple[list[Entry], list[str]]:
+    """Parse a dataset TSV; invalid lines are skipped, each named in the
+    second list as ``line L: reason``."""
     entries: list[Entry] = []
-    rejected = 0
+    rejected = []
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
             entries.append(_parse_line(line))
         except ValueError as e:
-            rejected += 1
-            log.debug("%s:%d rejected: %s", path, lineno, e)
+            rejected.append(f"line {lineno}: {e}")
     return entries, rejected
 
 
 def load_dataset(path) -> list[Entry]:
-    """Load entries from a TSV file, warning about the lines it rejects."""
+    """Load entries from a TSV file, warning on stderr about the lines it
+    rejects: how many, and the first one's line and reason."""
     entries, rejected = read_entries(path)
     if rejected:
-        log.warning("%s: rejected %d malformed line(s)", Path(path), rejected)
+        print(f"warning: {path}: rejected {len(rejected)} malformed line(s); "
+              f"first at {rejected[0]}", file=sys.stderr)
     return entries
 
 
@@ -156,31 +153,17 @@ def write_dataset(path, entries: Iterable[Entry]) -> None:
 
 
 class EmbeddingTable:
-    """token -> fixed-width pre-trained vector map with a deterministic
-    shared UNK fallback (one vector, drawn once from the given seed).
-    ``source`` names it in error messages: the file it was read from."""
+    """token -> fixed-width pre-trained vector map; a word it lacks takes the
+    model's UNK vector, which the model draws from its own seed. ``source``
+    names it in error messages: the file it was read from."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], width: int, seed: int = 0,
-                 source="embedding table"):
+    def __init__(self, vectors: dict[str, np.ndarray], width: int, source="embedding table"):
         self.vectors = vectors
         self.width = width
         self.source = source
-        self.unk = np.random.default_rng(seed).uniform(
-            -UNK_INIT_SCALE, UNK_INIT_SCALE, size=width
-        )
-
-    @classmethod
-    def empty(cls, width: int, seed: int = 0) -> "EmbeddingTable":
-        return cls({}, width, seed)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def lookup(self, token: str) -> np.ndarray:
-        return self.vectors.get(token, self.unk)
 
 
-def load_embeddings(path, seed: int = 0) -> EmbeddingTable:
+def load_embeddings(path) -> EmbeddingTable:
     """Read text-format vectors: an optional "count width" header line, then
     one token plus ``width`` space-separated decimal floats per line."""
     vectors: dict[str, np.ndarray] = {}
@@ -214,7 +197,7 @@ def load_embeddings(path, seed: int = 0) -> EmbeddingTable:
         vectors[token] = vec
     if width is None:
         raise ValueError(f"{path}: no vectors found")
-    return EmbeddingTable(vectors, width, seed, source=path)
+    return EmbeddingTable(vectors, width, source=path)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from logcad.data import EmbeddingTable, Entry
@@ -33,7 +34,7 @@ class EvalRecord:
     candidate: list
     reference: list
     senses: int
-    unk_ratio: float
+    unk_ratio: Fraction  # exact, so that a ratio on a bin's edge lands in that bin
     context_len: int
 
 
@@ -112,12 +113,12 @@ def build_records(entries: Sequence[Entry], candidates: Sequence[Sequence[str]],
         refs_by_phrase.setdefault(e.phrase_key(), set()).add(tuple(e.description))
     records = []
     for e, cand in zip(entries, candidates):
-        known = 0 if table is None else sum(1 for w in e.phrase if w in table)
+        known = 0 if table is None else sum(1 for w in e.phrase if w in table.vectors)
         records.append(EvalRecord(
             candidate=list(cand),
             reference=list(e.description),
             senses=len(refs_by_phrase[e.phrase_key()]),
-            unk_ratio=1.0 - known / len(e.phrase),
+            unk_ratio=Fraction(len(e.phrase) - known, len(e.phrase)),
             context_len=len(e.context),
         ))
     return records
@@ -127,7 +128,7 @@ def _senses_bin(v: int) -> int:
     return min(v, 4) - 1
 
 
-def _unk_bin(v: float) -> int:
+def _unk_bin(v: Fraction) -> int:
     return min(int(v * 10), 9)
 
 

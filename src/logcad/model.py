@@ -31,6 +31,7 @@ import numpy as np
 
 from logcad.data import Batch, EmbeddingTable, Entry, Vocab, make_batch
 from logcad.layers import (
+    INIT_SCALE,
     AttentionParams,
     BiLstmParams,
     CharCnnParams,
@@ -222,14 +223,15 @@ class ModelParams:
         return [t for _, t in self.named()]
 
 
-def phrase_embedding(phrase_words: Sequence[str], table: EmbeddingTable) -> np.ndarray:
-    """Sum of the pre-trained vectors of the phrase's words; every
-    out-of-table word contributes the one shared UNK vector."""
+def phrase_embedding(phrase_words: Sequence[str], vectors: dict[str, np.ndarray],
+                     unk: np.ndarray) -> np.ndarray:
+    """Sum of the pre-trained ``vectors`` of the phrase's words; every
+    out-of-table word contributes the one shared UNK vector ``unk``."""
     if not phrase_words:
         raise ValueError("phrase_embedding: empty phrase")
-    out = np.zeros(table.width)
+    out = np.zeros(len(unk))
     for w in phrase_words:
-        out = out + table.lookup(w)
+        out = out + vectors.get(w, unk)
     return out
 
 
@@ -271,9 +273,11 @@ class _Session:
 class DescriptionModel:
     """One encoder-decoder description generator instance.
 
-    Construction draws all parameters from the seed, unless ``params`` are
-    given (``model_from_checkpoint`` passes placeholders it then loads); the
-    same seed and config always yield bit-identical parameters.
+    Its seed draws the parameters, unless ``params`` are given
+    (``model_from_checkpoint`` passes placeholders it then loads), the
+    dropout masks, the UNK vector of phrase words missing from ``emb_table``
+    and ``train``'s epoch shuffles; the same seed and config always yield
+    bit-identical parameters.
     """
 
     def __init__(self, config: ModelConfig, vocab: Vocab,
@@ -288,12 +292,13 @@ class DescriptionModel:
         self.vocab = vocab
         self.dtype = dtype
         self.seed = seed
-        if emb_table is None:
-            emb_table = EmbeddingTable.empty(config.word_emb_width, seed)
-        if config.uses_global_embedding and emb_table.width != config.word_emb_width:
+        if (emb_table is not None and config.uses_global_embedding
+                and emb_table.width != config.word_emb_width):
             raise InputMismatch(f"{emb_table.source}: embedding width {emb_table.width} != "
                                 f"word_emb_width {config.word_emb_width}")
-        self.emb_table = emb_table
+        self.vectors = {} if emb_table is None else emb_table.vectors
+        self.unk = np.random.default_rng(seed).uniform(-INIT_SCALE, INIT_SCALE,
+                                                       config.word_emb_width)
         if params is None:
             params = ModelParams(config, len(vocab), np.random.default_rng([seed, 0]), dtype)
         self.params = params
@@ -318,7 +323,7 @@ class DescriptionModel:
                 enc_lengths = lengths
                 enc_proj = project_context(self.params.attn, enc_states, lengths)
         if cfg.uses_global_embedding:
-            x_trg = Tensor(np.asarray([phrase_embedding(words, self.emb_table)
+            x_trg = Tensor(np.asarray([phrase_embedding(words, self.vectors, self.unk)
                                        for words in batch.phrase_words], dtype=self.dtype))
         if cfg.variant == "i-attention":
             x_masked = iattention_mask(self.params.masknet, enc_states, x_trg, lengths=lengths)

@@ -1,7 +1,7 @@
-"""Training loop: Adam updates with global-norm gradient clipping, seeded
-epoch shuffling, optional early stopping on validation loss, and a TSV
-epoch log. Identical (seed, config, data) reproduce bit-identical parameters
-and logs."""
+"""Training loop: Adam updates with global-norm gradient clipping, epoch
+shuffling from the model's seed, optional early stopping on validation loss,
+and a TSV epoch log. Identical (seed, config, data) reproduce bit-identical
+parameters and logs."""
 
 from __future__ import annotations
 
@@ -23,10 +23,9 @@ class TrainSettings:
     lr: float = 1e-3
     clip_norm: float = 5.0  # global gradient-norm bound; 0 disables clipping
     patience: int = 5  # early-stopping patience on validation loss; 0 disables
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "patience", "seed"):
+        for name in ("epochs", "patience"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         if self.batch_size < 1:
@@ -132,8 +131,15 @@ class EpochRow:
 class TrainResult:
     rows: list = field(default_factory=list)
     best_valid: Optional[float] = None
-    final_train: Optional[float] = None  # None when no epoch ran
-    epochs_run: int = 0
+
+    @property
+    def final_train(self) -> Optional[float]:
+        """The last epoch's training loss; None when no epoch ran."""
+        return self.rows[-1].train_loss if self.rows else None
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.rows)
 
     def log_text(self) -> str:
         lines = ["epoch\ttrain_loss\tvalid_loss"]
@@ -170,7 +176,8 @@ def _first_non_finite(model: DescriptionModel) -> str:
 def train(model: DescriptionModel, train_entries: Sequence[Entry],
           valid_entries: Optional[Sequence[Entry]], settings: TrainSettings,
           start_epoch: int, verbose: bool) -> TrainResult:
-    """Optimize the model in place; returns per-epoch rows, numbered from
+    """Optimize the model in place, shuffling epoch ``e`` from the model's
+    seed plus ``e``; returns per-epoch rows, numbered from
     ``start_epoch + 1`` and printed when ``verbose``. With validation entries
     and a nonzero patience, training stops after ``patience`` non-improving
     epochs and the best-validation weights are restored; at patience 0 every
@@ -188,7 +195,7 @@ def train(model: DescriptionModel, train_entries: Sequence[Entry],
     for epoch_offset in range(settings.epochs):
         epoch = start_epoch + epoch_offset + 1
         batches = make_batches(train_entries, model.vocab, settings.batch_size,
-                               seed=settings.seed + epoch)
+                               seed=model.seed + epoch)
         total = 0.0
         tokens = 0.0
         for k, batch in enumerate(batches, start=1):
@@ -220,8 +227,6 @@ def train(model: DescriptionModel, train_entries: Sequence[Entry],
 
         row = EpochRow(epoch=epoch, train_loss=train_loss, valid_loss=valid_loss)
         result.rows.append(row)
-        result.final_train = train_loss
-        result.epochs_run = epoch_offset + 1
         if verbose:
             print(row.tsv(), flush=True)
 

@@ -206,7 +206,7 @@ def test_criterion_3_overfit():
     model = DescriptionModel(ModelConfig(variant="log-cad", **TOY_DIMS), vocab,
                              None, seed=0)
     result = train(model, entries, None,
-                   TrainSettings(epochs=500, batch_size=32, seed=0), start_epoch=0, verbose=False)
+                   TrainSettings(epochs=500, batch_size=32), start_epoch=0, verbose=False)
     acc = token_accuracy(model, entries)
     hits = sum(vocab.decode(greedy_decode(model, e, max_len=30)) == e.description
                for e in entries)
@@ -230,7 +230,7 @@ def test_criterion_4_directional_replication():
         model = DescriptionModel(ModelConfig(variant=variant, **TOY_DIMS), vocab,
                                  None, seed=1)
         train(model, train_entries, None,
-              TrainSettings(epochs=120, batch_size=16, seed=1), start_epoch=0, verbose=False)
+              TrainSettings(epochs=120, batch_size=16), start_epoch=0, verbose=False)
         cands = [vocab.decode(greedy_decode(model, e, max_len=20)) for e in test_entries]
         scores[variant] = corpus_bleu(build_records(test_entries, cands, None))
     gap = scores["log-cad"] - scores["global"]

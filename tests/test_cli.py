@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 import logcad.model
 from logcad.cli import main, resolve_config, build_parser
-from logcad.data import Vocab, load_dataset, write_dataset
-from logcad.decode import DEFAULT_MAX_LEN
+from logcad.data import Entry, Vocab, load_dataset, load_embeddings, tokenize_with_marker, \
+    write_dataset
+from logcad.decode import DEFAULT_MAX_LEN, decode_batch
 from logcad.model import ModelConfig, load_checkpoint, load_model, save_checkpoint
 from logcad.tensor import Tensor
 from logcad.train import TrainSettings
-from corpora import overfit_corpus
+from corpora import PHRASES, overfit_corpus
 
 ARTICLES_TSV = (
     "Tokyo\tTokyo is the capital of [[Japan]]. It is (by far) the largest city. "
@@ -62,16 +63,19 @@ def dump(tmp_path):
 
 def owner_defaults() -> dict:
     """Every tunable option's default as its owner holds it: ``ModelConfig``
-    (``word_emb_width`` is the option ``emb_width``), ``TrainSettings`` and
-    the decoder, which is greedy unless asked for a beam."""
+    (``word_emb_width`` is the option ``emb_width``), ``TrainSettings``,
+    the seed in ``cli.OPTIONS`` and the decoder, which is greedy unless asked
+    for a beam."""
     model = {("emb_width" if k == "word_emb_width" else k): v
              for k, v in asdict(ModelConfig()).items()}
-    return {**model, **asdict(TrainSettings()), "beam": 1, "max_len": DEFAULT_MAX_LEN}
+    return {**model, **asdict(TrainSettings()), "seed": 0, "beam": 1,
+            "max_len": DEFAULT_MAX_LEN}
 
 
 def _train_args(train_tsv, out, seed=0, epochs=6, extra=()):
+    """``train`` at tiny widths; ``seed=None`` passes no ``--seed``."""
     return ["train", "--train", str(train_tsv), "--out", str(out),
-            "--seed", str(seed), "--epochs", str(epochs),
+            *(() if seed is None else ("--seed", str(seed))), "--epochs", str(epochs),
             "--enc-width", "16", "--dec-width", "16", "--attn-width", "16",
             "--emb-width", "16", "--dropout", "0", "--batch-size", "8",
             "--quiet", *extra]
@@ -362,6 +366,75 @@ def trained_run(tmp_path_factory):
     return data, out
 
 
+@pytest.fixture(scope="module")
+def seed3_run(tmp_path_factory):
+    """A log-cad run trained from seed 3 with an embedding file that holds
+    the phrases' first words only, so every phrase vector holds the UNK vector."""
+    root = tmp_path_factory.mktemp("seed3")
+    data = root / "train.tsv"
+    write_dataset(data, overfit_corpus())
+    emb = root / "vectors.txt"
+    rng = np.random.default_rng(0)
+    emb.write_text("".join(f"{w} " + " ".join(f"{v:.4f}" for v in rng.normal(size=16)) + "\n"
+                           for w, _ in PHRASES), encoding="utf-8")
+    out = root / "run"
+    assert main(_train_args(data, out, seed=3, epochs=20, extra=["--emb", str(emb)])) == 0
+    return data, emb, out
+
+
+@pytest.mark.parametrize("command", ["evaluate", "describe"])
+def test_decoding_uses_the_checkpoints_seed(seed3_run, tmp_path, capsys, command):
+    # the UNK vector is drawn from the checkpoint's seed, whatever a --config says
+    data, emb, out = seed3_run
+    vocab = Vocab.load(out / "vocab.txt")
+    model, _ = load_model(out / "model.ckpt", vocab, load_embeddings(emb))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=5\n", encoding="utf-8")
+    common = ["--ckpt", str(out / "model.ckpt"), "--emb", str(emb), "--config", str(cfg)]
+    if command == "evaluate":
+        entries = load_dataset(data)
+        report = tmp_path / "report"
+        assert main(["evaluate", "--data", str(data), *common, "--out", str(report)]) == 0
+        got = [row.split("\t")[2] for row in
+               (report / "predictions.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+    else:
+        sentence = "the [TRG] near the harbor was seen ."
+        context, pos = tokenize_with_marker(sentence)
+        entries = [Entry(list(phrase), context, (pos, pos), ["-"]) for phrase in PHRASES]
+        capsys.readouterr()
+        for phrase in PHRASES:
+            assert main(["describe", *common, "--phrase", " ".join(phrase),
+                         "--sentence", sentence]) == 0
+        got = capsys.readouterr().out.splitlines()
+    assert got == [" ".join(vocab.decode(ids))
+                   for ids in decode_batch(model, entries, 1, DEFAULT_MAX_LEN)]
+
+
+def test_resume_keeps_the_checkpoints_seed(seed3_run, tmp_path):
+    data, emb, out = seed3_run
+    blobs = []
+    for name, seed in (("without", None), ("with", 3)):
+        resumed = tmp_path / name
+        assert main(_train_args(data, resumed, seed=seed, epochs=2, extra=[
+            "--emb", str(emb), "--resume", str(out / "model.ckpt")])) == 0
+        blobs.append([(resumed / f).read_bytes() for f in ("model.ckpt", "train_log.tsv")])
+    assert blobs[0] == blobs[1]
+
+
+def test_resume_refuses_another_seed_before_reading_data(seed3_run, tmp_path, capsys):
+    _data, _emb, out = seed3_run
+    ckpt = out / "model.ckpt"
+    resumed = tmp_path / "resumed"
+    capsys.readouterr()
+    # this training file does not exist
+    assert main(_train_args(tmp_path / "missing.tsv", resumed, seed=4, epochs=1,
+                            extra=["--resume", str(ckpt)])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {ckpt}: --seed 4 disagrees with the checkpoint's seed=3\n"
+    assert captured.out == ""
+    assert not resumed.exists()
+
+
 class TestDescribeCommand:
     def test_marker_passthrough(self, trained_run, capsys):
         _, out = trained_run
@@ -634,8 +707,8 @@ CLI_SURFACE = {
     "train": "--config --seed --variant --enc-layers --enc-width --dec-layers --dec-width "
              "--attn-width --emb-width --vocab-size --dropout --train --valid --emb --out "
              "--epochs --batch-size --lr --clip-norm --patience --resume --quiet",
-    "evaluate": "--config --seed --data --ckpt --vocab --emb --beam --max-len --out",
-    "describe": "--config --seed --ckpt --vocab --emb --phrase --sentence --beam --max-len",
+    "evaluate": "--config --data --ckpt --vocab --emb --beam --max-len --out",
+    "describe": "--config --ckpt --vocab --emb --phrase --sentence --beam --max-len",
 }
 
 
@@ -657,7 +730,8 @@ def test_help_shows_the_owners_defaults():
     defaults = owner_defaults()
     for name, p in _commands().items():
         tunables = {a.option_strings[0]: a.dest for a in p._actions if a.dest in defaults}
-        assert "--seed" in tunables, name
+        # a model's seed is set when train creates it; evaluate and describe draw nothing
+        assert ("--seed" in tunables) == (name in ("extract", "train")), name
         # after the usage block, every option's entry starts a line with "  -"
         text = p.format_help().split("\n\n", 1)[1]
         entries = {chunk.split()[0]: " ".join(chunk.split())

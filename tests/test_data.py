@@ -64,21 +64,12 @@ class TestEmbeddings:
         p = self._write(tmp_path, "2 3\nsonic 0.1 -0.25 3.0\nboom 1 2 3\n")
         table = load_embeddings(p)
         assert table.width == 3
-        npt.assert_allclose(table.lookup("sonic"), [0.1, -0.25, 3.0])
-        npt.assert_allclose(table.lookup("boom"), [1.0, 2.0, 3.0])
+        npt.assert_allclose(table.vectors["sonic"], [0.1, -0.25, 3.0])
+        npt.assert_allclose(table.vectors["boom"], [1.0, 2.0, 3.0])
 
     def test_headerless_file(self, tmp_path):
         table = load_embeddings(self._write(tmp_path, "a 1.0 2.0\nb 3.0 4.0\n"))
         assert table.width == 2 and len(table.vectors) == 2
-
-    def test_unk_is_shared_and_deterministic(self, tmp_path):
-        p = self._write(tmp_path, "a 1.0 2.0\n")
-        t1 = load_embeddings(p, seed=11)
-        t2 = load_embeddings(p, seed=11)
-        npt.assert_array_equal(t1.lookup("zzz"), t1.lookup("qqq"))
-        npt.assert_array_equal(t1.lookup("zzz"), t2.lookup("zzz"))
-        t3 = load_embeddings(p, seed=12)
-        assert not np.array_equal(t1.unk, t3.unk)
 
     def test_inconsistent_width_names_line(self, tmp_path):
         p = self._write(tmp_path, "a 1.0 2.0\nb 3.0\n")
@@ -127,7 +118,19 @@ class TestDataset:
         )
         entries, rejected = read_entries(p)
         assert len(entries) == 2
-        assert rejected == 3
+        assert rejected == ["line 2: expected exactly one [TRG] marker, found 0",
+                            "line 3: expected 3 tab-separated fields, got 2",
+                            "line 4: Entry: description must be nonempty"]
+
+    def test_rejected_lines_warned_like_the_cli(self, tmp_path, capsys):
+        p = tmp_path / "d.tsv"
+        p.write_text(SAMPLE + "only\ttwo fields\n" + SAMPLE + "bad\tno marker\tdesc\n",
+                     encoding="utf-8")
+        assert len(load_dataset(p)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: {p}: rejected 2 malformed line(s); first at "
+                                "line 2: expected 3 tab-separated fields, got 2\n")
+        assert captured.out == ""
 
     def test_order_preserved(self, tmp_path):
         lines = [

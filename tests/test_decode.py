@@ -291,8 +291,7 @@ ENTRIES = [
 def tiny_model(variant, seed=10):
     # at this seed every variant's entries finish at different steps
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable({t: rng.normal(size=4) for t in ("sonic", "boom", "dog")}, 4,
-                           seed=seed)
+    table = EmbeddingTable({t: rng.normal(size=4) for t in ("sonic", "boom", "dog")}, 4)
     return DescriptionModel(ModelConfig(variant=variant, **TINY), WORDS, table, seed=seed,
                             dtype=np.float64)
 

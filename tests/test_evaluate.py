@@ -158,6 +158,15 @@ class TestBinnedReport:
         assert counts["50-60%"] == 1
         assert counts["90-100%"] == 2
 
+    @pytest.mark.parametrize("words,known,label", [
+        (5, 4, "20-30%"), (10, 8, "20-30%"), (10, 9, "10-20%")])
+    def test_unk_ratio_bin_from_word_counts(self, words, known, label):
+        # 1 - 4/5 is 0.19999999999999996 in floating point
+        phrase = [f"w{i}" for i in range(words)]
+        table = EmbeddingTable({w: np.zeros(3) for w in phrase[:known]}, 3)
+        records = build_records([Entry(phrase, ["[TRG]"], (0, 0), ["x"])], [["x"]], table)
+        assert [r.label for r in binned_report(records, "unk_ratio") if r.count] == [label]
+
     def test_context_len_bins(self):
         records = [rec("a", "a", ctx=c) for c in [3, 10, 11, 20, 21, 30, 31, 99]]
         results = binned_report(records, "context_len")

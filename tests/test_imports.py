@@ -282,8 +282,7 @@ DEFAULTS_RELIED_ON_BY_TESTS = {
     "lstm_cell: drop": "LSTM tests step and unroll without dropout",
     "DescriptionModel: seed": _SEED,
     "DescriptionModel: emb_table": "tests build models without an embedding file",
-    "EmbeddingTable: seed": _SEED,
-    "load_embeddings: seed": _SEED,
+    "EmbeddingTable: source": "tests build tables in memory, not from a file",
     "make_batches: seed": _SEED,
     "split_by_phrase: seed": _SEED,
     "greedy_decode: max_len": "perfbench calls greedy_decode(model, entry) through a loop "

@@ -78,7 +78,7 @@ def padded_entries():
 
 def toy_table(width=4, tokens=("sonic", "boom"), seed=3):
     rng = np.random.default_rng(seed)
-    return EmbeddingTable({t: rng.normal(size=width) for t in tokens}, width, seed=seed)
+    return EmbeddingTable({t: rng.normal(size=width) for t in tokens}, width)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def np_gated_steps(model, entry, prev_tokens):
     p = model.params
     ctx_ids = np.array(model.vocab.encode(entry.context), dtype=np.intp)
     enc = np_bilstm(p.encoder, p.word_emb.data[ctx_ids]) if cfg.uses_encoder else None
-    x_trg = (phrase_embedding(entry.phrase, model.emb_table)
+    x_trg = (phrase_embedding(entry.phrase, model.vectors, model.unk)
              if cfg.uses_global_embedding else None)
     c_trg = np_char(p.char, entry.phrase) if cfg.uses_gate else None
 
@@ -199,22 +199,45 @@ def np_gated_steps(model, entry, prev_tokens):
 
 
 class TestPhraseEmbedding:
+    UNK = np.array([0.5, -0.25, 0.125, 1.0])
+
     def test_sum_of_vectors(self):
         table = toy_table()
-        want = table.lookup("sonic") + table.lookup("boom")
-        npt.assert_allclose(phrase_embedding(["sonic", "boom"], table), want)
+        want = table.vectors["sonic"] + table.vectors["boom"]
+        npt.assert_allclose(phrase_embedding(["sonic", "boom"], table.vectors, self.UNK), want)
 
     def test_singleton(self):
         table = toy_table()
-        npt.assert_allclose(phrase_embedding(["sonic"], table), table.lookup("sonic"))
+        npt.assert_allclose(phrase_embedding(["sonic"], table.vectors, self.UNK),
+                            table.vectors["sonic"])
 
     def test_out_of_table_words_share_unk(self):
-        table = toy_table()
-        npt.assert_allclose(phrase_embedding(["zig", "zag"], table), 2 * table.unk)
+        npt.assert_allclose(phrase_embedding(["zig", "zag"], toy_table().vectors, self.UNK),
+                            2 * self.UNK)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            phrase_embedding([], toy_table())
+            phrase_embedding([], toy_table().vectors, self.UNK)
+
+    @pytest.mark.parametrize("table", [None, toy_table()], ids=["no table", "table"])
+    def test_model_unk_is_drawn_from_its_seed(self, table):
+        # the UNK vector is the model's, whatever table it reads: a phrase of
+        # words missing from the table sums it once per word
+        model = DescriptionModel(tiny_config("global"), toy_vocab(), table, seed=7)
+        want = np.random.default_rng(7).uniform(-0.08, 0.08, TINY["word_emb_width"])
+        npt.assert_array_equal(model.unk, want)
+        entry = Entry(["zig", "zag"], ["a", "[TRG]"], (1, 1), ["red"])
+        npt.assert_array_equal(model.start_session([entry]).x_trg.data[0],
+                               (want + want).astype(np.float32))
+
+    def test_unk_is_shared_and_deterministic(self):
+        def embed(word, seed):
+            model = DescriptionModel(tiny_config("log-cad"), toy_vocab(), toy_table(), seed=seed)
+            return phrase_embedding([word], model.vectors, model.unk)
+
+        npt.assert_array_equal(embed("zzz", 11), embed("qqq", 11))
+        npt.assert_array_equal(embed("zzz", 11), embed("zzz", 11))
+        assert not np.array_equal(embed("zzz", 11), embed("zzz", 12))
 
 
 class TestConfig:
@@ -311,7 +334,7 @@ class TestDecodeStep:
         enc = np_bilstm(p.encoder, p.word_emb.data[ctx_ids])
         mapped = np.tanh(enc @ p.masknet.w_ff.data + p.masknet.b_ff.data)
         m = np_sigmoid(mapped.mean(axis=0) @ p.masknet.w_m.data + p.masknet.b_m.data)
-        x_trg = phrase_embedding(entry.phrase, model.emb_table)
+        x_trg = phrase_embedding(entry.phrase, model.vectors, model.unk)
         npt.assert_allclose(session.x_masked.data[0], x_trg * m, atol=1e-8)
         assert np.all((m > 0) & (m < 1))
 
@@ -878,12 +901,12 @@ class TestVariantReduction:
             prev = [int(np.argmax(l1[0]))]
 
     def test_zero_phrase_embedding_reduces_logcad_to_local(self):
-        # a table whose vectors and UNK are all zero makes x_trg = 0
+        # a table whose vectors are all zero, with a zero UNK, makes x_trg = 0
         zero_table = EmbeddingTable({"sonic": np.zeros(4), "boom": np.zeros(4)}, 4)
-        zero_table.unk[:] = 0.0
         vocab = toy_vocab()
         cfg = tiny_config("log-cad")
         m1 = DescriptionModel(cfg, vocab, zero_table, seed=10, dtype=np.float64)
+        m1.unk[:] = 0.0
         m2 = DescriptionModel(tiny_config("local"), vocab, None, seed=11, dtype=np.float64)
         for (n1, t1), (n2, t2) in zip(
             [(n, t) for n, t in m1.params.named() if n.split(".")[0] in
@@ -1068,11 +1091,6 @@ class TestCheckpoint:
         assert str(path) in str(err.value)
 
 
-class _NoDrawGenerator(np.random.Generator):
-    def uniform(self, *args, **kwargs):
-        raise AssertionError("drew weights")
-
-
 class _RecordingGenerator(np.random.Generator):
     drawn = 0
 
@@ -1149,14 +1167,23 @@ def _saved(tmp_path, variant, seed=21):
 class TestLoadPath:
     """``load_model`` reads the file once, draws nothing and copies nothing."""
 
-    def test_load_draws_nothing_but_training_init_does(self, tmp_path, monkeypatch):
+    def test_load_draws_only_the_unk_vector(self, tmp_path, monkeypatch):
+        # every model draws its UNK vector from its seed; only a fresh one
+        # draws weights too
         _, path = _saved(tmp_path, "log-cad")
-        table = toy_table()  # its UNK vector is drawn at construction
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed=None: _NoDrawGenerator(np.random.PCG64(seed)))
-        load_model(path, toy_vocab(), table)
-        with pytest.raises(AssertionError, match="drew weights"):
-            DescriptionModel(tiny_config("log-cad"), toy_vocab(), table, seed=21)
+        generators = []
+
+        def recording(seed=None):
+            generators.append(_RecordingGenerator(np.random.PCG64(seed)))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        loaded, _ = load_model(path, toy_vocab(), toy_table())
+        assert sum(g.drawn for g in generators) == TINY["word_emb_width"]
+        generators.clear()
+        DescriptionModel(tiny_config("log-cad"), toy_vocab(), toy_table(), seed=21)
+        assert sum(g.drawn for g in generators) == TINY["word_emb_width"] + sum(
+            t.size for t in loaded.params.tensors() if t.ndim == 2)
 
     @pytest.mark.parametrize("variant", ["global", "log-cad"])
     def test_load_builds_no_dropped_group(self, tmp_path, monkeypatch, variant):

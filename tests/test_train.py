@@ -99,17 +99,17 @@ class TestTrainLoop:
     def test_loss_decreases(self):
         entries = overfit_corpus()
         model = small_model(entries)
-        result = train(model, entries, None, TrainSettings(epochs=25, batch_size=8, seed=0),
+        result = train(model, entries, None, TrainSettings(epochs=25, batch_size=8),
                        start_epoch=0, verbose=False)
         assert result.rows[-1].train_loss < result.rows[0].train_loss
 
     def test_epoch_counter_continues_on_resume(self):
         entries = overfit_corpus()
         model = small_model(entries)
-        r1 = train(model, entries, None, TrainSettings(epochs=2, batch_size=16, seed=0),
+        r1 = train(model, entries, None, TrainSettings(epochs=2, batch_size=16),
                    start_epoch=0, verbose=False)
         assert [row.epoch for row in r1.rows] == [1, 2]
-        r2 = train(model, entries, None, TrainSettings(epochs=2, batch_size=16, seed=0),
+        r2 = train(model, entries, None, TrainSettings(epochs=2, batch_size=16),
                    start_epoch=2, verbose=False)
         assert [row.epoch for row in r2.rows] == [3, 4]
 
@@ -120,7 +120,7 @@ class TestTrainLoop:
         valid = [Entry(["odd", "pair"], ["a", "[TRG]", "thing"], (1, 1),
                        ["zzz", "qqq", "xxx"]) for _ in range(4)]
         model = small_model(entries)
-        settings = TrainSettings(epochs=60, batch_size=8, seed=0, patience=3)
+        settings = TrainSettings(epochs=60, batch_size=8, patience=3)
         result = train(model, entries, valid, settings, start_epoch=0, verbose=False)
         assert result.epochs_run < 60
         from logcad.train import _teacher_forced
@@ -134,7 +134,7 @@ class TestTrainLoop:
         entries = overfit_corpus()
         valid = [Entry(["odd", "pair"], ["a", "[TRG]", "thing"], (1, 1),
                        ["zzz", "qqq", "xxx"]) for _ in range(4)]
-        settings = TrainSettings(epochs=8, batch_size=8, seed=0, patience=0)
+        settings = TrainSettings(epochs=8, batch_size=8, patience=0)
         with_valid, without = small_model(entries), small_model(entries)
         result = train(with_valid, entries, valid, settings, start_epoch=0, verbose=False)
         train(without, entries, None, settings, start_epoch=0, verbose=False)
@@ -146,7 +146,7 @@ class TestTrainLoop:
     def test_log_format(self):
         entries = overfit_corpus()
         model = small_model(entries)
-        result = train(model, entries, None, TrainSettings(epochs=2, batch_size=16, seed=0),
+        result = train(model, entries, None, TrainSettings(epochs=2, batch_size=16),
                        start_epoch=0, verbose=False)
         lines = result.log_text().splitlines()
         assert lines[0] == "epoch\ttrain_loss\tvalid_loss"
@@ -159,7 +159,7 @@ class TestTrainLoop:
         for _ in range(2):
             model = small_model(entries, seed=5)
             result = train(model, entries, None,
-                           TrainSettings(epochs=4, batch_size=8, seed=5),
+                           TrainSettings(epochs=4, batch_size=8),
                            start_epoch=0, verbose=False)
             finals.append((result.final_train,
                            [t.data.copy() for t in model.params.tensors()]))
@@ -187,7 +187,7 @@ class TestNonFiniteGuard:
         before = [t.data.copy() for t in model.params.tensors()]
         with pytest.raises(ValueError, match=r"epoch 1, batch 1: loss nan, gradient norm nan; "
                                              r"first non-finite gradient in group word_emb"):
-            train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0),
+            train(model, entries, None, TrainSettings(epochs=2, batch_size=8),
                   start_epoch=0, verbose=False)
         for t, b in zip(model.params.tensors(), before):
             npt.assert_array_equal(t.data, b)
@@ -209,7 +209,7 @@ class TestNonFiniteGuard:
             with pytest.raises(ValueError, match=r"epoch 1, batch 1: loss [0-9.]+, gradient "
                                                  r"norm inf; first non-finite gradient in "
                                                  r"group decoder \(decoder\.l0\.wh\)"):
-                train(model, entries, None, TrainSettings(epochs=2, batch_size=8, seed=0),
+                train(model, entries, None, TrainSettings(epochs=2, batch_size=8),
                       start_epoch=0, verbose=False)
         for t, b in zip(model.params.tensors(), before):
             npt.assert_array_equal(t.data, b)
@@ -234,7 +234,7 @@ class TestFloat32TracksFloat64:
         for t32, t64 in zip(m32.params.tensors(), m64.params.tensors()):
             t64.data[...] = t32.data  # exact
         # one batch per epoch: each row's loss is one step's, before its update
-        settings = TrainSettings(epochs=self.STEPS, batch_size=len(entries), lr=1e-2, seed=3)
+        settings = TrainSettings(epochs=self.STEPS, batch_size=len(entries), lr=1e-2)
         losses = [np.array([row.train_loss for row in
                             train(m, entries, None, settings, start_epoch=0, verbose=False).rows])
                   for m in (m32, m64)]
